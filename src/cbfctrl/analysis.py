@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -23,7 +23,16 @@ from .core import (
     ShapingFunction,
     gamma_sontag,
 )
-from .formulas import ControllerSpec, evaluate_controller
+from .formulas import ControllerOutput, ControllerSpec, evaluate_controller
+
+
+def _margin(c: float, kappa: float, gamma: float) -> float:
+    den = c - kappa * gamma
+    if abs(den) <= 1e-12:
+        raise DegenerateMarginError(
+            f"degenerate margin: c - kappa*Gamma = {den} with c={c}, kappa={kappa}"
+        )
+    return -1.0 + c / den
 
 
 def safety_margin_at(
@@ -36,13 +45,21 @@ def safety_margin_at(
     guarantees the denominator is negative, so M <= 0; M equals -1/2 in
     the limit c -> -inf with kappa = 1.
     """
-    gamma = gamma_sontag(con, shaping)
-    den = con.c - kappa * gamma
-    if abs(den) <= 1e-12:
-        raise DegenerateMarginError(
-            f"degenerate margin: c - kappa*Gamma = {den} with c={con.c}, kappa={kappa}"
-        )
-    return -1.0 + con.c / den
+    return _margin(con.c, kappa, gamma_sontag(con, shaping))
+
+
+def margin_of(out: ControllerOutput) -> float:
+    """Margin M at the constraint and tightening one evaluation used.
+
+    NaN where M is undefined: the kind has no tunable term (kappa is
+    None), Gamma is not finite, or the denominator is numerically zero.
+    """
+    if out.kappa is None or not math.isfinite(out.gamma_eff):
+        return math.nan
+    try:
+        return _margin(out.c_eff, out.kappa, out.gamma_eff)
+    except DegenerateMarginError:
+        return math.nan
 
 
 @dataclass(frozen=True)
@@ -191,11 +208,3 @@ def disturbed_residual(
     if disturbance is not None:
         u = u + disturbance.at(t, con.d.size)
     return con.c + float(con.d @ u)
-
-
-def margins_over(
-    cons: Iterable[AffineConstraint], kappas: Iterable[float], shaping: ShapingFunction
-) -> MarginReport:
-    """Evaluate the margin over paired (constraint, kappa) samples."""
-    vals = [safety_margin_at(con, k, shaping) for con, k in zip(cons, kappas)]
-    return margin_report(vals)

@@ -20,13 +20,12 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import manipulator, systems
-from .analysis import DisturbanceSpec, check_compatibility
+from .analysis import DisturbanceSpec, check_compatibility, margin_of
 from .core import (
     AffineConstraint,
     CBFControlError,
@@ -394,17 +393,10 @@ def cmd_sweep(args) -> int:
         node[leaf] = value
         scenarios.append(build_scenario(config, zoh=args.zoh, seed=args.seed))
 
-    # Runs are pure and value-returning, so they fan out across worker
-    # threads; all file writes stay in this thread, serialized per path.
-    with ThreadPoolExecutor(max_workers=min(4, len(values))) as pool:
-        trajs = list(
-            pool.map(
-                lambda sc: run(
-                    sc.system, sc.spec, sc.barrier, sc.x0, sc.sim_cfg, sc.disturbance
-                ),
-                scenarios,
-            )
-        )
+    trajs = [
+        run(sc.system, sc.spec, sc.barrier, sc.x0, sc.sim_cfg, sc.disturbance)
+        for sc in scenarios
+    ]
 
     any_failed = False
     rows = []
@@ -565,8 +557,7 @@ def cmd_margin(args) -> int:
     for x in states:
         con = evaluate_constraint(scenario.system, scenario.barrier, x)
         out = evaluate_controller(scenario.spec, con, x)
-        den = out.c_eff - out.kappa * out.gamma_eff
-        margins.append(-1.0 + out.c_eff / den if abs(den) > 1e-12 else math.nan)
+        margins.append(margin_of(out))
     finite = [m for m in margins if math.isfinite(m)]
     if not finite:
         print("no finite margins on the grid", file=sys.stderr)

@@ -272,9 +272,10 @@ def evaluate_constraint(
     h = float(barrier.value(x))
     c = float(grad @ f) + barrier.classk(h)
     d = grad @ g
-    if not math.isfinite(c) or not np.isfinite(d).all():
-        raise NumericsError(f"constraint evaluation not finite at x={x}: c={c}, d={d}")
-    return AffineConstraint(c=c, d=d)
+    try:
+        return AffineConstraint(c=c, d=d)
+    except NumericsError as exc:
+        raise NumericsError(f"constraint evaluation not finite at x={x}: c={c}, d={d}") from exc
 
 
 def gamma_sontag(con: AffineConstraint, shaping: ShapingFunction) -> float:

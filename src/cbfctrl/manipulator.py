@@ -11,7 +11,9 @@ through the rigid-body dynamics using the composite barrier
 with a min-norm safety filter around the tracking torque.  Backstepping
 needs the total derivative of k0, so the velocity-level scenario carries
 hand-derived Jacobians of its own formula (finite-difference fallbacks
-exist for tests).
+exist for tests).  Every torque-level map reads one per-state evaluation,
+torque_terms, so the dynamics, k0 and its Jacobians are formed once per
+state.
 
 Time enters through the reference trajectory; both layers carry it as a
 trailing clock state with rate 1, which keeps every map a pure function
@@ -21,8 +23,8 @@ of the state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -34,12 +36,10 @@ from .core import (
     NumericsError,
     ShapingFunction,
     TunableTermPolicy,
-    evaluate_constraint,
     finite_difference_gradient,
 )
 from .formulas import (
     ControllerSpec,
-    evaluate_controller,
     kappa_from_eta,
     lambda_min_norm,
     lambda_sontag,
@@ -167,15 +167,30 @@ class VirtualController:
     """Velocity command k0(q, tau) together with its partial derivatives.
 
     jac_q is the 2x2 Jacobian in q and jac_tau the partial in the clock;
-    the total derivative along qdot = v is jac_q @ v + jac_tau.
+    the total derivative along qdot = v is jac_q @ v + jac_tau.  terms
+    returns (value, jac_q, jac_tau) together from one pass, which is what
+    the torque level reads.
     """
 
     value: Callable[[np.ndarray, float], np.ndarray]
     jac_q: Callable[[np.ndarray, float], np.ndarray]
     jac_tau: Callable[[np.ndarray, float], np.ndarray]
+    terms: Callable[[np.ndarray, float], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
     def total_derivative(self, q: np.ndarray, v: np.ndarray, tau: float) -> np.ndarray:
         return self.jac_q(q, tau) @ v + self.jac_tau(q, tau)
+
+    @classmethod
+    def from_terms(
+        cls, terms: Callable[[np.ndarray, float], tuple[np.ndarray, np.ndarray, np.ndarray]]
+    ) -> "VirtualController":
+        """Controller whose three maps all read the fused terms(q, tau)."""
+        return cls(
+            value=lambda q, tau: terms(q, tau)[0],
+            jac_q=lambda q, tau: terms(q, tau)[1],
+            jac_tau=lambda q, tau: terms(q, tau)[2],
+            terms=terms,
+        )
 
     @classmethod
     def from_map(cls, fn: Callable[[np.ndarray, float], np.ndarray]) -> "VirtualController":
@@ -192,7 +207,12 @@ class VirtualController:
             step = 1e-6 * (1.0 + abs(tau))
             return (fn(q, tau + step) - fn(q, tau - step)) / (2.0 * step)
 
-        return cls(value=fn, jac_q=jac_q, jac_tau=jac_tau)
+        return cls(
+            value=fn,
+            jac_q=jac_q,
+            jac_tau=jac_tau,
+            terms=lambda q, tau: (fn(q, tau), jac_q(q, tau), jac_tau(q, tau)),
+        )
 
 
 @dataclass(frozen=True)
@@ -277,12 +297,7 @@ def velocity_level_scenario(
     # Constraint geometry at the filter: constant direction, c = beta * h.
     d_vec = np.array([0.0, -1.0])
     d2 = float(d_vec @ d_vec)
-    dh_dq = np.array([0.0, -1.0])
-
-    def cbar_at(q: np.ndarray, tau: float) -> float:
-        h = q_bar - q[1]
-        k0d = -kp_mat @ (q - reference(tau)) + reference_rate(tau)
-        return beta * h + float(d_vec @ k0d)
+    dcbar_dq = beta * np.array([0.0, -1.0]) + d_vec @ (-kp_mat)
 
     def lam_and_slope(cbar: float) -> tuple[float, float]:
         """Multiplier and d(lam)/d(cbar) for the selected formula."""
@@ -299,28 +314,19 @@ def velocity_level_scenario(
             f"analytic Jacobians are not provided for kind {kind!r}"
         )
 
-    def k0_value(q: np.ndarray, tau: float) -> np.ndarray:
-        k0d = -kp_mat @ (q - reference(tau)) + reference_rate(tau)
-        lam, _ = lam_and_slope(beta * (q_bar - q[1]) + float(d_vec @ k0d))
-        return k0d + lam * d_vec
+    def k0_terms(q: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """k0 and its Jacobians in q and tau from one multiplier evaluation."""
+        ref_rate = reference_rate(tau)
+        k0d = -kp_mat @ (q - reference(tau)) + ref_rate
+        lam, slope = lam_and_slope(beta * (q_bar - q[1]) + float(d_vec @ k0d))
+        dk0d_dtau = kp_mat @ ref_rate + reference_accel(tau)
+        return (
+            k0d + lam * d_vec,
+            -kp_mat + np.outer(d_vec, slope * dcbar_dq),
+            dk0d_dtau + d_vec * (slope * float(d_vec @ dk0d_dtau)),
+        )
 
-    def dcbar_dq(q: np.ndarray, tau: float) -> np.ndarray:
-        return beta * dh_dq + d_vec @ (-kp_mat)
-
-    def dcbar_dtau(q: np.ndarray, tau: float) -> float:
-        dk0d_dtau = kp_mat @ reference_rate(tau) + reference_accel(tau)
-        return float(d_vec @ dk0d_dtau)
-
-    def k0_jac_q(q: np.ndarray, tau: float) -> np.ndarray:
-        _, slope = lam_and_slope(cbar_at(q, tau))
-        return -kp_mat + np.outer(d_vec, slope * dcbar_dq(q, tau))
-
-    def k0_jac_tau(q: np.ndarray, tau: float) -> np.ndarray:
-        dk0d_dtau = kp_mat @ reference_rate(tau) + reference_accel(tau)
-        _, slope = lam_and_slope(cbar_at(q, tau))
-        return dk0d_dtau + d_vec * (slope * dcbar_dtau(q, tau))
-
-    k0 = VirtualController(value=k0_value, jac_q=k0_jac_q, jac_tau=k0_jac_tau)
+    k0 = VirtualController.from_terms(k0_terms)
 
     return VelocityScenario(
         system=system,
@@ -384,70 +390,73 @@ class TorqueScenario:
     cfg: BacksteppingConfig
 
 
-def full_order_system(p: ManipulatorParams) -> ControlAffineSystem:
-    """Manipulator with a trailing clock state: n = 5, m = 2."""
+class TorqueTerms(NamedTuple):
+    """Every torque-level map at one state [q1, q2, v1, v2, clock].
 
-    def drift(x: np.ndarray) -> np.ndarray:
-        q = x[:2]
-        v = x[2:4]
-        m_inv = _inverse_2x2(mass_matrix(p, q))
-        phi = -m_inv @ (coriolis_matrix(p, q, v) @ v + gravity_vector(p, q))
-        return np.array([v[0], v[1], phi[0], phi[1], 1.0])
+    f and g are the drift and input map of the manipulator with its
+    trailing clock (n = 5, m = 2), b and grad_b the composite barrier
+    b = h(q) - (1/(2 mu)) ||v - k0||^2 and its gradient, and k_d the
+    tracking torque M (k0dot - kp_bar (v - k0)) + C v + N.
+    """
 
-    def input_map(x: np.ndarray) -> np.ndarray:
-        q = x[:2]
-        m_inv = _inverse_2x2(mass_matrix(p, q))
+    f: np.ndarray
+    g: np.ndarray
+    b: float
+    grad_b: np.ndarray
+    k_d: np.ndarray
+
+
+def torque_terms(
+    p: ManipulatorParams, velocity: VelocityScenario, cfg: BacksteppingConfig
+) -> Callable[[np.ndarray], TorqueTerms]:
+    """Per-state evaluation of the torque level, remembering the last state.
+
+    One call forms M and its inverse, C(q, v) v, N(q), k0 with both its
+    Jacobians, and from them every field of TorqueTerms.  The closed loop
+    asks for several of these maps at the same state, so the last result
+    is kept, keyed on the state's bytes (a state mutated in place is a new
+    state); its arrays are read-only because every caller shares them.
+    """
+    k0_terms = velocity.k0.terms
+    h_of = velocity.barrier.value
+    mu = cfg.mu
+    dh_dq = np.array([0.0, -1.0])
+    last: Optional[tuple[bytes, TorqueTerms]] = None
+
+    def terms(x: np.ndarray) -> TorqueTerms:
+        nonlocal last
+        x = np.asarray(x, dtype=float)
+        key = x.tobytes()
+        cached = last
+        if cached is not None and cached[0] == key:
+            return cached[1]
+        q, v, tau = x[:2], x[2:4], x[4]
+        m = mass_matrix(p, q)
+        m_inv = _inverse_2x2(m)
+        cv = coriolis_matrix(p, q, v) @ v
+        n = gravity_vector(p, q)
+        k0, jac_q, jac_tau = k0_terms(q, tau)
+        e_v = v - k0
+
+        phi = -m_inv @ (cv + n)
+        f = np.array([v[0], v[1], phi[0], phi[1], 1.0])
         g = np.zeros((5, 2))
         g[2:4, :] = m_inv
-        return g
+        h = h_of(np.array([q[0], q[1], tau]))
+        b = h - float(e_v @ e_v) / (2.0 * mu)
+        grad_b = np.empty(5)
+        grad_b[:2] = dh_dq + (e_v @ jac_q) / mu
+        grad_b[2:4] = -e_v / mu
+        grad_b[4] = float(e_v @ jac_tau) / mu
+        k0_dot = jac_q @ v + jac_tau
+        k_d = m @ (k0_dot - cfg.kp_bar * e_v) + cv + n
+        for arr in (f, g, grad_b, k_d):
+            arr.flags.writeable = False
+        result = TorqueTerms(f=f, g=g, b=b, grad_b=grad_b, k_d=k_d)
+        last = (key, result)
+        return result
 
-    return ControlAffineSystem(state_dim=5, input_dim=2, drift=drift, input_map=input_map)
-
-
-def composite_barrier(
-    velocity: VelocityScenario, cfg: BacksteppingConfig
-) -> BarrierFunction:
-    """b = h(q) - (1/(2 mu)) ||v - k0||^2 over the full-order state."""
-    k0 = velocity.k0
-    mu = cfg.mu
-
-    def value(x: np.ndarray) -> float:
-        q, v, tau = x[:2], x[2:4], x[4]
-        e_v = v - k0.value(q, tau)
-        h = velocity.barrier.value(np.array([q[0], q[1], tau]))
-        return h - float(e_v @ e_v) / (2.0 * mu)
-
-    def gradient(x: np.ndarray) -> np.ndarray:
-        q, v, tau = x[:2], x[2:4], x[4]
-        e_v = v - k0.value(q, tau)
-        grad = np.empty(5)
-        grad[:2] = np.array([0.0, -1.0]) + (e_v @ k0.jac_q(q, tau)) / mu
-        grad[2:4] = -e_v / mu
-        grad[4] = float(e_v @ k0.jac_tau(q, tau)) / mu
-        return grad
-
-    return BarrierFunction(
-        value=value, gradient=gradient, classk=ExtendedClassK.linear(cfg.alpha_b)
-    )
-
-
-def backstepping_nominal(
-    p: ManipulatorParams, velocity: VelocityScenario, cfg: BacksteppingConfig
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Tracking torque k_d = M (k0dot - kp_bar (v - k0)) + C v + N."""
-    k0 = velocity.k0
-
-    def nominal(x: np.ndarray) -> np.ndarray:
-        q, v, tau = x[:2], x[2:4], x[4]
-        e_v = v - k0.value(q, tau)
-        k0_dot = k0.total_derivative(q, v, tau)
-        return (
-            mass_matrix(p, q) @ (k0_dot - cfg.kp_bar * e_v)
-            + coriolis_matrix(p, q, v) @ v
-            + gravity_vector(p, q)
-        )
-
-    return nominal
+    return terms
 
 
 def torque_level_scenario(
@@ -457,13 +466,27 @@ def torque_level_scenario(
     sigma: float = 0.2,
     kind: str = "tunable",
 ) -> TorqueScenario:
-    """Backstepped safe tracking with a min-norm filter on the composite barrier."""
+    """Backstepped safe tracking with a min-norm filter on the composite barrier.
+
+    The system, barrier and nominal torque all read one torque_terms
+    evaluation per state.
+    """
     params = params or ManipulatorParams()
     cfg = cfg or BacksteppingConfig()
     velocity = velocity_level_scenario(eta=eta, sigma=sigma, kind=kind, kp=cfg.kp)
-    system = full_order_system(params)
-    barrier = composite_barrier(velocity, cfg)
-    nominal = backstepping_nominal(params, velocity, cfg)
+    terms = torque_terms(params, velocity, cfg)
+    system = ControlAffineSystem(
+        state_dim=5,
+        input_dim=2,
+        drift=lambda x: terms(x).f,
+        input_map=lambda x: terms(x).g,
+    )
+    barrier = BarrierFunction(
+        value=lambda x: terms(x).b,
+        gradient=lambda x: terms(x).grad_b,
+        classk=ExtendedClassK.linear(cfg.alpha_b),
+    )
+    nominal = lambda x: terms(x).k_d
     spec = ControllerSpec.safety_filter(ControllerSpec.qp(), nominal)
     v0 = reference_rate(0.0)
     x0 = np.array([velocity.x0[0], velocity.x0[1], v0[0], v0[1], 0.0])
@@ -477,31 +500,6 @@ def torque_level_scenario(
         params=params,
         cfg=cfg,
     )
-
-
-def backstepping_controller(
-    params: ManipulatorParams,
-    cfg: BacksteppingConfig,
-    k0: VirtualController,
-    x: np.ndarray,
-    t: float,
-) -> np.ndarray:
-    """Torque at one state [q; v] and time, for a given velocity command.
-
-    Forms the composite-barrier constraint for the full-order system and
-    evaluates the min-norm safety filter around the tracking torque.
-    Raises InfeasibleConstraintError when the constraint direction
-    vanishes with a nonpositive offset.
-    """
-    velocity = velocity_level_scenario(kp=cfg.kp)
-    velocity = replace(velocity, k0=k0)
-    system = full_order_system(params)
-    barrier = composite_barrier(velocity, cfg)
-    nominal = backstepping_nominal(params, velocity, cfg)
-    spec = ControllerSpec.safety_filter(ControllerSpec.qp(), nominal)
-    x_full = np.array([x[0], x[1], x[2], x[3], t])
-    con = evaluate_constraint(system, barrier, x_full)
-    return evaluate_controller(spec, con, x_full).u
 
 
 # --- studies ------------------------------------------------------------------

@@ -2,10 +2,13 @@
 
 The controller is re-evaluated inside every RK4 stage (continuous-feedback
 semantics); a zero-order-hold mode freezes it over each step for
-sampled-data studies.  Disturbances are evaluated at the pre-step time and
-held across stages.  Runs that hit an infeasible constraint, a tunable
-range violation, or a numerical blow-up return a truncated trajectory
-carrying the failure reason instead of raising.
+sampled-data studies.  Each state is evaluated once: the evaluation that
+records step k is also RK4 stage 1 (and the single Euler stage), so an
+RK4 step costs four controller evaluations and an Euler step one.
+Disturbances are evaluated at the pre-step time and held across stages.
+Runs that hit an infeasible constraint, a tunable range violation, or a
+numerical blow-up return a truncated trajectory carrying the failure
+reason instead of raising.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .analysis import DisturbanceSpec
+from .analysis import DisturbanceSpec, margin_of
 from .core import (
     AffineConstraint,
     BarrierFunction,
@@ -121,15 +124,6 @@ def step(
     return x_new
 
 
-def _margin_of(out: ControllerOutput) -> float:
-    if out.kappa is None or not math.isfinite(out.gamma_eff):
-        return math.nan
-    den = out.c_eff - out.kappa * out.gamma_eff
-    if abs(den) <= 1e-12:
-        return math.nan
-    return -1.0 + out.c_eff / den
-
-
 def run(
     system: ControlAffineSystem,
     spec: ControllerSpec,
@@ -174,15 +168,16 @@ def run(
         con = evaluate_constraint(system, barrier, y)
         return con, evaluate_controller(spec, con, y)
 
-    def record(k: int, y: np.ndarray, con: AffineConstraint, out: ControllerOutput, w) -> None:
-        u_applied = out.u if w is None else out.u + w
+    def record(
+        k: int, y: np.ndarray, con: AffineConstraint, out: ControllerOutput, u_applied: np.ndarray
+    ) -> None:
         times.append(k * cfg.dt)
         states.append(y.copy())
         inputs.append(np.array(out.u, dtype=float))
         h_values.append(float(barrier.value(y)))
         residuals.append(con.c + float(con.d @ u_applied))
         kappas.append(out.kappa if out.kappa is not None else math.nan)
-        margins.append(_margin_of(out))
+        margins.append(margin_of(out))
         corr_norms.append(out.lam * con.d_norm)
 
     x = x0.copy()
@@ -192,18 +187,19 @@ def run(
             t_k = k * cfg.dt
             w = disturbance.at(t_k, m) if disturbance is not None else None
             con_k, out_k = evaluate(x)
+            u_k = out_k.u if w is None else out_k.u + w
             if k % cfg.record_every == 0:
-                record(k, x, con_k, out_k, w)
+                record(k, x, con_k, out_k, u_k)
             if k >= n_steps:
                 break
 
-            if cfg.zoh:
-                u_held = out_k.u if w is None else out_k.u + w
-                controller = lambda y, u=u_held: u
-            elif w is None:
-                controller = lambda y: evaluate(y)[1].u
-            else:
-                controller = lambda y, w=w: evaluate(y)[1].u + w
+            # step calls the controller at x itself only for stage 1, which
+            # reuses u_k; the zero-order hold reuses it at every stage.
+            def controller(y: np.ndarray, x_k=x, u_k=u_k, w=w) -> np.ndarray:
+                if cfg.zoh or y is x_k:
+                    return u_k
+                u = evaluate(y)[1].u
+                return u if w is None else u + w
 
             try:
                 x = step(system, controller, x, cfg.dt, cfg.integrator)

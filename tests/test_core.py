@@ -74,7 +74,7 @@ def test_constraint_non_finite():
         drift=lambda x: np.array([math.inf]),
         input_map=lambda x: np.eye(1),
     )
-    with pytest.raises(NumericsError):
+    with pytest.raises(NumericsError, match=r"not finite at x=\[0\.\]"):
         evaluate_constraint(system, linear_barrier([1.0], 1.0), np.zeros(1))
 
 

@@ -3,33 +3,161 @@ import math
 import numpy as np
 import pytest
 
-from cbfctrl import evaluate_constraint, evaluate_controller
-from cbfctrl.core import ControlAffineSystem
+from cbfctrl import (
+    ControllerSpec,
+    ShapingFunction,
+    evaluate_constraint,
+    evaluate_controller,
+    kappa_from_eta,
+    lambda_min_norm,
+    lambda_sontag,
+    lambda_tunable,
+)
+from cbfctrl.core import BarrierFunction, ControlAffineSystem, ExtendedClassK
 from cbfctrl.manipulator import (
     Q2_LIMIT,
     BacksteppingConfig,
     ManipulatorParams,
     VirtualController,
-    backstepping_controller,
-    backstepping_nominal,
+    _inverse_2x2,
     bounded_input_study,
-    composite_barrier,
     coriolis_matrix,
     dynamics,
-    full_order_system,
     gravity_vector,
     mass_matrix,
     reference,
+    reference_accel,
     reference_rate,
     run_scenario,
     torque_level_scenario,
     total_energy,
     velocity_level_scenario,
 )
-from cbfctrl.simulate import SimConfig, step
+from cbfctrl.simulate import SimConfig, run, step
 
 PARAMS = ManipulatorParams()
 CFG_SHORT = SimConfig(dt=1e-3, horizon=4.0)
+
+
+# --- reference oracle: one expression per callable ------------------------------
+#
+# The library forms k0 with its Jacobians, and every torque-level map, in one
+# pass per state.  These are the same formulas written callable by callable,
+# each recomputing what it needs; the fused paths must match them bit for bit.
+
+def oracle_k0(eta=0.7, sigma=0.2, kind="tunable", q_bar=Q2_LIMIT, beta=1.5, kp=1.0):
+    kp_mat = np.diag([kp, kp])
+    shaping = ShapingFunction.linear(sigma)
+    d_vec = np.array([0.0, -1.0])
+    d2 = float(d_vec @ d_vec)
+    dh_dq = np.array([0.0, -1.0])
+
+    def cbar_at(q, tau):
+        h = q_bar - q[1]
+        k0d = -kp_mat @ (q - reference(tau)) + reference_rate(tau)
+        return beta * h + float(d_vec @ k0d)
+
+    def lam_and_slope(cbar):
+        if kind == "qp":
+            return lambda_min_norm(cbar, d2), (-1.0 / d2 if cbar < 0.0 else 0.0)
+        root = math.sqrt(cbar * cbar + sigma * d2 * d2)
+        if kind == "sontag":
+            return lambda_sontag(cbar, d2, shaping), (-1.0 + cbar / root) / d2
+        kap = kappa_from_eta(cbar, d2, eta, shaping)
+        return lambda_tunable(cbar, d2, kap, shaping), eta * (-1.0 + cbar / root) / d2
+
+    def value(q, tau):
+        k0d = -kp_mat @ (q - reference(tau)) + reference_rate(tau)
+        lam, _ = lam_and_slope(beta * (q_bar - q[1]) + float(d_vec @ k0d))
+        return k0d + lam * d_vec
+
+    def jac_q(q, tau):
+        _, slope = lam_and_slope(cbar_at(q, tau))
+        return -kp_mat + np.outer(d_vec, slope * (beta * dh_dq + d_vec @ (-kp_mat)))
+
+    def jac_tau(q, tau):
+        dk0d_dtau = kp_mat @ reference_rate(tau) + reference_accel(tau)
+        _, slope = lam_and_slope(cbar_at(q, tau))
+        return dk0d_dtau + d_vec * (slope * float(d_vec @ dk0d_dtau))
+
+    return VirtualController.from_terms(
+        lambda q, tau: (value(q, tau), jac_q(q, tau), jac_tau(q, tau))
+    )
+
+
+def oracle_torque_maps(p, k0, cfg, q_bar=Q2_LIMIT):
+    """(drift, input_map, barrier value, barrier gradient, nominal torque)."""
+
+    def drift(x):
+        q, v = x[:2], x[2:4]
+        m_inv = _inverse_2x2(mass_matrix(p, q))
+        phi = -m_inv @ (coriolis_matrix(p, q, v) @ v + gravity_vector(p, q))
+        return np.array([v[0], v[1], phi[0], phi[1], 1.0])
+
+    def input_map(x):
+        g = np.zeros((5, 2))
+        g[2:4, :] = _inverse_2x2(mass_matrix(p, x[:2]))
+        return g
+
+    def value(x):
+        q, v, tau = x[:2], x[2:4], x[4]
+        e_v = v - k0.value(q, tau)
+        return (q_bar - q[1]) - float(e_v @ e_v) / (2.0 * cfg.mu)
+
+    def gradient(x):
+        q, v, tau = x[:2], x[2:4], x[4]
+        e_v = v - k0.value(q, tau)
+        grad = np.empty(5)
+        grad[:2] = np.array([0.0, -1.0]) + (e_v @ k0.jac_q(q, tau)) / cfg.mu
+        grad[2:4] = -e_v / cfg.mu
+        grad[4] = float(e_v @ k0.jac_tau(q, tau)) / cfg.mu
+        return grad
+
+    def nominal(x):
+        q, v, tau = x[:2], x[2:4], x[4]
+        e_v = v - k0.value(q, tau)
+        k0_dot = k0.total_derivative(q, v, tau)
+        return (
+            mass_matrix(p, q) @ (k0_dot - cfg.kp_bar * e_v)
+            + coriolis_matrix(p, q, v) @ v
+            + gravity_vector(p, q)
+        )
+
+    return drift, input_map, value, gradient, nominal
+
+
+def oracle_torque_pieces(p, k0, cfg):
+    """System, barrier and filter spec assembled from the oracle maps."""
+    drift, input_map, value, gradient, nominal = oracle_torque_maps(p, k0, cfg)
+    system = ControlAffineSystem(state_dim=5, input_dim=2, drift=drift, input_map=input_map)
+    barrier = BarrierFunction(
+        value=value, gradient=gradient, classk=ExtendedClassK.linear(cfg.alpha_b)
+    )
+    return system, barrier, ControllerSpec.safety_filter(ControllerSpec.qp(), nominal)
+
+
+def backstepping_controller(params, cfg, k0, x, t):
+    """Torque at one state [q; v] and time, for a given velocity command.
+
+    Forms the composite-barrier constraint for the full-order system and
+    evaluates the min-norm safety filter around the tracking torque.
+    """
+    system, barrier, spec = oracle_torque_pieces(params, k0, cfg)
+    x_full = np.array([x[0], x[1], x[2], x[3], t])
+    con = evaluate_constraint(system, barrier, x_full)
+    return evaluate_controller(spec, con, x_full).u
+
+
+def random_torque_state(rng):
+    return np.array(
+        [
+            rng.uniform(-1, 2),
+            rng.uniform(-0.5, Q2_LIMIT - 0.05),
+            rng.normal(scale=1.5),
+            rng.normal(scale=1.5),
+            rng.uniform(0.0, 6.0),
+        ]
+    )
 
 
 # --- rigid-body model -----------------------------------------------------------
@@ -210,15 +338,7 @@ def test_composite_barrier_gradient_matches_fd():
     sc = torque_level_scenario(eta=0.7)
     rng = np.random.default_rng(66)
     for _ in range(10):
-        x = np.array(
-            [
-                rng.uniform(-1, 2),
-                rng.uniform(-0.5, Q2_LIMIT - 0.05),
-                rng.normal(scale=1.5),
-                rng.normal(scale=1.5),
-                rng.uniform(0.0, 6.0),
-            ]
-        )
+        x = random_torque_state(rng)
         fd = finite_difference_gradient(sc.barrier.value, x)
         np.testing.assert_allclose(sc.barrier.gradient(x), fd, atol=1e-4)
 
@@ -232,6 +352,70 @@ def test_backstepping_controller_entry_point():
     con = evaluate_constraint(sc.system, sc.barrier, x5)
     expected = evaluate_controller(sc.spec, con, x5).u
     np.testing.assert_allclose(u, expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "kw", [dict(eta=0.7), dict(eta=0.5), dict(kind="sontag"), dict(kind="qp")]
+)
+def test_k0_terms_match_oracle(kw):
+    sc = velocity_level_scenario(sigma=0.2, **kw)
+    ref = oracle_k0(sigma=0.2, **kw)
+    rng = np.random.default_rng(67)
+    for _ in range(25):
+        q = np.array([rng.uniform(-1, 2), rng.uniform(-0.5, Q2_LIMIT)])
+        tau = float(rng.uniform(0.0, 6.0))
+        want = (ref.value(q, tau), ref.jac_q(q, tau), ref.jac_tau(q, tau))
+        got = (sc.k0.value(q, tau), sc.k0.jac_q(q, tau), sc.k0.jac_tau(q, tau))
+        for g, w, t in zip(got, want, sc.k0.terms(q, tau)):
+            np.testing.assert_array_equal(g, w)
+            np.testing.assert_array_equal(t, w)
+
+
+def _torque_maps(sc):
+    return (
+        sc.system.drift,
+        sc.system.input_map,
+        sc.barrier.value,
+        sc.barrier.gradient,
+        sc.nominal,
+    )
+
+
+@pytest.mark.parametrize("kind", ["tunable", "sontag", "qp"])
+def test_torque_maps_match_oracle(kind):
+    sc = torque_level_scenario(eta=0.7, kind=kind)
+    ref = oracle_torque_maps(PARAMS, oracle_k0(eta=0.7, kind=kind), sc.cfg)
+    got = _torque_maps(sc)
+    rng = np.random.default_rng(68)
+    x = random_torque_state(rng)
+    for i in range(30):
+        # One buffer overwritten in place: a result cached for the old
+        # contents must not be returned for the new ones.
+        x[:] = random_torque_state(rng)
+        for j in range(len(got)):
+            k = (i + j) % len(got)
+            np.testing.assert_array_equal(got[k](x), ref[k](x))
+
+
+def test_torque_cached_arrays_are_read_only():
+    sc = torque_level_scenario(eta=0.7)
+    x = random_torque_state(np.random.default_rng(69))
+    drift, input_map, _, gradient, nominal = _torque_maps(sc)
+    for arr in (drift(x), input_map(x), gradient(x), nominal(x)):
+        with pytest.raises(ValueError):
+            arr[-1] = 0.0
+
+
+@pytest.mark.parametrize("zoh", [False, True])
+def test_torque_run_matches_oracle_scenario(zoh):
+    sc = torque_level_scenario(eta=0.7)
+    system, barrier, spec = oracle_torque_pieces(PARAMS, oracle_k0(eta=0.7), sc.cfg)
+    cfg = SimConfig(dt=1e-3, horizon=0.3, zoh=zoh)
+    got = run(sc.system, sc.spec, sc.barrier, sc.x0, cfg)
+    want = run(system, spec, barrier, sc.x0, cfg)
+    assert got.ok and want.ok
+    for field in ("states", "inputs", "h_values", "residuals", "margins", "correction_norms"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
 
 
 def test_backstepping_short_run_safe():

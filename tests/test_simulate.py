@@ -4,16 +4,22 @@ import numpy as np
 import pytest
 
 from cbfctrl import (
+    BlowUpError,
+    CBFControlError,
     ConfigurationError,
     ControlAffineSystem,
     ControllerSpec,
     DisturbanceSpec,
+    NumericsError,
     ShapingFunction,
     SimConfig,
     TunableTermPolicy,
+    evaluate_constraint,
+    evaluate_controller,
     run,
     step,
 )
+from cbfctrl.manipulator import velocity_level_scenario
 from cbfctrl.systems import linear_barrier, single_integrator
 
 S02 = ShapingFunction.linear(0.2)
@@ -234,3 +240,128 @@ def test_sim_config_validation():
         SimConfig(integrator="rk5")
     with pytest.raises(ConfigurationError):
         step(single_integrator(1), lambda y: np.zeros(1), np.zeros(1), 0.1, "rk5")
+
+
+# --- one evaluation per state -------------------------------------------------
+
+RECORDED = (
+    "times", "states", "inputs", "h_values", "residuals", "kappas", "margins",
+    "correction_norms",
+)
+
+
+def reference_run(system, spec, barrier, x0, cfg, disturbance=None):
+    """The closed loop written without reuse: RK4 stage 1 evaluates the
+    controller again at the state whose evaluation was just recorded."""
+    n_steps = int(round(cfg.horizon / cfg.dt)) if cfg.horizon > 0.0 else 0
+    rows = {name: [] for name in RECORDED}
+    failure = failure_step = None
+
+    def evaluate(y):
+        con = evaluate_constraint(system, barrier, y)
+        return con, evaluate_controller(spec, con, y)
+
+    def margin(out):
+        if out.kappa is None or not math.isfinite(out.gamma_eff):
+            return math.nan
+        den = out.c_eff - out.kappa * out.gamma_eff
+        return math.nan if abs(den) <= 1e-12 else -1.0 + out.c_eff / den
+
+    x = np.array(x0, dtype=float)
+    k = 0
+    try:
+        while True:
+            w = disturbance.at(k * cfg.dt, system.input_dim) if disturbance is not None else None
+            con, out = evaluate(x)
+            if k % cfg.record_every == 0:
+                u_applied = out.u if w is None else out.u + w
+                rows["times"].append(k * cfg.dt)
+                rows["states"].append(x.copy())
+                rows["inputs"].append(np.array(out.u, dtype=float))
+                rows["h_values"].append(float(barrier.value(x)))
+                rows["residuals"].append(con.c + float(con.d @ u_applied))
+                rows["kappas"].append(out.kappa if out.kappa is not None else math.nan)
+                rows["margins"].append(margin(out))
+                rows["correction_norms"].append(out.lam * con.d_norm)
+            if k >= n_steps:
+                break
+            if cfg.zoh:
+                u_held = out.u if w is None else out.u + w
+                controller = lambda y, u=u_held: u
+            elif w is None:
+                controller = lambda y: evaluate(y)[1].u
+            else:
+                controller = lambda y, w=w: evaluate(y)[1].u + w
+            try:
+                x = step(system, controller, x, cfg.dt, cfg.integrator)
+            except NumericsError as exc:
+                raise BlowUpError(str(exc), step_index=k) from exc
+            k += 1
+    except BlowUpError as exc:
+        failure = f"blow-up at step {exc.step_index}: {exc}"
+        failure_step = exc.step_index
+    except CBFControlError as exc:
+        failure = f"{type(exc).__name__} at step {k}: {exc}"
+        failure_step = k
+    return {name: np.asarray(v) for name, v in rows.items()}, failure, failure_step
+
+
+def assert_matches_reference(system, spec, barrier, x0, cfg, disturbance=None):
+    traj = run(system, spec, barrier, x0, cfg, disturbance)
+    rows, failure, failure_step = reference_run(system, spec, barrier, x0, cfg, disturbance)
+    for name in RECORDED:
+        np.testing.assert_array_equal(getattr(traj, name), rows[name], err_msg=name)
+    assert traj.failure == failure
+    assert traj.failure_step == failure_step
+    return traj
+
+
+@pytest.mark.parametrize("record_every", [1, 3])
+@pytest.mark.parametrize("disturbed", [False, True])
+@pytest.mark.parametrize("zoh", [False, True])
+def test_run_matches_reference_loop(zoh, disturbed, record_every):
+    sc = velocity_level_scenario(eta=0.7, sigma=0.2)
+    cfg = SimConfig(dt=1e-3, horizon=0.3, zoh=zoh, record_every=record_every)
+    dist = DisturbanceSpec.bounded_random(0.5, seed=5) if disturbed else None
+    assert assert_matches_reference(sc.system, sc.spec, sc.barrier, sc.x0, cfg, dist).ok
+
+
+def test_run_matches_reference_loop_euler_and_failures():
+    sc = velocity_level_scenario(eta=0.7, sigma=0.2)
+    cfg = SimConfig(dt=1e-3, horizon=0.3, integrator="euler")
+    assert assert_matches_reference(sc.system, sc.spec, sc.barrier, sc.x0, cfg).ok
+    # a range violation mid-run
+    bi = velocity_level_scenario(eta=0.7, sigma=0.2, kind="bounded_input", gamma=1.0)
+    cfg = SimConfig(dt=1e-3, horizon=0.2)
+    assert not assert_matches_reference(bi.system, bi.spec, bi.barrier, bi.x0, cfg).ok
+    # a blow-up: xdot = x^2 from x = 2 escapes at t = 0.5
+    system = ControlAffineSystem(
+        state_dim=1,
+        input_dim=1,
+        drift=lambda x: x * x,
+        input_map=lambda x: np.zeros((1, 1)),
+    )
+    with np.errstate(all="ignore"):
+        traj = assert_matches_reference(
+            system, ControllerSpec.qp(), linear_barrier([-1.0], 1.0), np.array([2.0]),
+            SimConfig(dt=1e-3, horizon=1.0),
+        )
+    assert not traj.ok
+
+
+@pytest.mark.parametrize(
+    "integrator, zoh, per_step", [("rk4", False, 4), ("euler", False, 1), ("rk4", True, 1)]
+)
+def test_run_evaluates_each_state_once(integrator, zoh, per_step):
+    calls = []
+
+    def nominal(x):
+        calls.append(x.copy())
+        return np.array([2.0])
+
+    spec = ControllerSpec.safety_filter(ControllerSpec.qp(), nominal)
+    cfg = SimConfig(dt=1e-2, horizon=0.5, integrator=integrator, zoh=zoh)
+    traj = run(single_integrator(1), spec, linear_barrier([1.0], 1.0), np.array([0.0]), cfg)
+    assert traj.ok and len(traj) == 51
+    # per step, plus the final recorded state
+    assert len(calls) == per_step * 50 + 1
