@@ -23,7 +23,13 @@ from .core import (
     ShapingFunction,
     gamma_sontag,
 )
-from .formulas import ControllerOutput, ControllerSpec, evaluate_controller
+from .formulas import (
+    ControllerOutput,
+    ControllerSpec,
+    evaluate_controller,
+    kappa_upper,
+    norm_bound_slack,
+)
 
 
 def _margin(c: float, kappa: float, gamma: float) -> float:
@@ -100,7 +106,7 @@ def check_compatibility(con: AffineConstraint, gamma: float) -> CompatibilityRes
     """Can some ||u|| <= gamma satisfy c + d u >= 0?  Yes iff gamma*||d|| >= -c."""
     if not gamma > 0.0:
         raise ConfigurationError(f"gamma must be positive, got {gamma}")
-    slack = gamma * con.d_norm + con.c
+    slack = norm_bound_slack(con.c, con.d_norm_sq, gamma)
     if slack >= 0.0:
         return CompatibilityResult(compatible=True, deficit=0.0)
     return CompatibilityResult(compatible=False, deficit=-slack)
@@ -116,7 +122,7 @@ def kappa_bi_upper(
             f"bound gamma={gamma} incompatible with (c={con.c}, ||d||={con.d_norm})",
             deficit=compat.deficit,
         )
-    return (gamma * con.d_norm + con.c) / gamma_sontag(con, shaping)
+    return kappa_upper(con.c, con.d_norm_sq, gamma_sontag(con, shaping), gamma)
 
 
 def probe_derivative_jump(

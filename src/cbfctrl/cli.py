@@ -30,12 +30,18 @@ from .core import (
     AffineConstraint,
     CBFControlError,
     ConfigurationError,
-    ShapingFunction,
-    TunableTermPolicy,
+    DomainError,
+    Gamma,
+    KappaRangeError,
     evaluate_constraint,
-    gamma_sontag,
 )
-from .formulas import ControllerSpec, evaluate_controller
+from .formulas import (
+    ControllerSpec,
+    check_kappa_range,
+    controller_spec,
+    evaluate_controller,
+    resolve_kappa,
+)
 from .simulate import SimConfig, Trajectory, run
 
 CONFIG_ERROR = 1
@@ -178,19 +184,9 @@ class Scenario:
         self.config = config
 
 
-def _controller_pieces(controller: dict):
-    kind = controller["kind"]
-    sigma = controller.get("sigma")
-    shaping = ShapingFunction.linear(sigma) if sigma is not None else None
-    if kind == "qp":
-        return ControllerSpec.qp()
-    if kind == "sontag":
-        return ControllerSpec.sontag(shaping)
-    if kind == "tunable":
-        policy = TunableTermPolicy.eta_constant(controller["eta"])
-        return ControllerSpec.tunable(shaping, policy, relu=bool(controller.get("relu", False)))
-    policy = TunableTermPolicy.eta_constant(controller["eta"])
-    return ControllerSpec.bounded_input(shaping, gamma=controller["gamma"], policy=policy)
+def _formula_of(spec: ControllerSpec) -> ControllerSpec:
+    """The formula a scenario evaluates: the filter's inner spec, or spec itself."""
+    return spec.inner if spec.kind == "safety_filter" else spec
 
 
 def build_scenario(config: dict, zoh: bool = False, seed: int | None = None) -> Scenario:
@@ -266,7 +262,7 @@ def build_scenario(config: dict, zoh: bool = False, seed: int | None = None) -> 
     barrier = systems.linear_barrier(
         bar["normal"], bar["offset"], bar.get("beta", 1.5)
     )
-    spec = _controller_pieces(controller)
+    spec = controller_spec(**controller)
     if "nominal" in config:
         nom = config["nominal"]
         if nom["kind"] == "zero":
@@ -473,15 +469,10 @@ def cmd_check(args) -> int:
         print("check grid is empty", file=sys.stderr)
         return CONFIG_ERROR
 
-    controller = config["controller"]
-    kind = controller["kind"]
-    gamma = controller.get("gamma")
-    sigma = controller.get("sigma")
-    shaping = ShapingFunction.linear(sigma) if sigma is not None else None
-    eta = controller.get("eta")
-
+    gamma = config["controller"].get("gamma")
     spec = scenario.spec
     nominal = spec.nominal if spec.kind == "safety_filter" else None
+    formula = _formula_of(spec)
 
     violations = []
     rows = []
@@ -499,21 +490,14 @@ def cmd_check(args) -> int:
             compat_txt = "yes" if compat_ok else f"no({compat.deficit:.3g})"
         kappa_txt = "-"
         range_ok = True
-        if kind in ("tunable", "sontag", "bounded_input") and shaping is not None:
-            gam = gamma_sontag(eff, shaping)
-            if gam > 0.0:
-                if kind == "sontag":
-                    kappa = 1.0
-                else:
-                    kappa = (1.0 - eta) * (c_eff / gam) + eta
-                lower = max(c_eff / gam, 0.0)
-                if kind == "bounded_input":
-                    upper = (gamma * eff.d_norm + c_eff) / gam
-                else:
-                    upper = 1.0
-                range_ok = lower < kappa <= upper if eff.d_norm_sq > 1e-12 else kappa > 0.0
+        if formula.kind != "qp":
+            d2 = eff.d_norm_sq
+            gam = Gamma(c_eff, d2, formula.shaping)
+            try:
+                kappa = resolve_kappa(formula, c_eff, d2, gam, x)
                 kappa_txt = f"{kappa:.5f}"
-            else:
+                check_kappa_range(kappa, c_eff, d2, gam, formula.relu, formula.gamma)
+            except (DomainError, KappaRangeError):
                 range_ok = False
         ok = compat_ok and range_ok
         if not ok:
@@ -544,11 +528,15 @@ def cmd_check(args) -> int:
 
 def cmd_margin(args) -> int:
     config = load_config(args.config, args.set)
-    controller = config["controller"]
-    if controller["kind"] == "qp":
-        print("margin needs a tunable, sontag, or bounded_input controller", file=sys.stderr)
-        return CONFIG_ERROR
     scenario = build_scenario(config, seed=args.seed)
+    formula = _formula_of(scenario.spec)
+    if formula.kind == "qp":
+        print(
+            "margin needs a tunable, sontag, or bounded_input controller; "
+            "this scenario's filter is min-norm (qp)",
+            file=sys.stderr,
+        )
+        return CONFIG_ERROR
     states = _grid_states(config, scenario, args.seed)
     if not states:
         print("margin grid is empty", file=sys.stderr)
@@ -565,7 +553,7 @@ def cmd_margin(args) -> int:
     print(f"margin over {len(states)} grid states (sample-based estimate, not a global supremum):")
     print(f"  min M = {_fmt(min(finite))}")
     print(f"  max M (xi_bar estimate) = {_fmt(max(finite))}")
-    if controller["kind"] == "bounded_input":
+    if formula.kind == "bounded_input":
         print("  note: the bounded-input range yields margin interval [0, inf) by construction")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -594,9 +582,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
         p.add_argument("--out", default=".")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--zoh", action="store_true")
-        p.add_argument("--strict-range", action="store_true")
         p.set_defaults(fn=fn)
+    for name in ("simulate", "sweep"):
+        sub.choices[name].add_argument("--zoh", action="store_true")
+    sub.choices["simulate"].add_argument("--strict-range", action="store_true")
     sub.choices["sweep"].add_argument("--param", required=True)
     sub.choices["sweep"].add_argument("--values", required=True)
     return parser

@@ -278,7 +278,23 @@ def evaluate_constraint(
         raise NumericsError(f"constraint evaluation not finite at x={x}: c={c}, d={d}") from exc
 
 
+def Gamma(c: float, d2: float, shaping: ShapingFunction) -> float:
+    """Tightening magnitude sqrt(c^2 + s(d2) d2) at (c, ||d||^2); always >= |c|.
+
+    Where the direct form overflows, the same value is taken as
+    hypot(c, sqrt(s(d2)) sqrt(d2)); a Gamma that is still not finite raises
+    NumericsError rather than reaching a multiplier.
+    """
+    s = shaping(d2)
+    gam = math.sqrt(c * c + s * d2)
+    if math.isfinite(gam):
+        return gam
+    gam = math.hypot(c, math.sqrt(s) * math.sqrt(d2))
+    if not math.isfinite(gam):
+        raise NumericsError(f"Gamma is not finite at c={c}, ||d||^2={d2}")
+    return gam
+
+
 def gamma_sontag(con: AffineConstraint, shaping: ShapingFunction) -> float:
-    """Tightening magnitude sqrt(c^2 + s(||d||^2) ||d||^2); always >= |c|."""
-    d2 = con.d_norm_sq
-    return math.sqrt(con.c * con.c + shaping(d2) * d2)
+    """Gamma at the constraint pair con."""
+    return Gamma(con.c, con.d_norm_sq, shaping)

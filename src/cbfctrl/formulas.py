@@ -1,19 +1,24 @@
 """Closed-form controller formulas built on the pointwise pair (c, d).
 
-All scalar lambda functions below live in (c, ||d||^2) space: the second
-argument is always the squared norm of the constraint direction.  Each
-controller assembles its input as ``u = lambda * d^T`` (plus the nominal
-for the safety filter), so the formulas differ only in how lambda is
-produced:
+Every formula is one multiplier, u = lambda * d^T (plus the nominal for the
+safety filter), with
 
-* min-norm:       lambda = ReLU(-c / d)                (boundary of the half-space)
-* sontag:         lambda = (-c + sqrt(c^2 + s(d) d)) / d   (strictly interior)
-* tunable:        lambda = (-c + kappa sqrt(c^2 + s(d) d)) / d
-                  with kappa in (0, 1] interpolating between the two.
+    lambda = (-c + kappa * Gamma) / ||d||^2,   Gamma = sqrt(c^2 + s(||d||^2) ||d||^2).
 
-The tunable term kappa is usually constructed from a gain eta via
-``kappa = (1 - eta) c / Gamma + eta``; eta = 1 recovers the sontag formula
-and eta = 0.5 gives exactly half of it.
+min-norm is its ReLU at kappa = 0, sontag kappa = 1, and tunable takes
+kappa from a policy, usually kappa = (1 - eta) c / Gamma + eta (eta = 1 is
+sontag, eta = 0.5 half of it), in the smooth or the ReLU form.
+bounded_input is the ReLU form with kappa capped so that ||u|| <= gamma.
+
+One range rule, :func:`check_kappa_range`, holds for every kind: kappa is
+at most 1, or slack / Gamma with slack = gamma ||d|| + c for bounded_input;
+it exceeds 0 in the ReLU forms and max(c / Gamma, 0) in the smooth ones,
+whose tie kappa Gamma = c (a multiplier of exactly 0) is admitted as the
+continuous limit; where ||d||^2 <= EPS_D the multiplier is 0 whatever
+kappa, and only kappa > 0 is required.
+
+The scalar functions live in (c, ||d||^2) space: their d or d2 argument is
+always the squared norm of the constraint direction.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .core import (
     AffineConstraint,
     ConfigurationError,
     DomainError,
+    Gamma,
     IncompatibleInputError,
     InfeasibleConstraintError,
     KappaRangeError,
@@ -37,65 +43,77 @@ from .core import (
 )
 
 
+def _multiplier(c: float, d2: float, kappa: float, gam: float) -> float:
+    """ReLU((-c + kappa*Gamma) / d2); 0 when d2 ~ 0.
+
+    The clip acts on the ReLU forms only: in its kappa range the smooth form is never negative.
+    """
+    if d2 <= EPS_D:
+        return 0.0
+    lam = (kappa * gam - c) / d2
+    return lam if lam > 0.0 else 0.0
+
+
 def lambda_min_norm(c: float, d: float) -> float:
     """Smallest nonnegative multiplier with c + lam*d >= 0; 0 when d ~ 0."""
-    if d <= EPS_D:
-        return 0.0
-    lam = -c / d
-    return lam if lam > 0.0 else 0.0
+    return _multiplier(c, d, 0.0, 0.0)
 
 
 def lambda_sontag(c: float, d: float, shaping: ShapingFunction) -> float:
-    """(-c + sqrt(c^2 + s(d) d)) / d; strictly positive for d > 0."""
-    if d <= EPS_D:
-        return 0.0
-    return (-c + math.sqrt(c * c + shaping(d) * d)) / d
+    """(-c + Gamma) / d; strictly positive for d > 0."""
+    return _multiplier(c, d, 1.0, Gamma(c, d, shaping))
 
 
-def lambda_tunable_relu(
-    c: float,
-    d: float,
-    kappa: float,
-    shaping: ShapingFunction,
-    enforce_sa: bool = False,
-) -> float:
-    """ReLU((-c + kappa*sqrt(c^2 + s(d) d)) / d).
-
-    With ``enforce_sa`` the call is treated as safety-critical and kappa
-    must lie in (0, 1].  Left unenforced the bare formula also serves the
-    bounded-input variant, whose kappa range is not capped at 1.
-    """
-    if enforce_sa and not 0.0 < kappa <= 1.0:
-        raise KappaRangeError(
-            f"kappa={kappa} outside the safety range (0, 1] for the ReLU form"
-        )
-    if d <= EPS_D:
-        return 0.0
-    lam = (-c + kappa * math.sqrt(c * c + shaping(d) * d)) / d
-    return lam if lam > 0.0 else 0.0
+def lambda_tunable_relu(c: float, d: float, kappa: float, shaping: ShapingFunction) -> float:
+    """ReLU((-c + kappa*Gamma) / d), the bare formula for any kappa."""
+    return _multiplier(c, d, kappa, Gamma(c, d, shaping))
 
 
 def lambda_tunable(c: float, d: float, kappa: float, shaping: ShapingFunction) -> float:
-    """Smooth form: (-c + kappa*sqrt(c^2 + s(d) d)) / d without the ReLU.
+    """Smooth form (-c + kappa*Gamma) / d, with kappa checked against its range."""
+    gam = Gamma(c, d, shaping)
+    check_kappa_range(kappa, c, d, gam)
+    return _multiplier(c, d, kappa, gam)
 
-    Requires kappa strictly above max(c/Gamma, 0) and at most 1, which
-    makes the numerator positive.  An exact tie (numerator exactly zero)
-    returns 0, the continuous limit from both sides.
+
+def norm_bound_slack(c: float, d2: float, gamma_bound: float) -> float:
+    """gamma*||d|| + c: nonnegative iff some ||u|| <= gamma meets c + d u >= 0."""
+    return gamma_bound * math.sqrt(d2) + c
+
+
+def kappa_upper(c: float, d2: float, gam: float, gamma_bound: float | None) -> float:
+    """Right end of the kappa range: 1, or slack / Gamma under a norm bound gamma."""
+    if gamma_bound is None:
+        return 1.0
+    return norm_bound_slack(c, d2, gamma_bound) / gam
+
+
+def check_kappa_range(
+    kappa: float, c: float, d2: float, gam: float,
+    relu: bool = False, gamma_bound: float | None = None,
+) -> None:
+    """Raise KappaRangeError unless kappa is in range (see the module docstring).
+
+    relu selects the ReLU form's lower bound, gamma_bound the bounded-input upper bound.
     """
-    if d <= EPS_D:
-        return 0.0
-    gamma = math.sqrt(c * c + shaping(d) * d)
-    if kappa > 1.0:
-        raise KappaRangeError(f"kappa={kappa} violates the upper bound kappa <= 1")
-    num = kappa * gamma - c
-    if num == 0.0:
-        return 0.0
-    lower = max(c / gamma, 0.0)
-    if num < 0.0 or kappa <= 0.0:
-        raise KappaRangeError(
-            f"kappa={kappa} violates the lower bound max(c/Gamma, 0) = {lower}"
-        )
-    return num / d
+    if d2 > EPS_D:
+        upper = kappa_upper(c, d2, gam, gamma_bound)
+        if not kappa <= upper:
+            raise KappaRangeError(f"kappa={kappa} violates the upper bound kappa <= {upper}")
+        if not relu:
+            num = kappa * gam - c
+            if num != 0.0 and (num < 0.0 or kappa <= 0.0):
+                lower = max(c / gam, 0.0)
+                raise KappaRangeError(f"kappa={kappa} violates the lower bound {lower}")
+            return
+    if not kappa > 0.0:
+        raise KappaRangeError(f"kappa={kappa} violates the lower bound 0")
+
+
+def _kappa_of_eta(c: float, d2: float, eta: float, gam: float) -> float:
+    if c <= 0.0 and d2 <= EPS_D:
+        raise DomainError(f"(c={c}, d={d2}) has c <= 0 and d ~ 0: outside the domain of kappa")
+    return (1.0 - eta) * (c / gam) + eta
 
 
 def kappa_from_eta(c: float, d: float, eta: float, shaping: ShapingFunction) -> float:
@@ -105,12 +123,7 @@ def kappa_from_eta(c: float, d: float, eta: float, shaping: ShapingFunction) -> 
     constant eta in [0.5, 1] the result always satisfies the smooth-range
     condition max(c/Gamma, 0) < kappa <= 1.
     """
-    if c <= 0.0 and d <= EPS_D:
-        raise DomainError(
-            f"(c={c}, d={d}) has c <= 0 and d ~ 0: outside the domain of kappa"
-        )
-    gamma = math.sqrt(c * c + shaping(d) * d)
-    return (1.0 - eta) * (c / gamma) + eta
+    return _kappa_of_eta(c, d, eta, Gamma(c, d, shaping))
 
 
 def lin_sontag_eta(
@@ -209,34 +222,78 @@ class ControllerSpec:
         gamma: float,
         policy: TunableTermPolicy | None = None,
     ) -> "ControllerSpec":
-        if not gamma > 0.0:
+        """Without a policy, eta follows lin_sontag_eta(gamma, shaping)."""
+        if gamma is None or not gamma > 0.0:
             raise ConfigurationError(f"input bound gamma must be positive, got {gamma}")
-        return cls(kind="bounded_input", shaping=shaping, policy=policy, gamma=float(gamma))
+        if policy is None:
+            policy = TunableTermPolicy.eta_function(lin_sontag_eta(gamma, shaping))
+        return cls(
+            kind="bounded_input", shaping=shaping, policy=policy, relu=True, gamma=float(gamma)
+        )
 
 
-def _resolve_kappa(
-    spec: ControllerSpec, c: float, d2: float, x: np.ndarray | None
+def controller_spec(kind: str, sigma=None, eta=None, gamma=None, relu=False) -> ControllerSpec:
+    """The spec of one kind from a config's controller section: linear shaping
+    slope sigma, constant gain eta, input bound gamma, tunable form relu."""
+    shaping = ShapingFunction.linear(sigma) if sigma is not None else None
+    if kind == "qp":
+        return ControllerSpec.qp()
+    if kind == "sontag":
+        return ControllerSpec.sontag(shaping)
+    if kind == "tunable":
+        return ControllerSpec.tunable(shaping, TunableTermPolicy.eta_constant(eta), bool(relu))
+    if kind == "bounded_input":
+        return ControllerSpec.bounded_input(shaping, gamma, TunableTermPolicy.eta_constant(eta))
+    raise ConfigurationError(f"unknown controller kind {kind!r}")
+
+
+def resolve_kappa(
+    spec: ControllerSpec, c: float, d2: float, gam: float, x: np.ndarray | None = None
 ) -> float:
-    """Produce kappa from the spec's policy at the point (c, ||d||^2)."""
+    """Produce kappa for the spec at the point (c, ||d||^2) with tightening gam."""
+    if spec.kind == "sontag":
+        return 1.0
     pol = spec.policy
     if pol is None:
-        if spec.kind == "bounded_input":
-            # Norm-bound-aware default: always feasible under compatibility.
-            s_of_d = spec.shaping(d2)
-            g2 = spec.gamma * spec.gamma
-            eta = 1.0 / (math.sqrt(s_of_d / g2 + 1.0) + 1.0)
-            return kappa_from_eta(c, d2, eta, spec.shaping)
         raise ConfigurationError(f"controller kind {spec.kind!r} requires a policy")
     if pol.kind == "eta_constant":
-        return kappa_from_eta(c, d2, pol.eta, spec.shaping)
+        return _kappa_of_eta(c, d2, pol.eta, gam)
     if pol.kind == "eta_function":
-        eta = float(pol.eta_fn(c, d2))
-        return kappa_from_eta(c, d2, eta, spec.shaping)
+        return _kappa_of_eta(c, d2, float(pol.eta_fn(c, d2)), gam)
     if pol.kind == "kappa_direct":
         if x is None:
             raise ConfigurationError("kappa_direct policy needs the state x")
         return float(pol.kappa_fn(x))
     raise ConfigurationError(f"unknown policy kind {pol.kind!r}")
+
+
+def _tunable_terms(
+    spec: ControllerSpec, c: float, d2: float, x: np.ndarray | None
+) -> tuple[float, float, float]:
+    """(Gamma, kappa, lambda) of a sontag, tunable or bounded-input spec, kappa in range."""
+    gam = Gamma(c, d2, spec.shaping)
+    kappa = resolve_kappa(spec, c, d2, gam, x)
+    check_kappa_range(kappa, c, d2, gam, spec.relu, spec.gamma)
+    return gam, kappa, _multiplier(c, d2, kappa, gam)
+
+
+def lambda_and_slope(spec: ControllerSpec, c: float, d2: float) -> tuple[float, float]:
+    """Multiplier and its slope d(lambda)/dc for a qp, sontag or constant-eta tunable spec.
+
+    With kappa = (1 - eta) c / Gamma + eta the multiplier is
+    eta (Gamma - c) / d2, whose slope is eta (c / Gamma - 1) / d2 (sontag:
+    eta = 1); the min-norm slope is -1 / d2 where its ReLU is active.
+    """
+    if spec.kind == "qp":
+        return lambda_min_norm(c, d2), (-1.0 / d2 if c < 0.0 else 0.0)
+    if spec.kind == "sontag":
+        eta = 1.0
+    elif spec.kind == "tunable" and spec.policy.kind == "eta_constant":
+        eta = spec.policy.eta
+    else:
+        raise ConfigurationError(f"analytic Jacobians are not provided for kind {spec.kind!r}")
+    gam, _, lam = _tunable_terms(spec, c, d2, None)
+    return lam, eta * (-1.0 + c / gam) / d2
 
 
 def evaluate_controller(
@@ -261,61 +318,8 @@ def evaluate_controller(
 
     if spec.kind == "qp":
         lam = lambda_min_norm(c, d2)
-        u = lam * d
         return ControllerOutput(
-            u=u, lam=lam, kappa=None, residual=c + lam * d2, c_eff=c, gamma_eff=math.nan
-        )
-
-    if spec.kind == "sontag":
-        lam = lambda_sontag(c, d2, spec.shaping)
-        gam = math.sqrt(c * c + spec.shaping(d2) * d2)
-        u = lam * d
-        return ControllerOutput(
-            u=u, lam=lam, kappa=1.0, residual=c + lam * d2 - gam, c_eff=c, gamma_eff=gam
-        )
-
-    if spec.kind == "tunable":
-        kappa = _resolve_kappa(spec, c, d2, x)
-        if spec.relu:
-            lam = lambda_tunable_relu(c, d2, kappa, spec.shaping, enforce_sa=True)
-        else:
-            lam = lambda_tunable(c, d2, kappa, spec.shaping)
-        gam = math.sqrt(c * c + spec.shaping(d2) * d2)
-        u = lam * d
-        return ControllerOutput(
-            u=u,
-            lam=lam,
-            kappa=kappa,
-            residual=c + lam * d2 - kappa * gam,
-            c_eff=c,
-            gamma_eff=gam,
-        )
-
-    if spec.kind == "bounded_input":
-        dnorm = math.sqrt(d2)
-        slack = spec.gamma * dnorm + c
-        if slack < 0.0:
-            raise IncompatibleInputError(
-                f"norm bound gamma={spec.gamma} incompatible with (c={c}, ||d||={dnorm})",
-                deficit=-slack,
-            )
-        kappa = _resolve_kappa(spec, c, d2, x)
-        gam = math.sqrt(c * c + spec.shaping(d2) * d2)
-        if d2 > EPS_D:
-            upper = slack / gam
-            if not 0.0 < kappa <= upper:
-                raise KappaRangeError(
-                    f"kappa={kappa} outside the bounded-input range (0, {upper}]"
-                )
-        lam = lambda_tunable_relu(c, d2, kappa, spec.shaping)
-        u = lam * d
-        return ControllerOutput(
-            u=u,
-            lam=lam,
-            kappa=kappa,
-            residual=c + lam * d2 - kappa * gam,
-            c_eff=c,
-            gamma_eff=gam,
+            u=lam * d, lam=lam, kappa=None, residual=c + lam * d2, c_eff=c, gamma_eff=math.nan
         )
 
     if spec.kind == "safety_filter":
@@ -331,4 +335,16 @@ def evaluate_controller(
             gamma_eff=inner_out.gamma_eff,
         )
 
-    raise ConfigurationError(f"unknown controller kind {spec.kind!r}")
+    if spec.kind not in ("sontag", "tunable", "bounded_input"):
+        raise ConfigurationError(f"unknown controller kind {spec.kind!r}")
+    if spec.kind == "bounded_input":
+        slack = norm_bound_slack(c, d2, spec.gamma)
+        if slack < 0.0:
+            raise IncompatibleInputError(
+                f"norm bound gamma={spec.gamma} incompatible with (c={c}, ||d||={math.sqrt(d2)})",
+                deficit=-slack,
+            )
+    gam, kappa, lam = _tunable_terms(spec, c, d2, x)
+    return ControllerOutput(
+        u=lam * d, lam=lam, kappa=kappa, residual=c + lam * d2 - kappa * gam, c_eff=c, gamma_eff=gam
+    )

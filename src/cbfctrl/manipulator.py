@@ -10,10 +10,10 @@ through the rigid-body dynamics using the composite barrier
 
 with a min-norm safety filter around the tracking torque.  Backstepping
 needs the total derivative of k0, so the velocity-level scenario carries
-hand-derived Jacobians of its own formula (finite-difference fallbacks
-exist for tests).  Every torque-level map reads one per-state evaluation,
-torque_terms, so the dynamics, k0 and its Jacobians are formed once per
-state.
+analytic Jacobians built on the multiplier slope of its formula
+(finite-difference fallbacks exist for tests).  Every torque-level map
+reads one per-state evaluation, torque_terms, so the dynamics, k0 and its
+Jacobians are formed once per state.
 
 Time enters through the reference trajectory; both layers carry it as a
 trailing clock state with rate 1, which keeps every map a pure function
@@ -34,17 +34,9 @@ from .core import (
     ControlAffineSystem,
     ExtendedClassK,
     NumericsError,
-    ShapingFunction,
-    TunableTermPolicy,
     finite_difference_gradient,
 )
-from .formulas import (
-    ControllerSpec,
-    kappa_from_eta,
-    lambda_min_norm,
-    lambda_sontag,
-    lambda_tunable,
-)
+from .formulas import ControllerSpec, controller_spec, lambda_and_slope
 from .simulate import SimConfig, Trajectory, run
 
 Q2_LIMIT = math.pi / 3.0
@@ -248,14 +240,11 @@ def velocity_level_scenario(
 ) -> VelocityScenario:
     """Safe tracking of the sinusoidal reference under h = q_bar - q2.
 
-    kind selects the filter formula: "tunable" (smooth, constant eta),
-    "sontag", "qp", or "bounded_input" (requires gamma).  The constraint
-    pair at the filter is c = beta*h, d = [0, -1].
+    kind selects the filter formula: "tunable" (constant eta, smooth
+    unless relu), "sontag", "qp", or "bounded_input" (requires gamma).  The
+    constraint pair at the filter is c = beta*h, d = [0, -1].
     """
-    if kind not in ("tunable", "sontag", "qp", "bounded_input"):
-        raise ConfigurationError(f"unknown velocity-level kind {kind!r}")
-    if kind == "bounded_input" and gamma is None:
-        raise ConfigurationError("bounded_input scenario needs gamma")
+    inner = controller_spec(kind, sigma=sigma, eta=eta, gamma=gamma, relu=relu)
 
     kp_mat = np.diag([kp, kp])
     f_aug = np.array([0.0, 0.0, 1.0])
@@ -279,19 +268,6 @@ def velocity_level_scenario(
         tau = x[2]
         return -kp_mat @ (q - reference(tau)) + reference_rate(tau)
 
-    shaping = ShapingFunction.linear(sigma)
-    if kind == "qp":
-        inner = ControllerSpec.qp()
-    elif kind == "sontag":
-        inner = ControllerSpec.sontag(shaping)
-    elif kind == "tunable":
-        inner = ControllerSpec.tunable(
-            shaping, TunableTermPolicy.eta_constant(eta), relu=relu
-        )
-    else:
-        inner = ControllerSpec.bounded_input(
-            shaping, gamma=gamma, policy=TunableTermPolicy.eta_constant(eta)
-        )
     spec = ControllerSpec.safety_filter(inner, nominal)
 
     # Constraint geometry at the filter: constant direction, c = beta * h.
@@ -299,26 +275,11 @@ def velocity_level_scenario(
     d2 = float(d_vec @ d_vec)
     dcbar_dq = beta * np.array([0.0, -1.0]) + d_vec @ (-kp_mat)
 
-    def lam_and_slope(cbar: float) -> tuple[float, float]:
-        """Multiplier and d(lam)/d(cbar) for the selected formula."""
-        if kind == "qp":
-            lam = lambda_min_norm(cbar, d2)
-            return lam, (-1.0 / d2 if cbar < 0.0 else 0.0)
-        root = math.sqrt(cbar * cbar + sigma * d2 * d2)
-        if kind == "sontag":
-            return lambda_sontag(cbar, d2, shaping), (-1.0 + cbar / root) / d2
-        if kind == "tunable":
-            kap = kappa_from_eta(cbar, d2, eta, shaping)
-            return lambda_tunable(cbar, d2, kap, shaping), eta * (-1.0 + cbar / root) / d2
-        raise ConfigurationError(
-            f"analytic Jacobians are not provided for kind {kind!r}"
-        )
-
     def k0_terms(q: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """k0 and its Jacobians in q and tau from one multiplier evaluation."""
         ref_rate = reference_rate(tau)
         k0d = -kp_mat @ (q - reference(tau)) + ref_rate
-        lam, slope = lam_and_slope(beta * (q_bar - q[1]) + float(d_vec @ k0d))
+        lam, slope = lambda_and_slope(inner, beta * (q_bar - q[1]) + float(d_vec @ k0d), d2)
         dk0d_dtau = kp_mat @ ref_rate + reference_accel(tau)
         return (
             k0d + lam * d_vec,

@@ -330,6 +330,27 @@ def test_margin_needs_tunable(tmp_path, capsys):
     assert rc == 1
 
 
+def test_margin_rejects_min_norm_torque_filter(tmp_path, capsys):
+    # the configured kind is tunable, but the torque-level filter is min-norm
+    rc = main(
+        ["margin", "--config", str(CONFIG_DIR / "twolink_torque.json"), "--out", str(tmp_path)]
+    )
+    assert rc == 1
+    assert "min-norm" in capsys.readouterr().err
+    assert not (tmp_path / "margins.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["check", "margin"])
+def test_simulation_flags_only_where_read(tmp_path, command):
+    cfg = str(CONFIG_DIR / "twolink_velocity.json")
+    for flag in ("--zoh", "--strict-range"):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--config", cfg, flag, "--out", str(tmp_path)])
+        assert info.value.code == 2
+    with pytest.raises(SystemExit):
+        main(["sweep", "--config", cfg, "--param", "eta", "--values", "0.7", "--strict-range"])
+
+
 def test_invalid_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -16,6 +16,7 @@ from cbfctrl import (
     finite_difference_gradient,
     gamma_sontag,
 )
+from cbfctrl.core import Gamma
 from cbfctrl.systems import linear_barrier, single_integrator
 
 
@@ -89,6 +90,28 @@ def test_gamma_sontag_values():
     assert gamma_sontag(AffineConstraint(0.0, [1.0]), s02) == pytest.approx(
         math.sqrt(0.2), rel=1e-15
     )
+
+
+def test_gamma_keeps_the_direct_form_where_it_is_finite():
+    rng = np.random.default_rng(8)
+    s = ShapingFunction.linear(0.3)
+    for _ in range(200):
+        c = float(rng.normal(scale=10.0))
+        d2 = float(rng.uniform(0.0, 20.0))
+        assert Gamma(c, d2, s) == math.sqrt(c * c + s(d2) * d2)
+
+
+def test_gamma_overflow_falls_back_to_hypot():
+    s = ShapingFunction.linear(0.2)
+    for c in (1e200, -1e200):
+        assert Gamma(c, 1.0, s) == 1e200
+    # ||d||^2 = 1e300 with sigma = 0.2: s(d2)*d2 overflows, the hypot form does not
+    assert Gamma(0.0, 1e300, s) == pytest.approx(math.sqrt(0.2) * 1e300, rel=1e-15)
+
+
+def test_gamma_not_finite_raises():
+    with pytest.raises(NumericsError, match="Gamma is not finite"):
+        Gamma(1.0, 1e300, ShapingFunction.linear(1e10))
 
 
 def test_gamma_dominates_abs_c():

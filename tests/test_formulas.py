@@ -11,9 +11,11 @@ from cbfctrl import (
     IncompatibleInputError,
     InfeasibleConstraintError,
     KappaRangeError,
+    NumericsError,
     ShapingFunction,
     TunableTermPolicy,
     evaluate_controller,
+    gamma_sontag,
     kappa_from_eta,
     lambda_min_norm,
     lambda_sontag,
@@ -73,10 +75,13 @@ def test_lambda_tunable_relu_values():
 
 def test_lambda_tunable_relu_safety_range_flag():
     assert lambda_tunable_relu(0.0, 1.0, 1.4, S1) > 0.0  # bare formula is total
-    with pytest.raises(KappaRangeError):
-        lambda_tunable_relu(0.0, 1.0, 1.4, S1, enforce_sa=True)
-    with pytest.raises(KappaRangeError):
-        lambda_tunable_relu(0.0, 1.0, 0.0, S1, enforce_sa=True)
+    con = AffineConstraint(0.0, [1.0])
+    for kappa in (1.4, 0.0):
+        spec = ControllerSpec.tunable(
+            S1, TunableTermPolicy.kappa_direct(lambda x, k=kappa: k), relu=True
+        )
+        with pytest.raises(KappaRangeError):
+            evaluate_controller(spec, con, x=np.zeros(1))
 
 
 def test_lambda_tunable_smooth_values():
@@ -276,6 +281,31 @@ def test_safety_filter_shifts_constraint():
     assert 0.4 + float(np.array([0.0, -1.0]) @ out.u) == pytest.approx(
         out.kappa * out.gamma_eff, abs=1e-12
     )
+
+
+def test_safety_filter_nan_nominal_raises():
+    # the filter's shifted constraint is checked for finiteness like any other
+    inner = ControllerSpec.tunable(S02, TunableTermPolicy.eta_constant(0.7))
+    filt = ControllerSpec.safety_filter(inner, lambda x: np.array([math.nan, 0.0]))
+    with pytest.raises(NumericsError):
+        evaluate_controller(filt, AffineConstraint(0.4, [1.0, -1.0]), x=np.zeros(3))
+
+
+@pytest.mark.parametrize("c", [1e200, -1e200])
+@pytest.mark.parametrize("kind", ["sontag", "tunable"])
+def test_huge_c_gives_finite_output(c, kind):
+    # c*c overflows; Gamma falls back to its hypot form instead of inf
+    spec = (
+        ControllerSpec.sontag(S02)
+        if kind == "sontag"
+        else ControllerSpec.tunable(S02, TunableTermPolicy.eta_constant(0.7))
+    )
+    con = AffineConstraint(c, [1.0])
+    out = evaluate_controller(spec, con)
+    gam = gamma_sontag(con, S02)
+    assert gam == abs(c)
+    assert np.isfinite(out.u).all() and math.isfinite(out.residual)
+    assert abs(c + float(con.d @ out.u) - out.kappa * gam) <= 1e-12 * abs(c)
 
 
 def test_safety_filter_rejects_filter_inner():

@@ -1,0 +1,134 @@
+"""The paper's identities as properties over random (c, d, sigma, eta).
+
+Every formula kind reduces to one multiplier lambda = (-c + kappa*Gamma)/||d||^2
+with Gamma = sqrt(c^2 + s(||d||^2) ||d||^2); these tests check what that
+implies, at points hypothesis draws rather than at hand-picked ones.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from cbfctrl import (
+    AffineConstraint,
+    ControllerSpec,
+    KappaRangeError,
+    ShapingFunction,
+    TunableTermPolicy,
+    evaluate_controller,
+    gamma_sontag,
+    lambda_min_norm,
+    margin_of,
+)
+from cbfctrl.formulas import lambda_and_slope
+
+cs = st.floats(-50.0, 50.0, allow_nan=False)
+ds = st.lists(st.floats(-10.0, 10.0, allow_nan=False), min_size=1, max_size=3)
+sigmas = st.floats(0.01, 5.0)
+etas = st.floats(0.5, 1.0)
+gammas = st.floats(0.1, 10.0)
+
+
+def constraint(c, d):
+    con = AffineConstraint(c, d)
+    assume(con.d_norm_sq > 1e-6)
+    return con
+
+
+def close(a, b, scale):
+    return abs(a - b) <= 1e-9 * max(1.0, scale)
+
+
+@given(cs, ds, sigmas, etas)
+def test_tightened_constraint_equality(c, d, sigma, eta):
+    # c + d.u = kappa * Gamma for the sontag (kappa = 1) and tunable kinds
+    con = constraint(c, d)
+    shaping = ShapingFunction.linear(sigma)
+    gam = gamma_sontag(con, shaping)
+    for spec in (
+        ControllerSpec.sontag(shaping),
+        ControllerSpec.tunable(shaping, TunableTermPolicy.eta_constant(eta)),
+    ):
+        out = evaluate_controller(spec, con)
+        assert out.gamma_eff == gam
+        assert close(c + float(con.d @ out.u), out.kappa * gam, gam)
+        assert close(out.residual, 0.0, gam)
+
+
+@given(cs, ds, sigmas, etas)
+def test_multiplier_ordering(c, d, sigma, eta):
+    # min-norm <= tunable <= sontag for eta in [0.5, 1]
+    con = constraint(c, d)
+    shaping = ShapingFunction.linear(sigma)
+    tunable = ControllerSpec.tunable(shaping, TunableTermPolicy.eta_constant(eta))
+    lam_qp = lambda_min_norm(c, con.d_norm_sq)
+    lam_tun = evaluate_controller(tunable, con).lam
+    lam_stg = evaluate_controller(ControllerSpec.sontag(shaping), con).lam
+    assert lam_qp <= lam_tun * (1.0 + 1e-12)
+    assert lam_tun <= lam_stg * (1.0 + 1e-12)
+
+
+@given(cs, ds, sigmas, etas)
+def test_margin_nonpositive(c, d, sigma, eta):
+    # M = -1 + c / (c - kappa*Gamma) <= 0 wherever it is defined
+    con = constraint(c, d)
+    shaping = ShapingFunction.linear(sigma)
+    for spec in (
+        ControllerSpec.sontag(shaping),
+        ControllerSpec.tunable(shaping, TunableTermPolicy.eta_constant(eta)),
+    ):
+        m = margin_of(evaluate_controller(spec, con))
+        assert math.isnan(m) or m <= 0.0
+
+
+@given(cs, ds, sigmas, gammas)
+def test_bounded_input_respects_norm_bound(c, d, sigma, gamma):
+    # under compatibility the default policy always evaluates, within the bound
+    con = constraint(c, d)
+    slack = gamma * con.d_norm + c
+    assume(slack >= 1e-9 * max(1.0, abs(c)))
+    spec = ControllerSpec.bounded_input(ShapingFunction.linear(sigma), gamma=gamma)
+    out = evaluate_controller(spec, con)
+    assert float(np.linalg.norm(out.u)) <= gamma * (1.0 + 1e-12)
+
+
+@given(cs, ds, sigmas, etas)
+def test_bounded_input_constant_eta_never_exceeds_bound(c, d, sigma, eta):
+    # a constant eta may leave the range, but an accepted kappa keeps ||u|| <= gamma
+    con = constraint(c, d)
+    gamma = 2.3
+    assume(gamma * con.d_norm + c >= 0.0)
+    spec = ControllerSpec.bounded_input(
+        ShapingFunction.linear(sigma), gamma=gamma, policy=TunableTermPolicy.eta_constant(eta)
+    )
+    try:
+        out = evaluate_controller(spec, con)
+    except KappaRangeError:
+        return
+    assert float(np.linalg.norm(out.u)) <= gamma * (1.0 + 1e-12)
+
+
+@given(
+    st.one_of(st.floats(-50.0, -0.1), st.floats(0.1, 50.0)),
+    st.floats(0.1, 10.0),
+    sigmas,
+    etas,
+    st.sampled_from(["qp", "sontag", "tunable", "relu"]),
+)
+def test_slope_matches_central_difference(c, d, sigma, eta, kind):
+    # d(lambda)/dc against a central difference, away from the min-norm kink at c = 0
+    shaping = ShapingFunction.linear(sigma)
+    spec = {
+        "qp": ControllerSpec.qp(),
+        "sontag": ControllerSpec.sontag(shaping),
+        "tunable": ControllerSpec.tunable(shaping, TunableTermPolicy.eta_constant(eta)),
+        "relu": ControllerSpec.tunable(shaping, TunableTermPolicy.eta_constant(eta), relu=True),
+    }[kind]
+    d2 = d * d
+    h = 1e-6 * (1.0 + abs(c))
+    lam, slope = lambda_and_slope(spec, c, d2)
+    fd = (lambda_and_slope(spec, c + h, d2)[0] - lambda_and_slope(spec, c - h, d2)[0]) / (2.0 * h)
+    assert lam == evaluate_controller(spec, AffineConstraint(c, [d])).lam
+    assert abs(slope - fd) <= 1e-5 * (1.0 + abs(slope))
