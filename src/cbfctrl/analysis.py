@@ -32,13 +32,28 @@ from .formulas import (
 )
 
 
+# Below this |c - kappa*Gamma| the margin is treated as undefined.
+_MARGIN_DEN_EPS = 1e-12
+
+
 def _margin(c: float, kappa: float, gamma: float) -> float:
     den = c - kappa * gamma
-    if abs(den) <= 1e-12:
+    if abs(den) <= _MARGIN_DEN_EPS:
         raise DegenerateMarginError(
             f"degenerate margin: c - kappa*Gamma = {den} with c={c}, kappa={kappa}"
         )
     return -1.0 + c / den
+
+
+def margins(c: np.ndarray, kappa: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """The margin M at arrays of (c, kappa, Gamma), NaN where margin_of gives NaN
+    for a finite Gamma: a NaN kappa or a numerically zero denominator."""
+    den = c - kappa * gamma
+    m = -1.0 + c / den
+    degenerate = np.abs(den) <= _MARGIN_DEN_EPS
+    if degenerate.any():
+        m[degenerate] = math.nan
+    return m
 
 
 def safety_margin_at(

@@ -20,6 +20,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -141,8 +142,16 @@ def validate_config(config: dict) -> None:
     controller = _require(config, "controller", "config")
     _reject_unknown(controller, _CONTROLLER_KEYS, "config.controller")
     ckind = _require(controller, "kind", "config.controller")
+    if not isinstance(ckind, str):
+        raise ConfigurationError(f"config.controller.kind must be a string, got {ckind!r}")
     if ckind not in ("qp", "sontag", "tunable", "bounded_input"):
         raise ConfigurationError(f"unknown controller kind {ckind!r}")
+    for key in ("eta", "sigma", "gamma"):
+        value = controller.get(key, 0.0)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigurationError(f"config.controller.{key} must be a number, got {value!r}")
+    if not isinstance(controller.get("relu", False), bool):
+        raise ConfigurationError(f"config.controller.relu must be true or false, got {controller['relu']!r}")
     if ckind in ("tunable", "bounded_input") and "eta" not in controller:
         raise ConfigurationError("missing config key config.controller.eta")
     if ckind != "qp" and "sigma" not in controller:
@@ -293,19 +302,12 @@ def write_trajectory_csv(path: Path, traj: Trajectory, n: int, m: int) -> None:
     )
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(len(traj)):
-            row = (
-                [_fmt(traj.times[i])]
-                + [_fmt(v) for v in traj.states[i]]
-                + [_fmt(v) for v in traj.inputs[i]]
-                + [
-                    _fmt(traj.h_values[i]),
-                    _fmt(traj.residuals[i]),
-                    _fmt(traj.kappas[i]),
-                    _fmt(traj.margins[i]),
-                ]
-            )
-            fh.write(",".join(row) + "\n")
+        # One format per row, each value as _fmt writes it.
+        row = ",".join(["%.17g"] * len(header)) + "\n"
+        table = np.column_stack(
+            (traj.times, traj.states, traj.inputs, traj.h_values, traj.residuals, traj.kappas, traj.margins)
+        )
+        fh.write("".join([row % tuple(values) for values in table.tolist()]))
 
 
 def _strict_range_precheck(scenario: Scenario) -> None:
@@ -387,12 +389,25 @@ def cmd_sweep(args) -> int:
     scenarios = []
     for value in values:
         node[leaf] = value
+        validate_config(config)
         scenarios.append(build_scenario(config, zoh=args.zoh, seed=args.seed))
 
-    trajs = [
-        run(sc.system, sc.spec, sc.barrier, sc.x0, sc.sim_cfg, sc.disturbance)
-        for sc in scenarios
-    ]
+    if param.startswith("controller.") and config["system"]["name"] != "two_link_torque":
+        # Only the formula differs, so the members share the first one's
+        # plant and nominal and advance together where their formulas allow.
+        first = scenarios[0]
+        specs = [
+            replace(sc.spec, nominal=first.spec.nominal) if sc.spec.kind == "safety_filter" else sc.spec
+            for sc in scenarios
+        ]
+        trajs = run(first.system, specs, first.barrier, first.x0, first.sim_cfg, first.disturbance)
+    else:
+        # Any other key, or the torque level (whose plant embeds k0 and so
+        # the formula), changes the plant: each value runs on its own.
+        trajs = [
+            run(sc.system, sc.spec, sc.barrier, sc.x0, sc.sim_cfg, sc.disturbance)
+            for sc in scenarios
+        ]
 
     any_failed = False
     rows = []

@@ -129,12 +129,16 @@ class ControlAffineSystem:
     """Control-affine dynamics ``xdot = drift(x) + input_map(x) u``.
 
     drift maps a state vector (n,) to (n,); input_map maps it to (n, m).
+    stacks declares that both also map a stack of states (B, n), to
+    (B, n) and (B, n, m) or to one (n,) and (n, m) shared by the stack;
+    only then does a batched simulation call them on stacks.
     """
 
     state_dim: int
     input_dim: int
     drift: Callable[[np.ndarray], np.ndarray]
     input_map: Callable[[np.ndarray], np.ndarray]
+    stacks: bool = False
 
     def __post_init__(self):
         if self.state_dim < 1 or self.input_dim < 1:
@@ -150,12 +154,15 @@ class BarrierFunction:
     The safe set is {x : h(x) >= 0}; its boundary and interior are carried
     implicitly by the sign of h.  Gradients are supplied analytically; a
     finite-difference construction exists for tests only, see
-    :meth:`with_fd_gradient`.
+    :meth:`with_fd_gradient`.  stacks declares that value, gradient and
+    classk.fn also map a stack of states (B, n), value to (B,) and gradient
+    to (B, n) or to one (n,) shared by the stack.
     """
 
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     classk: ExtendedClassK
+    stacks: bool = False
 
     @classmethod
     def with_fd_gradient(

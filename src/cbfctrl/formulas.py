@@ -14,18 +14,22 @@ One range rule, :func:`check_kappa_range`, holds for every kind: kappa is
 at most 1, or slack / Gamma with slack = gamma ||d|| + c for bounded_input;
 it exceeds 0 in the ReLU forms and max(c / Gamma, 0) in the smooth ones,
 whose tie kappa Gamma = c (a multiplier of exactly 0) is admitted as the
-continuous limit; where ||d||^2 <= EPS_D the multiplier is 0 whatever
-kappa, and only kappa > 0 is required.
+continuous limit, as is kappa = 0 where the bounded-input slack is exactly
+0 (the range closes to that point, and u is the min-norm input of norm
+gamma); where ||d||^2 <= EPS_D the multiplier is 0 whatever kappa, and only
+kappa > 0 is required.
 
 The scalar functions live in (c, ||d||^2) space: their d or d2 argument is
-always the squared norm of the constraint direction.
+always the squared norm of the constraint direction.  :class:`FormulaBatch`
+evaluates the same formulas for a batch of specs, each at its own point,
+with one numpy call per operation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -106,6 +110,8 @@ def check_kappa_range(
                 lower = max(c / gam, 0.0)
                 raise KappaRangeError(f"kappa={kappa} violates the lower bound {lower}")
             return
+        if kappa == upper == 0.0:
+            return
     if not kappa > 0.0:
         raise KappaRangeError(f"kappa={kappa} violates the lower bound 0")
 
@@ -133,7 +139,9 @@ def lin_sontag_eta(
 
     Suitable for :meth:`TunableTermPolicy.eta_function`; it is the default
     policy of the bounded-input kind and is feasible whenever the bound is
-    compatible with the constraint.
+    strictly compatible with the constraint.  At exact compatibility its
+    kappa is 0 only up to rounding: the range check admits it where it
+    rounds to exactly 0 and rejects it otherwise.
     """
     g2 = gamma_bound * gamma_bound
 
@@ -174,7 +182,8 @@ class ControllerSpec:
     Kinds: ``qp`` (min-norm), ``sontag``, ``tunable`` (smooth by default,
     ReLU via flag), ``safety_filter`` (wraps one of the others around a
     nominal input), ``bounded_input`` (ReLU form restricted so that
-    ||u|| <= gamma).
+    ||u|| <= gamma).  nominal_stacks declares that the filter's nominal
+    also maps a stack of states (B, n) to (B, m).
     """
 
     kind: str
@@ -184,6 +193,7 @@ class ControllerSpec:
     gamma: float | None = None
     inner: "ControllerSpec | None" = None
     nominal: Callable[[np.ndarray], np.ndarray] | None = None
+    nominal_stacks: bool = False
 
     @classmethod
     def qp(cls) -> "ControllerSpec":
@@ -207,13 +217,14 @@ class ControllerSpec:
         cls,
         inner: "ControllerSpec",
         nominal: Callable[[np.ndarray], np.ndarray],
+        nominal_stacks: bool = False,
     ) -> "ControllerSpec":
         if inner.kind not in _FILTER_INNER_KINDS:
             raise ConfigurationError(
                 f"safety_filter cannot wrap kind {inner.kind!r}; "
                 f"allowed: {_FILTER_INNER_KINDS}"
             )
-        return cls(kind="safety_filter", inner=inner, nominal=nominal)
+        return cls(kind="safety_filter", inner=inner, nominal=nominal, nominal_stacks=nominal_stacks)
 
     @classmethod
     def bounded_input(
@@ -348,3 +359,93 @@ def evaluate_controller(
     return ControllerOutput(
         u=lam * d, lam=lam, kappa=kappa, residual=c + lam * d2 - kappa * gam, c_eff=c, gamma_eff=gam
     )
+
+
+def vectorisable(spec: ControllerSpec) -> bool:
+    """Whether FormulaBatch evaluates spec: qp, or sontag, tunable or
+    bounded_input with a linear shaping, the last two with a constant eta."""
+    if spec.kind == "qp":
+        return True
+    if spec.kind not in ("sontag", "tunable", "bounded_input"):
+        return False
+    if spec.shaping is None or spec.shaping.kind != "linear":
+        return False
+    return spec.kind == "sontag" or (spec.policy is not None and spec.policy.kind == "eta_constant")
+
+
+class FormulaBatch:
+    """The multipliers of a batch of vectorisable formula specs, member i at its own (c_i, d2_i).
+
+    Every operation is one numpy call over the batch, in the order of the
+    scalar functions, so that each member's lambda, kappa and Gamma equal
+    evaluate_controller's bit for bit.  sontag is the tunable formula at
+    eta = 1, since (1 - 1) c / Gamma + 1 == 1.0, and qp is sontag's formula
+    with kappa Gamma scaled by 0.  Instead of raising, a call flags every
+    member at which evaluate_controller might raise: the flags are a
+    superset, which the caller settles with the scalar evaluation.
+    """
+
+    def __init__(self, specs: Sequence[ControllerSpec]):
+        for spec in specs:
+            if not vectorisable(spec):
+                raise ConfigurationError(f"kind {spec.kind!r} with this shaping or policy does not batch")
+        self.specs = list(specs)
+        has_eta = [spec.kind in ("tunable", "bounded_input") for spec in specs]
+        qp = np.array([spec.kind == "qp" for spec in specs], dtype=bool)
+        relu = np.array([spec.relu for spec in specs], dtype=bool)
+        bounded = [spec.kind == "bounded_input" for spec in specs]
+        self.eta = np.array([s.policy.eta if e else 1.0 for s, e in zip(specs, has_eta)])
+        self.one_minus_eta = 1.0 - self.eta
+        self.sigma = np.array([1.0 if q else s.shaping.sigma for s, q in zip(specs, qp)])
+        # None where no member needs the term.
+        self.kappa_gamma_scale = (~qp).astype(float) if qp.any() else None
+        self.kappa_nan = np.where(qp, math.nan, 0.0) if qp.any() else None
+        # The smooth form's lower bound: True for every member, else a mask.
+        self.smooth = None if relu.all() else True if not relu.any() else ~relu
+        self.gamma = (
+            np.array([s.gamma if b else math.nan for s, b in zip(specs, bounded)]) if any(bounded) else None
+        )
+        self.all_bounded = all(bounded)
+
+    def take(self, keep: np.ndarray) -> "FormulaBatch":
+        """The batch of the members where keep is True."""
+        return FormulaBatch([spec for spec, k in zip(self.specs, keep) if k])
+
+    def __call__(
+        self, c: np.ndarray, d2
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(lambda, kappa, Gamma, flagged) at offsets c (B,) and squared norms d2, one shared or (B,).
+
+        kappa is the tunable term of sontag's formula at qp members; the
+        multiplier of a flagged member may be anything.
+        """
+        gam = np.sqrt(c * c + (self.sigma * d2) * d2)
+        kappa = self.one_minus_eta * (c / gam) + self.eta
+        kappa_gam = kappa * gam
+        num = kappa_gam - c
+        if self.kappa_gamma_scale is not None:
+            lam = np.maximum((kappa_gam * self.kappa_gamma_scale - c) / d2, 0.0)
+        else:
+            lam = np.maximum(num / d2, 0.0)
+        flagged = ~(np.isfinite(c + gam) & (kappa > 0.0))  # also where kappa is NaN
+        if self.gamma is None:
+            flagged |= kappa > 1.0
+        else:
+            slack = self.gamma * np.sqrt(d2) + c
+            upper = slack / gam
+            if not self.all_bounded:
+                upper = np.fmin(upper, 1.0)  # 1 where gamma is NaN; a superset where it is not
+            flagged |= (slack < 0.0) | (kappa > upper)
+        if self.smooth is True:
+            flagged |= num < 0.0
+        elif self.smooth is not None:
+            flagged |= (num < 0.0) & self.smooth
+        small = d2 <= EPS_D
+        if np.ndim(small) == 0:
+            if small:
+                lam = np.zeros_like(c)
+                flagged |= c <= 0.0
+        elif small.any():
+            lam[small] = 0.0
+            flagged |= small & (c <= 0.0)
+        return lam, kappa, gam, flagged

@@ -246,6 +246,8 @@ def velocity_level_scenario(
     """
     inner = controller_spec(kind, sigma=sigma, eta=eta, gamma=gamma, relu=relu)
 
+    # Every map also takes a stack of states (B, 3): drift, input map and
+    # barrier gradient are constant, and the rest act row by row.
     kp_mat = np.diag([kp, kp])
     f_aug = np.array([0.0, 0.0, 1.0])
     g_aug = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
@@ -254,21 +256,32 @@ def velocity_level_scenario(
         input_dim=2,
         drift=lambda x: f_aug,
         input_map=lambda x: g_aug,
+        stacks=True,
     )
 
     grad_h = np.array([0.0, -1.0, 0.0])
     barrier = BarrierFunction(
-        value=lambda x: q_bar - x[1],
+        value=lambda x: q_bar - x.T[1],
         gradient=lambda x: grad_h,
         classk=ExtendedClassK.linear(beta),
+        stacks=True,
     )
 
+    neg_kp_t = (-kp_mat).T
+    ref_offset = np.array([1.0, 0.0])
+
     def nominal(x: np.ndarray) -> np.ndarray:
+        if x.ndim == 2:
+            # reference() and reference_rate() of every row; -kp_mat is
+            # diagonal, so each product has the scalar path's one term.
+            tau = x[:, 2]
+            ref = (2.0 * np.sin(tau))[:, None] + ref_offset
+            return (x[:, :2] - ref) @ neg_kp_t + (2.0 * np.cos(tau))[:, None]
         q = x[:2]
         tau = x[2]
         return -kp_mat @ (q - reference(tau)) + reference_rate(tau)
 
-    spec = ControllerSpec.safety_filter(inner, nominal)
+    spec = ControllerSpec.safety_filter(inner, nominal, nominal_stacks=True)
 
     # Constraint geometry at the filter: constant direction, c = beta * h.
     d_vec = np.array([0.0, -1.0])
@@ -310,6 +323,22 @@ def run_scenario(
     return run(
         scenario.system, scenario.spec, scenario.barrier, scenario.x0, cfg, disturbance
     )
+
+
+def run_formulas(
+    scenario: VelocityScenario, formulas, cfg: Optional[SimConfig] = None, disturbance=None
+) -> list[Trajectory]:
+    """Run the scenario's plant once per formula spec, all advancing together.
+
+    Each formula (a spec from controller_spec) sits inside the scenario's
+    safety filter, so member i is the run of velocity_level_scenario with
+    that formula.
+    """
+    specs = [
+        ControllerSpec.safety_filter(f, scenario.nominal, scenario.spec.nominal_stacks)
+        for f in formulas
+    ]
+    return run(scenario.system, specs, scenario.barrier, scenario.x0, cfg or SimConfig(), disturbance)
 
 
 # --- torque-level (backstepped) scenario -------------------------------------
@@ -485,26 +514,25 @@ def bounded_input_study(
 ) -> list[BoundedInputReport]:
     """Compare unconstrained and norm-bounded filters over a grid of eta.
 
-    eta = 1.0 coincides with the sontag formula.  Each eta is first run
-    with the unconstrained smooth filter to measure the peak correction
-    norm, then re-run with the bounded-input formula; a range violation
-    or incompatibility mid-run is flagged rather than raised.
+    eta = 1.0 coincides with the sontag formula.  Each eta is run with
+    the unconstrained smooth filter to measure the peak correction norm
+    and with the bounded-input formula, all runs advancing together; a
+    range violation or incompatibility mid-run is flagged rather than
+    raised.
     """
     cfg = cfg or SimConfig()
+    etas = [float(eta) for eta in etas]
+    formulas = [controller_spec("tunable", sigma=sigma, eta=eta) for eta in etas] + [
+        controller_spec("bounded_input", sigma=sigma, eta=eta, gamma=gamma) for eta in etas
+    ]
+    trajs = run_formulas(velocity_level_scenario(sigma=sigma), formulas, cfg)
     reports = []
-    for eta in etas:
-        free = run_scenario(velocity_level_scenario(eta=eta, sigma=sigma), cfg)
+    for eta, free, bi in zip(etas, trajs, trajs[len(etas):]):
         max_corr = float(np.max(free.correction_norms)) if free.ok else math.inf
-        bi = run_scenario(
-            velocity_level_scenario(
-                eta=eta, sigma=sigma, kind="bounded_input", gamma=gamma
-            ),
-            cfg,
-        )
         bi_max = float(np.max(bi.correction_norms)) if len(bi) else math.nan
         reports.append(
             BoundedInputReport(
-                eta=float(eta),
+                eta=eta,
                 max_correction_norm=max_corr,
                 satisfies_bound=max_corr <= gamma,
                 valid_under_bi=bi.ok,

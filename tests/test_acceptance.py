@@ -27,10 +27,12 @@ from cbfctrl import (
 )
 from cbfctrl.cli import main as cli_main
 from cbfctrl.core import ControlAffineSystem
+from cbfctrl.formulas import controller_spec
 from cbfctrl.manipulator import (
     Q2_LIMIT,
     ManipulatorParams,
     dynamics,
+    run_formulas,
     run_scenario,
     torque_level_scenario,
     velocity_level_scenario,
@@ -50,16 +52,15 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def velocity_runs():
-    """10 s velocity-level runs for qp, the eta grid, and the sontag term."""
+    """10 s velocity-level runs for qp, the eta grid, and the sontag term, advancing together."""
     cfg = SimConfig(dt=1e-3, horizon=10.0)
-    runs = {}
+    formulas = {"qp": controller_spec("qp")}
+    formulas.update({eta: controller_spec("tunable", sigma=SIGMA, eta=eta) for eta in ETAS})
+    formulas["sontag"] = controller_spec("sontag", sigma=SIGMA)
     start = time.perf_counter()
-    runs["qp"] = run_scenario(velocity_level_scenario(kind="qp", sigma=SIGMA), cfg)
-    for eta in ETAS:
-        runs[eta] = run_scenario(velocity_level_scenario(eta=eta, sigma=SIGMA), cfg)
-    elapsed_core = time.perf_counter() - start
-    runs["sontag"] = run_scenario(velocity_level_scenario(kind="sontag", sigma=SIGMA), cfg)
-    return runs, elapsed_core
+    trajs = run_formulas(velocity_level_scenario(sigma=SIGMA), list(formulas.values()), cfg)
+    elapsed = time.perf_counter() - start
+    return dict(zip(formulas, trajs)), elapsed
 
 
 def test_c01_tightened_constraint_equality():
@@ -229,7 +230,7 @@ def test_c07_velocity_level_safety_and_ordering(velocity_runs):
         safety_ok and ordering_ok and elapsed < 30.0,
         f"min h per run {{qp: {min_h['qp']:.4f}, "
         + ", ".join(f"{e}: {min_h[e]:.4f}" for e in ETAS)
-        + f"}}, {elapsed:.1f}s for 6 runs",
+        + f"}}, {elapsed:.1f}s for the 7 runs together",
     )
 
 
@@ -264,13 +265,12 @@ def test_c08_norm_bound_split_and_bi_runs(velocity_runs):
     cfg = SimConfig(dt=1e-3, horizon=10.0)
     bi_ok = True
     bi_peaks = {}
-    for eta in check_pass:
-        traj = run_scenario(
-            velocity_level_scenario(
-                eta=eta, sigma=SIGMA, kind="bounded_input", gamma=GAMMA_BOUND
-            ),
-            cfg,
-        )
+    trajs = run_formulas(
+        velocity_level_scenario(sigma=SIGMA),
+        [controller_spec("bounded_input", sigma=SIGMA, eta=eta, gamma=GAMMA_BOUND) for eta in check_pass],
+        cfg,
+    )
+    for eta, traj in zip(check_pass, trajs):
         bi_peaks[eta] = float(np.max(traj.correction_norms))
         bi_ok = bi_ok and traj.ok and bi_peaks[eta] <= GAMMA_BOUND + 1e-9
     _report(

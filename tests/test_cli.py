@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 from pathlib import Path
@@ -5,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cbfctrl.cli import main
+from cbfctrl.cli import _fmt, main, write_trajectory_csv
+from cbfctrl.simulate import Trajectory
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -382,3 +384,94 @@ def test_zoh_flag_round_trips(tmp_path):
     cfg = write_config(tmp_path, "si.json", single_integrator_config())
     rc = main(["simulate", "--config", str(cfg), "--zoh", "--out", str(tmp_path)])
     assert rc == 0
+
+
+# --- config value types ---------------------------------------------------------
+
+VELOCITY_CONFIG = str(CONFIG_DIR / "twolink_velocity.json")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check", "--set", "controller.eta=null"], "config.controller.eta must be a number"),
+        (["simulate", "--set", "controller.sigma=abc"], "config.controller.sigma must be a number"),
+        (["margin", "--set", "controller.gamma=true"], "config.controller.gamma must be a number"),
+        (["simulate", "--set", "controller.relu=1"], "config.controller.relu must be true or false"),
+        (["check", "--set", "controller.kind=5"], "config.controller.kind must be a string"),
+        (["sweep", "--param", "eta", "--values", "null"], "config.controller.eta must be a number"),
+        (["sweep", "--param", "eta", "--values", '0.7,"abc"'], "config.controller.eta must be a number"),
+    ],
+)
+def test_config_value_types_are_config_errors(tmp_path, capsys, argv, message):
+    rc = main(argv[:1] + ["--config", VELOCITY_CONFIG] + argv[1:] + ["--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}, got ")
+    assert "Traceback" not in err
+
+
+# --- CSV writer -----------------------------------------------------------------
+
+
+def test_trajectory_csv_matches_per_value_formatting(tmp_path):
+    special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.0 / 3.0, 0.1, -2.5e300]
+    rows = len(special)
+    col = np.array(special)
+    traj = Trajectory(
+        times=np.arange(rows) * 1e-3,
+        states=np.column_stack([col, col[::-1], -col]),
+        inputs=np.column_stack([col[::-1], col]),
+        h_values=col,
+        residuals=col[::-1],
+        kappas=np.full(rows, math.nan),
+        margins=col,
+        correction_norms=col,
+    )
+    path = tmp_path / "t.csv"
+    write_trajectory_csv(path, traj, 3, 2)
+    expected = ["t,x0,x1,x2,u0,u1,h,residual,kappa,margin"]
+    for i in range(rows):
+        values = [traj.times[i], *traj.states[i], *traj.inputs[i], traj.h_values[i],
+                  traj.residuals[i], traj.kappas[i], traj.margins[i]]
+        expected.append(",".join(_fmt(v) for v in values))
+    assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+    cells = set(",".join(expected[1:]).split(","))
+    assert {"nan", "inf", "-inf", "-0", "4.9406564584124654e-324", "0.33333333333333331"} <= cells
+
+    empty = Trajectory(*(np.asarray([]) for _ in range(8)), failure="x", failure_step=0)
+    write_trajectory_csv(path, empty, 3, 2)
+    assert path.read_bytes() == (expected[0] + "\n").encode()
+
+
+# --- the benchmark's tracer -----------------------------------------------------
+
+
+def test_sweeps_call_simulate_run_under_the_benchmark_tracer(tmp_path):
+    # perfbench's sweep metrics read the simulate.run spans under each
+    # cli.cmd_sweep; a sweep that advanced its members without calling
+    # simulate.run would leave them empty
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    module_spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(spans)
+
+    sweeps = [
+        ["--param", "eta", "--values", "0.5,1.0"],
+        ["--param", "gamma", "--values", "0.5,3.0", "--set", "controller.kind=bounded_input"],
+        ["--param", "sigma", "--values", "0.2,0.5", "--zoh"],
+    ]
+    with spans.installed(spans.Tracer()) as tracer:
+        for i, argv in enumerate(sweeps):
+            tracer.next_run()
+            rc = main(
+                ["sweep", "--config", VELOCITY_CONFIG, "--set", "sim.horizon=0.05",
+                 "--out", str(tmp_path / str(i))] + argv
+            )
+            assert rc == (2 if "gamma" in argv else 0)
+    spans_ = tracer.arrays()
+    names = np.array(tracer.names)[spans_["name_id"]]
+    sweep_runs = set(spans_["run_id"][names == "cli.cmd_sweep"].tolist())
+    assert sweep_runs == {1, 2, 3}
+    for run_id in sweep_runs:
+        assert np.any((names == "simulate.run") & (spans_["run_id"] == run_id)), run_id

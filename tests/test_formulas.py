@@ -23,6 +23,7 @@ from cbfctrl import (
     lambda_tunable_relu,
     lin_sontag_eta,
 )
+from cbfctrl.formulas import check_kappa_range
 
 S1 = ShapingFunction.linear(1.0)
 S02 = ShapingFunction.linear(0.2)
@@ -368,6 +369,24 @@ def test_lin_sontag_eta_map_matches_default():
         evaluate_controller(default, con).u,
         rtol=1e-14,
     )
+
+
+def test_bounded_input_exact_compatibility_admits_kappa_zero():
+    # gamma ||d|| + c = 0: the range closes to kappa = 0, which the default
+    # policy hits exactly here, and u is the min-norm input of norm gamma
+    spec = ControllerSpec.bounded_input(S02, gamma=1.0)
+    out = evaluate_controller(spec, AffineConstraint(-1.0, [1.0]))
+    assert out.kappa == 0.0
+    np.testing.assert_array_equal(out.u, [1.0])
+    gam = gamma_sontag(AffineConstraint(-1.0, [1.0]), S02)
+    check_kappa_range(0.0, -1.0, 1.0, gam, relu=True, gamma_bound=1.0)
+    # only exactly 0: a kappa that rounds off it is still out of the closed range
+    for kappa in (1e-16, -1e-16):
+        with pytest.raises(KappaRangeError):
+            check_kappa_range(kappa, -1.0, 1.0, gam, relu=True, gamma_bound=1.0)
+    # kappa = 0 stays out of the ReLU range wherever the slack is positive
+    with pytest.raises(KappaRangeError):
+        check_kappa_range(0.0, -0.5, 1.0, gam, relu=True, gamma_bound=1.0)
 
 
 def test_bounded_input_incompatible_deficit():

@@ -8,11 +8,12 @@ implies, at points hypothesis draws rather than at hand-picked ones.
 import math
 
 import numpy as np
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from cbfctrl import (
     AffineConstraint,
+    CBFControlError,
     ControllerSpec,
     KappaRangeError,
     ShapingFunction,
@@ -22,7 +23,7 @@ from cbfctrl import (
     lambda_min_norm,
     margin_of,
 )
-from cbfctrl.formulas import lambda_and_slope
+from cbfctrl.formulas import FormulaBatch, lambda_and_slope
 
 cs = st.floats(-50.0, 50.0, allow_nan=False)
 ds = st.lists(st.floats(-10.0, 10.0, allow_nan=False), min_size=1, max_size=3)
@@ -132,3 +133,62 @@ def test_slope_matches_central_difference(c, d, sigma, eta, kind):
     fd = (lambda_and_slope(spec, c + h, d2)[0] - lambda_and_slope(spec, c - h, d2)[0]) / (2.0 * h)
     assert lam == evaluate_controller(spec, AffineConstraint(c, [d])).lam
     assert abs(slope - fd) <= 1e-5 * (1.0 + abs(slope))
+
+
+def batch_specs(sigma, eta, gamma):
+    shaping = ShapingFunction.linear(sigma)
+    policy = TunableTermPolicy.eta_constant(eta)
+    return [
+        ControllerSpec.qp(),
+        ControllerSpec.sontag(shaping),
+        ControllerSpec.tunable(shaping, policy),
+        ControllerSpec.tunable(shaping, policy, relu=True),
+        ControllerSpec.bounded_input(shaping, gamma, policy),
+    ]
+
+
+@given(
+    st.lists(st.floats(-50.0, 50.0, allow_nan=False), min_size=5, max_size=5),
+    st.one_of(ds, st.just([0.0]), st.just([1e-7])),
+    sigmas,
+    st.floats(0.05, 1.0),
+    gammas,
+)
+@example([0.0, 2.225073858507203e-309, 0.0, 0.0, 0.0], [0.0], 1.0, 1.0, 1.0)  # Gamma underflows to 0
+def test_batch_kernel_matches_scalar(cs_, d, sigma, eta, gamma):
+    # every member where evaluate_controller raises is flagged (a Gamma that
+    # underflows to 0 raises ZeroDivisionError there), and every unflagged
+    # member's lambda, kappa and Gamma are the scalar ones, bit for bit
+    specs = batch_specs(sigma, eta, gamma)
+    d2 = AffineConstraint(0.0, d).d_norm_sq
+    with np.errstate(all="ignore"):
+        lam, kappa, gam, flagged = FormulaBatch(specs)(np.array(cs_), d2)
+    for i, (spec, c) in enumerate(zip(specs, cs_)):
+        try:
+            out = evaluate_controller(spec, AffineConstraint(c, d))
+        except (CBFControlError, ZeroDivisionError):
+            assert flagged[i]
+            continue
+        if flagged[i]:
+            continue
+        assert lam[i] == out.lam
+        if spec.kind != "qp":
+            assert (kappa[i], gam[i]) == (out.kappa, out.gamma_eff)
+
+
+@given(cs, ds, sigmas, gammas)
+def test_batch_kernel_per_member_norms(c, d, sigma, gamma):
+    # the same with one ||d||^2 per member, so that some sit below EPS_D
+    specs = batch_specs(sigma, 0.7, gamma)
+    cons = [AffineConstraint(c, np.asarray(d) * scale) for scale in (1.0, 1e-7, 0.0, 2.0, 1.0)]
+    with np.errstate(all="ignore"):
+        lam, _, _, flagged = FormulaBatch(specs)(
+            np.array([con.c for con in cons]), np.array([con.d_norm_sq for con in cons])
+        )
+    for i, (spec, con) in enumerate(zip(specs, cons)):
+        try:
+            out = evaluate_controller(spec, con)
+        except (CBFControlError, ZeroDivisionError):
+            assert flagged[i]
+            continue
+        assert flagged[i] or lam[i] == out.lam

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from cbfctrl import (
+    BarrierFunction,
     BlowUpError,
     CBFControlError,
     ConfigurationError,
     ControlAffineSystem,
     ControllerSpec,
     DisturbanceSpec,
+    ExtendedClassK,
     NumericsError,
     ShapingFunction,
     SimConfig,
@@ -19,7 +21,9 @@ from cbfctrl import (
     run,
     step,
 )
-from cbfctrl.manipulator import velocity_level_scenario
+from cbfctrl.formulas import controller_spec
+from cbfctrl.manipulator import run_formulas, velocity_level_scenario
+from cbfctrl.simulate import _batch_members
 from cbfctrl.systems import linear_barrier, single_integrator
 
 S02 = ShapingFunction.linear(0.2)
@@ -365,3 +369,184 @@ def test_run_evaluates_each_state_once(integrator, zoh, per_step):
     assert traj.ok and len(traj) == 51
     # per step, plus the final recorded state
     assert len(calls) == per_step * 50 + 1
+
+
+# --- members advancing together -------------------------------------------------
+
+VELOCITY = velocity_level_scenario(sigma=0.2)
+FAILING_GAMMAS = (1.0, 1.5, 2.0)  # the benchmark's bounded-input members fail at 86, 272, 563
+
+
+def assert_list_run_matches(system, specs, barrier, x0, cfg, disturbance=None):
+    """A list run equals one scalar run per spec in every recorded array."""
+    together = run(system, specs, barrier, x0, cfg, disturbance)
+    assert len(together) == len(specs)
+    for spec, traj in zip(specs, together):
+        alone = run(system, spec, barrier, x0, cfg, disturbance)
+        for name in RECORDED:
+            a, b = getattr(traj, name), getattr(alone, name)
+            assert a.shape == b.shape and a.dtype == b.dtype, name
+            assert a.tobytes() == b.tobytes(), name
+        assert traj.failure == alone.failure
+        assert traj.failure_step == alone.failure_step
+    return together
+
+
+def velocity_specs(formulas):
+    return [ControllerSpec.safety_filter(f, VELOCITY.nominal, nominal_stacks=True) for f in formulas]
+
+
+KINDS = [
+    controller_spec("qp"),
+    controller_spec("sontag", sigma=0.2),
+    controller_spec("tunable", sigma=0.2, eta=0.5),
+    controller_spec("tunable", sigma=0.2, eta=0.7),
+    controller_spec("tunable", sigma=0.5, eta=0.6, relu=True),
+] + [controller_spec("bounded_input", sigma=0.2, eta=0.7, gamma=g) for g in FAILING_GAMMAS]
+
+
+@pytest.mark.parametrize(
+    "sim",
+    [{}, {"zoh": True}, {"integrator": "euler"}, {"record_every": 3}],
+    ids=["rk4", "zoh", "euler", "record_every"],
+)
+@pytest.mark.parametrize("disturbed", [False, True])
+def test_list_run_matches_scalar_runs(sim, disturbed):
+    # every bounded-input member fails within 0.6 s, the first one within 0.3 s
+    cfg = SimConfig(dt=1e-3, horizon=0.3 if sim else 0.6, **sim)
+    dist = DisturbanceSpec.bounded_random(0.5, seed=5) if disturbed else None
+    specs = velocity_specs(KINDS)
+    assert _batch_members(VELOCITY.system, VELOCITY.barrier, specs) == list(range(len(specs)))
+    trajs = assert_list_run_matches(VELOCITY.system, specs, VELOCITY.barrier, VELOCITY.x0, cfg, dist)
+    steps = [t.failure_step for t in trajs]
+    assert steps[:5] == [None] * 5 and steps[5] is not None
+    if not sim:
+        assert all(s is not None for s in steps[5:])
+    if not sim and not disturbed:
+        assert steps[5:] == [86, 272, 563]
+        # continuous feedback fails inside the step, so row k is kept
+        assert [len(t) for t in trajs[5:]] == [87, 273, 564]
+    if sim.get("zoh"):
+        # held input: the failure is the evaluation at x_k, with no row k
+        assert len(trajs[5]) == steps[5]
+
+
+def test_list_run_failures_at_step_zero_and_run_scenario_equivalence():
+    formulas = [
+        controller_spec("tunable", sigma=0.2, eta=0.3),  # KappaRangeError at x0
+        controller_spec("bounded_input", sigma=0.2, eta=0.7, gamma=0.1),  # incompatible at x0
+        controller_spec("tunable", sigma=0.2, eta=0.9),
+    ]
+    cfg = SimConfig(dt=1e-3, horizon=0.05)
+    trajs = assert_list_run_matches(
+        VELOCITY.system, velocity_specs(formulas), VELOCITY.barrier, VELOCITY.x0, cfg
+    )
+    assert [t.failure_step for t in trajs] == [0, 0, None]
+    assert trajs[0].states.shape == (0,) and trajs[1].inputs.shape == (0,)
+    assert "KappaRangeError at step 0" in trajs[0].failure
+    assert "IncompatibleInputError at step 0" in trajs[1].failure
+    # run_formulas is the list run of the scenario's filter around each formula
+    for traj, f in zip(run_formulas(VELOCITY, formulas, cfg), formulas):
+        alone = velocity_level_scenario(
+            sigma=0.2, kind=f.kind, eta=f.policy.eta, gamma=f.gamma, relu=f.relu
+        )
+        ref = run(alone.system, alone.spec, alone.barrier, alone.x0, cfg)
+        np.testing.assert_array_equal(traj.states, ref.states)
+        assert traj.failure == ref.failure
+
+
+def stacked_line(drift, beta=1.5):
+    """xdot = drift(x) + u on the line, h = 1 + x, maps that take stacks."""
+    system = ControlAffineSystem(
+        state_dim=1, input_dim=1, drift=drift, input_map=lambda x: np.ones((1, 1)), stacks=True
+    )
+    barrier = BarrierFunction(
+        value=lambda x: 1.0 + x[..., 0],
+        gradient=lambda x: np.ones(1),
+        classk=ExtendedClassK.linear(beta),
+        stacks=True,
+    )
+    return system, barrier
+
+
+def test_list_run_blow_ups_match_scalar():
+    specs = [ControllerSpec.qp(), ControllerSpec.sontag(S02), ControllerSpec.tunable(S02, TunableTermPolicy.eta_constant(0.6))]
+    # xdot = x^2 + u, pushed outward (h = 1 + x grows): escapes near t = 0.5,
+    # as a non-finite constraint at x_k (qp) or inside the step (the others)
+    system, barrier = stacked_line(lambda x: x * x)
+    cfg = SimConfig(dt=1e-3, horizon=1.0)
+    with np.errstate(all="ignore"):
+        trajs = assert_list_run_matches(system, specs, barrier, np.array([2.0]), cfg)
+    assert trajs[0].failure.startswith("NumericsError at step 502: constraint evaluation not finite")
+    assert [t.failure_step for t in trajs[1:]] == [501, 501]
+    assert all(t.failure.startswith("blow-up at step 501: ") for t in trajs[1:])
+    # a finite field whose RK4 sum overflows: only the new state is non-finite
+    huge = np.array([1e308, 0.0])
+    system = ControlAffineSystem(
+        state_dim=2, input_dim=1, drift=lambda x: huge, input_map=lambda x: np.array([[0.0], [1.0]]),
+        stacks=True,
+    )
+    barrier = BarrierFunction(
+        value=lambda x: 1.0 - x[..., 1],
+        gradient=lambda x: np.array([0.0, -1.0]),
+        classk=ExtendedClassK.linear(1.5),
+        stacks=True,
+    )
+    with np.errstate(all="ignore"):
+        trajs = assert_list_run_matches(system, specs, barrier, np.zeros(2), cfg)
+    assert all(t.failure.startswith("blow-up at step 0: state became non-finite") for t in trajs)
+    assert all(len(t) == 1 for t in trajs)
+
+
+def test_list_run_mixed_with_per_member_specs():
+    custom = ShapingFunction.custom(lambda y: 0.2 * y)
+    direct = TunableTermPolicy.kappa_direct(lambda x: 0.8)
+    formulas = [
+        controller_spec("tunable", sigma=0.2, eta=0.7),
+        ControllerSpec.tunable(custom, TunableTermPolicy.eta_constant(0.7)),
+        ControllerSpec.tunable(S02, direct),
+        ControllerSpec.bounded_input(S02, 1.0),  # the eta_function default policy
+        controller_spec("sontag", sigma=0.2),
+    ]
+    specs = velocity_specs(formulas)
+    other_nominal = ControllerSpec.safety_filter(controller_spec("qp"), VELOCITY.nominal)
+    specs.append(other_nominal)  # the same nominal, not declared to take stacks: still together
+    specs.append(ControllerSpec.safety_filter(controller_spec("qp"), lambda x: VELOCITY.nominal(x)))
+    assert _batch_members(VELOCITY.system, VELOCITY.barrier, specs) == [0, 4, 5]
+    trajs = assert_list_run_matches(
+        VELOCITY.system, specs, VELOCITY.barrier, VELOCITY.x0, SimConfig(dt=1e-3, horizon=0.3)
+    )
+    # the custom shaping is the linear one, so both paths give the same run
+    np.testing.assert_array_equal(trajs[0].states, trajs[1].states)
+
+
+def test_list_run_on_plants_without_stacks_runs_each_member_alone():
+    system = single_integrator(1)
+    barrier = linear_barrier([1.0], 1.0, beta=1.5)
+    push = lambda x: np.array([2.0])
+    specs = [ControllerSpec.safety_filter(f, push) for f in (ControllerSpec.qp(), ControllerSpec.sontag(S02))]
+    assert _batch_members(system, barrier, specs) == []
+    assert_list_run_matches(system, specs, barrier, np.array([0.0]), SimConfig(dt=1e-3, horizon=0.2))
+
+
+def test_list_run_scalar_path_is_the_reference_loop():
+    spec = velocity_specs([controller_spec("bounded_input", sigma=0.2, eta=0.7, gamma=1.0)])[0]
+    cfg = SimConfig(dt=1e-3, horizon=0.2)
+    traj = run(VELOCITY.system, [spec], VELOCITY.barrier, VELOCITY.x0, cfg)[0]
+    rows, failure, failure_step = reference_run(VELOCITY.system, spec, VELOCITY.barrier, VELOCITY.x0, cfg)
+    for name in RECORDED:
+        np.testing.assert_array_equal(getattr(traj, name), rows[name], err_msg=name)
+    assert (traj.failure, traj.failure_step) == (failure, failure_step)
+    assert failure_step == 86
+
+
+def test_list_run_at_exact_norm_bound_compatibility():
+    # c = beta h = -1 and d = 1 at x0 = -2: gamma ||d|| + c = 0, and the eta
+    # of lin_sontag_eta puts kappa at exactly 0, which the range admits
+    system, barrier = stacked_line(lambda x: np.zeros_like(x), beta=1.0)
+    eta = 1.0 / (math.sqrt(1.2) + 1.0)
+    spec = ControllerSpec.bounded_input(S02, 1.0, TunableTermPolicy.eta_constant(eta))
+    cfg = SimConfig(dt=1e-3, horizon=0.01, allow_unsafe_start=True)
+    traj = assert_list_run_matches(system, [spec, ControllerSpec.qp()], barrier, np.array([-2.0]), cfg)[0]
+    assert traj.ok
+    assert traj.kappas[0] == 0.0 and traj.inputs[0, 0] == 1.0
