@@ -193,11 +193,6 @@ class Scenario:
         self.config = config
 
 
-def _formula_of(spec: ControllerSpec) -> ControllerSpec:
-    """The formula a scenario evaluates: the filter's inner spec, or spec itself."""
-    return spec.inner if spec.kind == "safety_filter" else spec
-
-
 def build_scenario(config: dict, zoh: bool = False, seed: int | None = None) -> Scenario:
     """Assemble the runnable pieces from a validated config."""
     sysconf = config["system"]
@@ -431,8 +426,9 @@ def cmd_sweep(args) -> int:
     with open(summary, "w", newline="\n") as fh:
         fh.write(f"{args.param},min_h,max_input_norm,max_deriv_jump,margin_min,status\n")
         for value, min_h, max_input, max_jump, margin_min, status in rows:
+            cell = _fmt(value) if isinstance(value, (int, float)) else str(value)  # e.g. a swept kind
             fh.write(
-                f"{_fmt(value)},{_fmt(min_h)},{_fmt(max_input)},"
+                f"{cell},{_fmt(min_h)},{_fmt(max_input)},"
                 f"{_fmt(max_jump)},{_fmt(margin_min)},{status}\n"
             )
     print(f"wrote {len(rows)} summary rows to {summary}")
@@ -487,7 +483,7 @@ def cmd_check(args) -> int:
     gamma = config["controller"].get("gamma")
     spec = scenario.spec
     nominal = spec.nominal if spec.kind == "safety_filter" else None
-    formula = _formula_of(spec)
+    formula = spec.formula
 
     violations = []
     rows = []
@@ -544,7 +540,7 @@ def cmd_check(args) -> int:
 def cmd_margin(args) -> int:
     config = load_config(args.config, args.set)
     scenario = build_scenario(config, seed=args.seed)
-    formula = _formula_of(scenario.spec)
+    formula = scenario.spec.formula
     if formula.kind == "qp":
         print(
             "margin needs a tunable, sontag, or bounded_input controller; "

@@ -288,13 +288,13 @@ def evaluate_constraint(
 def Gamma(c: float, d2: float, shaping: ShapingFunction) -> float:
     """Tightening magnitude sqrt(c^2 + s(d2) d2) at (c, ||d||^2); always >= |c|.
 
-    Where the direct form overflows, the same value is taken as
-    hypot(c, sqrt(s(d2)) sqrt(d2)); a Gamma that is still not finite raises
-    NumericsError rather than reaching a multiplier.
+    Where the direct form overflows or underflows to 0, the same value is
+    taken as hypot(c, sqrt(s(d2)) sqrt(d2)); a Gamma that is still not
+    finite raises NumericsError rather than reaching a multiplier.
     """
     s = shaping(d2)
     gam = math.sqrt(c * c + s * d2)
-    if math.isfinite(gam):
+    if math.isfinite(gam) and gam > 0.0:
         return gam
     gam = math.hypot(c, math.sqrt(s) * math.sqrt(d2))
     if not math.isfinite(gam):

@@ -226,6 +226,11 @@ class ControllerSpec:
             )
         return cls(kind="safety_filter", inner=inner, nominal=nominal, nominal_stacks=nominal_stacks)
 
+    @property
+    def formula(self) -> "ControllerSpec":
+        """The formula the spec evaluates: the filter's inner spec, or the spec itself."""
+        return self.inner if self.kind == "safety_filter" else self
+
     @classmethod
     def bounded_input(
         cls,
@@ -381,8 +386,9 @@ class FormulaBatch:
     evaluate_controller's bit for bit.  sontag is the tunable formula at
     eta = 1, since (1 - 1) c / Gamma + 1 == 1.0, and qp is sontag's formula
     with kappa Gamma scaled by 0.  Instead of raising, a call flags every
-    member at which evaluate_controller might raise: the flags are a
-    superset, which the caller settles with the scalar evaluation.
+    member at which evaluate_controller might raise, and maybe a few more
+    (a Gamma that overflows or underflows to 0, the tie kappa = 0 that the
+    range admits): the caller hands a flagged member to the scalar loop.
     """
 
     def __init__(self, specs: Sequence[ControllerSpec]):
@@ -427,7 +433,8 @@ class FormulaBatch:
             lam = np.maximum((kappa_gam * self.kappa_gamma_scale - c) / d2, 0.0)
         else:
             lam = np.maximum(num / d2, 0.0)
-        flagged = ~(np.isfinite(c + gam) & (kappa > 0.0))  # also where kappa is NaN
+        # kappa > 0 and Gamma > 0 (not underflowed to 0), also False where kappa is NaN
+        flagged = ~(np.isfinite(c + gam) & (kappa_gam > 0.0))
         if self.gamma is None:
             flagged |= kappa > 1.0
         else:

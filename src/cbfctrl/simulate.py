@@ -14,12 +14,16 @@ run also takes a sequence of specs over one plant and returns one
 trajectory per spec.  Members whose formulas vectorise (see
 formulas.FormulaBatch), on a plant whose maps declare that they take
 stacks of states, advance together: one RK4 loop over the (B, n) stack of
-their states, with one numpy call per operation for all of them.  A
-failing member stops alone, with the failure and the recorded rows of its
-own scalar run, and the others go on; every other member runs the scalar
-loop.  The scalar loop is the reference, and the batch reproduces it bit
-for bit on the velocity-level manipulator, whose maps are exact in the
-batch's order of operations.
+their states, with one numpy call per operation for all of them; every
+other member runs the scalar loop.  The scalar loop is the reference, and
+the batch reproduces it bit for bit on the velocity-level manipulator,
+whose maps are exact in the batch's order of operations.  A member that
+the formula kernel flags at step k (at x_k or in RK4 stages 2-4), or whose
+new state is not finite, leaves the batch: the scalar loop finishes it
+from its state x_k at step k, after the rows the batch recorded for the
+steps before k, and the others go on.  So does every member if the
+disturbance raises at step k.  A failure, its step and its rows are
+therefore the scalar loop's own.
 """
 
 from __future__ import annotations
@@ -177,25 +181,7 @@ def run(
     return trajs
 
 
-def _evaluator(system, spec, barrier) -> Callable[[np.ndarray], tuple[AffineConstraint, ControllerOutput]]:
-    def evaluate(y: np.ndarray) -> tuple[AffineConstraint, ControllerOutput]:
-        con = evaluate_constraint(system, barrier, y)
-        return con, evaluate_controller(spec, con, y)
-
-    return evaluate
-
-
-def _held(evaluate, x_k: np.ndarray, u_k: np.ndarray, w, zoh: bool) -> Callable[[np.ndarray], np.ndarray]:
-    """The controller of step k: step calls it at x_k itself only for stage
-    1, which reuses u_k; the zero-order hold reuses it at every stage."""
-
-    def controller(y: np.ndarray) -> np.ndarray:
-        if zoh or y is x_k:
-            return u_k
-        u = evaluate(y)[1].u
-        return u if w is None else u + w
-
-    return controller
+_ROWS = ("times", "states", "inputs", "h_values", "residuals", "kappas", "margins", "correction_norms")
 
 
 def _run_scalar(
@@ -205,49 +191,49 @@ def _run_scalar(
     x0: np.ndarray,
     cfg: SimConfig,
     disturbance: Optional[DisturbanceSpec],
+    start: int = 0,
+    prior: Optional[dict[str, np.ndarray]] = None,
 ) -> Trajectory:
+    """The closed loop from x0 at step start, after the prior rows (keyed by
+    Trajectory field) that a run from step 0 recorded before it."""
     n_steps = int(round(cfg.horizon / cfg.dt)) if cfg.horizon > 0.0 else 0
     m = system.input_dim
-
-    times: list[float] = []
-    states: list[np.ndarray] = []
-    inputs: list[np.ndarray] = []
-    h_values: list[float] = []
-    residuals: list[float] = []
-    kappas: list[float] = []
-    margins: list[float] = []
-    corr_norms: list[float] = []
+    rows = {name: list(prior[name]) if prior else [] for name in _ROWS}
     failure: Optional[str] = None
     failure_step: Optional[int] = None
 
-    evaluate = _evaluator(system, spec, barrier)
+    def evaluate(y: np.ndarray) -> tuple[AffineConstraint, ControllerOutput]:
+        con = evaluate_constraint(system, barrier, y)
+        return con, evaluate_controller(spec, con, y)
 
-    def record(
-        k: int, y: np.ndarray, con: AffineConstraint, out: ControllerOutput, u_applied: np.ndarray
-    ) -> None:
-        times.append(k * cfg.dt)
-        states.append(y.copy())
-        inputs.append(np.array(out.u, dtype=float))
-        h_values.append(float(barrier.value(y)))
-        residuals.append(con.c + float(con.d @ u_applied))
-        kappas.append(out.kappa if out.kappa is not None else math.nan)
-        margins.append(margin_of(out))
-        corr_norms.append(out.lam * con.d_norm)
+    def controller(y: np.ndarray) -> np.ndarray:
+        # The controller of step k: step calls it at x_k itself only for
+        # stage 1, which reuses u_k; the zero-order hold reuses it at every stage.
+        if cfg.zoh or y is x:
+            return u_k
+        u = evaluate(y)[1].u
+        return u if w is None else u + w
 
     x = x0.copy()
-    k = 0
+    k = start
     try:
         while True:
-            t_k = k * cfg.dt
-            w = disturbance.at(t_k, m) if disturbance is not None else None
+            w = disturbance.at(k * cfg.dt, m) if disturbance is not None else None
             con_k, out_k = evaluate(x)
             u_k = out_k.u if w is None else out_k.u + w
             if k % cfg.record_every == 0:
-                record(k, x, con_k, out_k, u_k)
+                rows["times"].append(k * cfg.dt)
+                rows["states"].append(x.copy())
+                rows["inputs"].append(np.array(out_k.u, dtype=float))
+                rows["h_values"].append(float(barrier.value(x)))
+                rows["residuals"].append(con_k.c + float(con_k.d @ u_k))
+                rows["kappas"].append(out_k.kappa if out_k.kappa is not None else math.nan)
+                rows["margins"].append(margin_of(out_k))
+                rows["correction_norms"].append(out_k.lam * con_k.d_norm)
             if k >= n_steps:
                 break
             try:
-                x = step(system, _held(evaluate, x, u_k, w, cfg.zoh), x, cfg.dt, cfg.integrator)
+                x = step(system, controller, x, cfg.dt, cfg.integrator)
             except NumericsError as exc:
                 raise BlowUpError(str(exc), step_index=k) from exc
             k += 1
@@ -258,25 +244,11 @@ def _run_scalar(
         failure = f"{type(exc).__name__} at step {k}: {exc}"
         failure_step = k
 
-    return Trajectory(
-        times=np.asarray(times),
-        states=np.asarray(states),
-        inputs=np.asarray(inputs),
-        h_values=np.asarray(h_values),
-        residuals=np.asarray(residuals),
-        kappas=np.asarray(kappas),
-        margins=np.asarray(margins),
-        correction_norms=np.asarray(corr_norms),
-        failure=failure,
-        failure_step=failure_step,
-    )
+    arrays = {name: np.asarray(values) for name, values in rows.items()}
+    return Trajectory(**arrays, failure=failure, failure_step=failure_step)
 
 
 # --- members advancing together ----------------------------------------------
-
-
-def _formula(spec: ControllerSpec) -> ControllerSpec:
-    return spec.inner if spec.kind == "safety_filter" else spec
 
 
 def _batch_members(system, barrier, specs: list[ControllerSpec]) -> list[int]:
@@ -284,7 +256,7 @@ def _batch_members(system, barrier, specs: list[ControllerSpec]) -> list[int]:
     around the nominal of the first (one object that takes stacks, or none)."""
     if not (system.stacks and barrier.stacks):
         return []
-    fits = [i for i, s in enumerate(specs) if vectorisable(_formula(s))]
+    fits = [i for i, s in enumerate(specs) if vectorisable(s.formula)]
     if not fits:
         return []
     first = specs[fits[0]]
@@ -381,138 +353,88 @@ class _Batch:
                 )
         self.checked = True
 
-    def settle(self, ys, stage: _Stage, flagged: np.ndarray, members, skip=()) -> dict[int, CBFControlError]:
-        """Evaluate the flagged members on the scalar path: take the output
-        of those that pass into stage, and return the error of the others."""
-        errors = {}
-        for pos in np.flatnonzero(flagged):
-            if pos in skip:
-                continue
-            evaluate = _evaluator(self.system, self.specs[members[pos]], self.barrier)
-            try:
-                _, out = evaluate(ys[pos])
-            except CBFControlError as exc:
-                errors[pos] = exc
-                continue
-            stage.lam[pos] = out.lam
-            stage.gam[pos] = out.gamma_eff
-            if out.kappa is not None:
-                stage.kappa[pos] = out.kappa
-            stage.u[pos] = out.u
-        return errors
-
-    def replay(self, member: int, x: np.ndarray, k: int, w, cfg: SimConfig) -> str:
-        """The failure of the scalar loop's step k from x, which the batch saw fail after stage 1."""
-        evaluate = _evaluator(self.system, self.specs[member], self.barrier)
-        out = evaluate(x)[1]
-        u_k = out.u if w is None else out.u + w
-        try:
-            step(self.system, _held(evaluate, x, u_k, w, cfg.zoh), x, cfg.dt, cfg.integrator)
-        except NumericsError as exc:
-            return f"blow-up at step {k}: {exc}"
-        raise RuntimeError(f"member {member} failed step {k} in the batch but not on the scalar path")
-
     def run(self, x0: np.ndarray, cfg: SimConfig, disturbance) -> list[Trajectory]:
-        specs = self.specs
-        n_members = len(specs)
+        n_members = len(self.specs)
         n_steps = int(round(cfg.horizon / cfg.dt)) if cfg.horizon > 0.0 else 0
         every = cfg.record_every
-        n, m = self.system.state_dim, self.system.input_dim
-        steps = np.arange(0, n_steps + 1, every)
-        rec = _Record(len(steps), n_members, n, m)
-        rows = [len(steps)] * n_members
-        failures: list[Optional[str]] = [None] * n_members
-        failure_steps: list[Optional[int]] = [None] * n_members
-        kernel = FormulaBatch([_formula(s) for s in specs])
+        m = self.system.input_dim
+        rec = _Record(np.arange(0, n_steps + 1, every) * cfg.dt, n_members, self.system.state_dim, m)
+        trajs: list[Optional[Trajectory]] = [None] * n_members
+        kernel = FormulaBatch([s.formula for s in self.specs])
         members = np.arange(n_members)  # the member of each row of xs
         xs = np.tile(x0, (n_members, 1))
+        outer_err = np.geterr()  # a handed-off member runs as it would alone
 
-        def stop(failed: dict[int, str], k: int, kept_row: bool) -> None:
-            """Members at the positions in failed stop at step k, with or without row k."""
-            nonlocal xs, members, kernel
-            for pos, message in failed.items():
-                i = members[pos]
-                failures[i] = message
-                failure_steps[i] = k
-                rows[i] = k // every + 1 if kept_row else (k + every - 1) // every
-            keep = np.ones(len(members), dtype=bool)
-            keep[list(failed)] = False
-            xs, members, kernel = xs[keep], members[keep], kernel.take(keep)
-
-        def at(k: int, errors) -> dict[int, str]:
-            return {pos: f"{type(e).__name__} at step {k}: {e}" for pos, e in errors.items()}
+        def hand_off(out: np.ndarray, x_k: np.ndarray, k: int) -> np.ndarray:
+            """Finish the members at the positions out on the scalar loop, from
+            their states x_k at step k; the mask of the others."""
+            nonlocal members, kernel
+            with np.errstate(**outer_err):
+                for pos in np.flatnonzero(out):
+                    i = members[pos]
+                    prior = rec.rows(i, -(-k // every))  # the rows of the steps before k
+                    trajs[i] = _run_scalar(
+                        self.system, self.specs[i], self.barrier, x_k[pos], cfg, disturbance, k, prior
+                    )
+            keep = ~out
+            members, kernel = members[keep], kernel.take(keep)
+            return keep
 
         with np.errstate(all="ignore"):
             k = 0
             while len(members):
                 try:
                     w = disturbance.at(k * cfg.dt, m) if disturbance is not None else None
-                except CBFControlError as exc:
-                    stop(at(k, dict.fromkeys(range(len(members)), exc)), k, False)
+                except CBFControlError:
+                    hand_off(np.ones(len(members), dtype=bool), xs, k)
                     break
                 stage, flagged = self.evaluate(xs, kernel)
-                errors = self.settle(xs, stage, flagged, members) if flagged.any() else {}
-                if errors:
-                    # Drop the members that fail at x_k; the others evaluate as before.
-                    stop(at(k, errors), k, False)
-                    if not len(members):
-                        break
-                    stage, flagged = self.evaluate(xs, kernel)
-                    if flagged.any() and self.settle(xs, stage, flagged, members):
-                        raise RuntimeError(f"a member's evaluation at step {k} changed when others failed")
+                if flagged.any():
+                    xs = xs[hand_off(flagged, xs, k)]
+                    continue  # evaluate the others again at x_k
                 u_k = stage.u if w is None else stage.u + w
                 if k % every == 0:
                     rec.write(k // every, None if len(members) == n_members else members, xs, stage, u_k, kernel)
                 if k >= n_steps:
                     break
-                errors = {}
-                x_new = self.step(xs, stage, u_k, w, kernel, cfg, members, errors)
-                # As in the scalar loop: a NumericsError inside the step is a blow-up.
-                failed = at(k, errors)
-                failed.update(
-                    (pos, f"blow-up at step {k}: {e}") for pos, e in errors.items() if isinstance(e, NumericsError)
-                )
-                finite = np.isfinite(x_new)
-                if not finite.all():
-                    for pos in np.flatnonzero(~finite.all(axis=1)):
-                        if pos not in failed:
-                            failed[pos] = self.replay(members[pos], xs[pos], k, w, cfg)
+                x_new, flagged = self.step(xs, stage, u_k, w, kernel, cfg)
+                if flagged.any():
+                    x_new = x_new[hand_off(flagged, xs, k)]
                 xs = x_new
-                if failed:
-                    stop(failed, k, True)
                 k += 1
 
-        trajs = []
-        for i in range(n_members):
-            trajs.append(rec.trajectory(i, rows[i], steps * cfg.dt, failures[i], failure_steps[i]))
+        for i in members:
+            trajs[i] = Trajectory(**rec.rows(i, len(rec.times)))
         return trajs
 
-    def step(self, xs, stage: _Stage, u_k, w, kernel, cfg: SimConfig, members, errors) -> np.ndarray:
-        """One RK4 (or Euler) step of every member from xs; the errors of
-        members that fail in stages 2-4 go into errors."""
+    def step(self, xs, stage: _Stage, u_k, w, kernel, cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+        """One RK4 (or Euler) step of every member from xs, and the members
+        flagged in stages 2-4 or whose new state is not finite."""
         dt = cfg.dt
         k1 = _field(stage.f, stage.g, u_k)
         if cfg.integrator == "euler":
-            return xs + dt * k1
+            x_new = xs + dt * k1
+            return x_new, ~np.isfinite(x_new).all(axis=1)
 
         def f_cl(ys):
             if cfg.zoh:
-                return _field(self.system.drift(ys), self.system.input_map(ys), u_k)
+                return _field(self.system.drift(ys), self.system.input_map(ys), u_k), False
             st, flagged = self.evaluate(ys, kernel)
-            if flagged.any():
-                errors.update(self.settle(ys, st, flagged, members, skip=errors))
-            return _field(st.f, st.g, st.u if w is None else st.u + w)
+            return _field(st.f, st.g, st.u if w is None else st.u + w), flagged
 
-        k2 = f_cl(xs + (0.5 * dt) * k1)
-        k3 = f_cl(xs + (0.5 * dt) * k2)
-        k4 = f_cl(xs + dt * k3)
-        return xs + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k2, flagged2 = f_cl(xs + (0.5 * dt) * k1)
+        k3, flagged3 = f_cl(xs + (0.5 * dt) * k2)
+        k4, flagged4 = f_cl(xs + dt * k3)
+        x_new = xs + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return x_new, flagged2 | flagged3 | flagged4 | ~np.isfinite(x_new).all(axis=1)
 
 
 class _Record:
-    """Preallocated (rows, members, ...) arrays of a batch's recorded rows."""
+    """Preallocated (rows, members, ...) arrays of a batch's recorded rows at the given times."""
 
-    def __init__(self, n_rows: int, n_members: int, n: int, m: int):
+    def __init__(self, times: np.ndarray, n_members: int, n: int, m: int):
+        n_rows = len(times)
+        self.times = times
         self.states = np.empty((n_rows, n_members, n))
         self.inputs = np.empty((n_rows, n_members, m))
         self.h_values = np.empty((n_rows, n_members))
@@ -533,11 +455,8 @@ class _Record:
         self.margins[row, sel] = margins(stage.c_bar, kappa, stage.gam)
         self.correction_norms[row, sel] = stage.lam * np.sqrt(stage.d2)
 
-    def trajectory(self, i: int, rows: int, times: np.ndarray, failure, failure_step) -> Trajectory:
-        """Member i's trajectory of its first rows rows, shaped as the scalar loop shapes it."""
-        fields = ("states", "inputs", "h_values", "residuals", "kappas", "margins", "correction_norms")
-        if rows == 0:
-            arrays = {name: np.asarray([]) for name in fields}
-            return Trajectory(times=np.asarray([]), failure=failure, failure_step=failure_step, **arrays)
-        arrays = {name: getattr(self, name)[:rows, i].copy() for name in fields}
-        return Trajectory(times=times[:rows].copy(), failure=failure, failure_step=failure_step, **arrays)
+    def rows(self, i: int, n_rows: int) -> dict[str, np.ndarray]:
+        """Member i's first n_rows rows, keyed by Trajectory field."""
+        rows = {name: getattr(self, name)[:n_rows, i].copy() for name in _ROWS if name != "times"}
+        rows["times"] = self.times[:n_rows].copy()
+        return rows

@@ -251,6 +251,19 @@ def test_sweep_partial_failure_exit_code(tmp_path):
     assert "failed" in lines[2]
 
 
+def test_sweep_over_a_string_value_writes_it_as_text(tmp_path):
+    cfg = CONFIG_DIR / "single_integrator_qp.json"
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--config", str(cfg), "--param", "controller.kind", "--values", '"qp","sontag"']
+    rc = main(argv + ["--set", "controller.sigma=0.2", "--set", "sim.horizon=0.2", "--out", str(out)])
+    assert rc == 0
+    lines = (out / "summary.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines] == ["controller.kind", "qp", "sontag"]
+    assert all(line.endswith(",ok") for line in lines[1:])
+    for kind in ("qp", "sontag"):
+        assert (out / f"controller.kind_{kind}.csv").exists()
+
+
 def test_sweep_unknown_parameter(tmp_path, capsys):
     cfg = write_config(tmp_path, "si.json", single_integrator_config())
     rc = main(

@@ -109,6 +109,14 @@ def test_gamma_overflow_falls_back_to_hypot():
     assert Gamma(0.0, 1e300, s) == pytest.approx(math.sqrt(0.2) * 1e300, rel=1e-15)
 
 
+def test_gamma_underflow_falls_back_to_hypot():
+    # c*c underflows to 0 at c = 1e-265; the hypot form keeps Gamma = |c| > 0
+    s = ShapingFunction.linear(0.2)
+    for c in (1e-265, -1e-265):
+        assert Gamma(c, 0.0, s) == 1e-265
+    assert Gamma(0.0, 0.0, s) == 0.0
+
+
 def test_gamma_not_finite_raises():
     with pytest.raises(NumericsError, match="Gamma is not finite"):
         Gamma(1.0, 1e300, ShapingFunction.linear(1e10))

@@ -147,26 +147,16 @@ def batch_specs(sigma, eta, gamma):
     ]
 
 
-@given(
-    st.lists(st.floats(-50.0, 50.0, allow_nan=False), min_size=5, max_size=5),
-    st.one_of(ds, st.just([0.0]), st.just([1e-7])),
-    sigmas,
-    st.floats(0.05, 1.0),
-    gammas,
-)
-@example([0.0, 2.225073858507203e-309, 0.0, 0.0, 0.0], [0.0], 1.0, 1.0, 1.0)  # Gamma underflows to 0
-def test_batch_kernel_matches_scalar(cs_, d, sigma, eta, gamma):
-    # every member where evaluate_controller raises is flagged (a Gamma that
-    # underflows to 0 raises ZeroDivisionError there), and every unflagged
-    # member's lambda, kappa and Gamma are the scalar ones, bit for bit
-    specs = batch_specs(sigma, eta, gamma)
+def assert_kernel_matches_scalar(specs, cs_, d):
+    # every member where evaluate_controller raises is flagged, and every
+    # unflagged member's lambda, kappa and Gamma are the scalar ones, bit for bit
     d2 = AffineConstraint(0.0, d).d_norm_sq
     with np.errstate(all="ignore"):
         lam, kappa, gam, flagged = FormulaBatch(specs)(np.array(cs_), d2)
     for i, (spec, c) in enumerate(zip(specs, cs_)):
         try:
             out = evaluate_controller(spec, AffineConstraint(c, d))
-        except (CBFControlError, ZeroDivisionError):
+        except CBFControlError:
             assert flagged[i]
             continue
         if flagged[i]:
@@ -174,6 +164,38 @@ def test_batch_kernel_matches_scalar(cs_, d, sigma, eta, gamma):
         assert lam[i] == out.lam
         if spec.kind != "qp":
             assert (kappa[i], gam[i]) == (out.kappa, out.gamma_eff)
+
+
+@given(
+    st.lists(st.floats(-50.0, 50.0, allow_nan=False), min_size=5, max_size=5),
+    st.one_of(ds, st.just([0.0]), st.just([1e-7])),
+    sigmas,
+    st.floats(0.05, 1.0),
+    gammas,
+)
+@example([0.0, 2.225073858507203e-309, 0.0, 0.0, 0.0], [0.0], 1.0, 1.0, 1.0)  # the direct Gamma underflows to 0
+@example([1e-265] * 5, [0.0], 0.2, 0.7, 1.0)
+def test_batch_kernel_matches_scalar(cs_, d, sigma, eta, gamma):
+    assert_kernel_matches_scalar(batch_specs(sigma, eta, gamma), cs_, d)
+
+
+@given(
+    st.lists(st.floats(-50.0, 50.0, allow_nan=False), min_size=3, max_size=3),
+    st.one_of(ds, st.just([0.0]), st.just([1e-7])),
+    sigmas,
+    st.floats(0.05, 1.0),
+    gammas,
+)
+@example([1e-265, 1e-265, 1.0], [0.0], 0.2, 0.7, 1.0)  # the direct Gamma underflows to 0
+def test_bounded_batch_kernel_matches_scalar(cs_, d, sigma, eta, gamma):
+    # a batch of bounded-input members only, whose kappa upper bound is slack / Gamma alone
+    shaping = ShapingFunction.linear(sigma)
+    specs = [
+        ControllerSpec.bounded_input(shaping, gamma, TunableTermPolicy.eta_constant(eta)),
+        ControllerSpec.bounded_input(shaping, 2.0 * gamma, TunableTermPolicy.eta_constant(eta)),
+        ControllerSpec.bounded_input(shaping, gamma, TunableTermPolicy.eta_constant(1.0)),
+    ]
+    assert_kernel_matches_scalar(specs, cs_, d)
 
 
 @given(cs, ds, sigmas, gammas)
@@ -188,7 +210,7 @@ def test_batch_kernel_per_member_norms(c, d, sigma, gamma):
     for i, (spec, con) in enumerate(zip(specs, cons)):
         try:
             out = evaluate_controller(spec, con)
-        except (CBFControlError, ZeroDivisionError):
+        except CBFControlError:
             assert flagged[i]
             continue
         assert flagged[i] or lam[i] == out.lam

@@ -431,6 +431,27 @@ def test_list_run_matches_scalar_runs(sim, disturbed):
         assert len(trajs[5]) == steps[5]
 
 
+def test_list_run_members_stay_batched(monkeypatch):
+    # the scalar formula runs only where a member leaves the batch: never on
+    # the benchmark's eta sweep, and for a failing member only to redo its
+    # failing step on the scalar loop (at most one RK4 step, 4 evaluations)
+    calls = []
+
+    def counted(spec, con, x=None):
+        calls.append(spec)
+        return evaluate_controller(spec, con, x)
+
+    monkeypatch.setattr("cbfctrl.simulate.evaluate_controller", counted)
+    etas = velocity_specs([controller_spec("tunable", sigma=0.2, eta=e) for e in (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)])
+    trajs = run(VELOCITY.system, etas, VELOCITY.barrier, VELOCITY.x0, SimConfig(dt=1e-3, horizon=0.3))
+    assert all(t.ok for t in trajs) and calls == []
+    gammas = velocity_specs(KINDS[5:])
+    trajs = run(VELOCITY.system, gammas, VELOCITY.barrier, VELOCITY.x0, SimConfig(dt=1e-3, horizon=0.6))
+    assert [t.failure_step for t in trajs] == [86, 272, 563]
+    per_member = [sum(spec is s for s in calls) for spec in gammas]
+    assert sum(per_member) == len(calls) and all(1 <= n <= 4 for n in per_member)
+
+
 def test_list_run_failures_at_step_zero_and_run_scenario_equivalence():
     formulas = [
         controller_spec("tunable", sigma=0.2, eta=0.3),  # KappaRangeError at x0
