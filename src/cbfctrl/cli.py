@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import manipulator, systems
-from .analysis import DisturbanceSpec, check_compatibility, margin_of
+from .analysis import DisturbanceSpec, check_compatibility, margin_of, margins
 from .core import (
     AffineConstraint,
     CBFControlError,
@@ -38,12 +38,13 @@ from .core import (
 )
 from .formulas import (
     ControllerSpec,
+    FormulaBatch,
     check_kappa_range,
     controller_spec,
     evaluate_controller,
     resolve_kappa,
 )
-from .simulate import SimConfig, Trajectory, run
+from .simulate import SimConfig, Stage, Trajectory, _batch_members, evaluate_stack, run
 
 CONFIG_ERROR = 1
 RUN_ERROR = 2
@@ -80,6 +81,14 @@ def _require(section: dict, key: str, path: str):
     if key not in section:
         raise ConfigurationError(f"missing config key {path}.{key}")
     return section[key]
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)  # JSON true is a bool
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
 
 
 def load_config(path: str | Path, overrides: list[str] | None = None) -> dict:
@@ -148,7 +157,7 @@ def validate_config(config: dict) -> None:
         raise ConfigurationError(f"unknown controller kind {ckind!r}")
     for key in ("eta", "sigma", "gamma"):
         value = controller.get(key, 0.0)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if not _is_number(value):
             raise ConfigurationError(f"config.controller.{key} must be a number, got {value!r}")
     if not isinstance(controller.get("relu", False), bool):
         raise ConfigurationError(f"config.controller.relu must be true or false, got {controller['relu']!r}")
@@ -435,11 +444,16 @@ def cmd_sweep(args) -> int:
     return RUN_ERROR if any_failed else 0
 
 
-def _grid_states(config: dict, scenario: Scenario, seed: int | None) -> list[np.ndarray]:
+def _grid_states(config: dict, scenario: Scenario, seed: int | None) -> np.ndarray:
+    """The grid's states as one (N, n) array, in the order check and margin index them."""
     grid = config.get("grid")
     if grid is None:
         raise ConfigurationError("missing config key config.grid")
+    n = scenario.system.state_dim
     if grid["kind"] == "trajectory":
+        sub = grid.get("subsample", 1)
+        if not (_is_int(sub) and sub > 0):
+            raise ConfigurationError(f"config.grid.subsample must be a positive integer, got {sub!r}")
         # Probe along the closed loop of the unconstrained analog so a
         # bounded-input range violation cannot abort the grid itself.
         probe_config = json.loads(json.dumps(config))
@@ -450,90 +464,140 @@ def _grid_states(config: dict, scenario: Scenario, seed: int | None) -> list[np.
         traj = run(
             probe.system, probe.spec, probe.barrier, probe.x0, probe.sim_cfg, probe.disturbance
         )
-        sub = int(grid.get("subsample", 1))
-        states = [traj.states[i] for i in range(0, len(traj), sub)]
-        return states
+        if traj.failure is not None:
+            raise CBFControlError(
+                f"trajectory probe failed after recording {len(traj)} states: {traj.failure}"
+            )
+        return traj.states[::sub]
     base = np.asarray(grid.get("base", scenario.x0), dtype=float)
-    if base.shape != (scenario.system.state_dim,):
-        raise ConfigurationError(
-            f"config.grid.base must have length {scenario.system.state_dim}"
-        )
+    if base.shape != (n,):
+        raise ConfigurationError(f"config.grid.base must have length {n}")
     axes = grid.get("axes", [])
+    for i, axis in enumerate(axes):
+        path = f"config.grid.axes[{i}]"
+        dim = _require(axis, "dim", path)
+        if not (_is_int(dim) and 0 <= dim < n):
+            raise ConfigurationError(f"{path}.dim must be an integer in [0, {n}), got {dim!r}")
+        count = _require(axis, "count", path)
+        if not (_is_int(count) and count > 0):
+            raise ConfigurationError(f"{path}.count must be a positive integer, got {count!r}")
+        for key in ("min", "max"):
+            if not _is_number(_require(axis, key, path)):
+                raise ConfigurationError(f"{path}.{key} must be a number, got {axis[key]!r}")
     if not axes:
-        return []
-    grids = [np.linspace(a["min"], a["max"], int(a["count"])) for a in axes]
-    dims = [int(a["dim"]) for a in axes]
-    states = []
-    for combo in np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, len(axes)):
-        x = base.copy()
-        for dim, val in zip(dims, combo):
-            x[dim] = val
-        states.append(x)
+        return np.empty((0, n))
+    grids = [np.linspace(a["min"], a["max"], a["count"]) for a in axes]
+    combos = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    states = np.tile(base, (len(combos), 1))
+    for j, axis in enumerate(axes):
+        states[:, axis["dim"]] = combos[:, j]  # of two axes on one dim, the later wins
     return states
+
+
+def _stacked_grid(scenario: Scenario, states: np.ndarray) -> tuple[Stage | None, np.ndarray]:
+    """The grid's stacked evaluation and the states left to the per-state body.
+
+    Where the scenario's maps and formula stack (the sweep's rule, see
+    simulate.evaluate_stack), every state is evaluated in one pass, the
+    per-state body takes only those that the formula kernel flags, and every
+    other state's values equal the per-state body's, bit for bit.
+    Elsewhere there is no stage and the per-state body takes every state.
+    """
+    spec = scenario.spec
+    if not _batch_members(scenario.system, scenario.barrier, [spec]):
+        return None, np.ones(len(states), dtype=bool)
+    nominal = spec.nominal if spec.kind == "safety_filter" else None
+    with np.errstate(all="ignore"):
+        return evaluate_stack(
+            scenario.system, scenario.barrier, nominal, states, FormulaBatch([spec.formula]), check_shapes=True
+        )
+
+
+def _check_state(scenario: Scenario, gamma, x: np.ndarray) -> tuple[bool, tuple]:
+    """Whether x passes the check, and its table cells (c_eff, |d|, compat, kappa, range ok)."""
+    con = evaluate_constraint(scenario.system, scenario.barrier, x)
+    spec = scenario.spec
+    c_eff = con.c
+    if spec.kind == "safety_filter":
+        c_eff = con.c + float(con.d @ spec.nominal(x))
+    eff = AffineConstraint(c_eff, con.d)
+    compat_txt = "-"
+    compat_ok = True
+    if gamma is not None:
+        compat = check_compatibility(eff, gamma)
+        compat_ok = compat.compatible
+        compat_txt = "yes" if compat_ok else f"no({compat.deficit:.3g})"
+    kappa_txt = "-"
+    range_ok = True
+    formula = spec.formula
+    if formula.kind != "qp":
+        d2 = eff.d_norm_sq
+        gam = Gamma(c_eff, d2, formula.shaping)
+        try:
+            kappa = resolve_kappa(formula, c_eff, d2, gam, x)
+            kappa_txt = f"{kappa:.5f}"
+            check_kappa_range(kappa, c_eff, d2, gam, formula.relu, formula.gamma)
+        except (DomainError, KappaRangeError):
+            range_ok = False
+    return compat_ok and range_ok, (c_eff, eff.d_norm, compat_txt, kappa_txt, range_ok)
+
+
+def _check_row(idx: int, c_eff: float, d_norm: float, compat_txt: str, kappa_txt: str, range_ok: bool) -> str:
+    return (
+        f"{idx:>4d} {c_eff:>12.5f} {d_norm:>10.5f} {compat_txt:>7s} "
+        f"{kappa_txt:>10s} {'ok' if range_ok else 'FAIL':>6s}"
+    )
 
 
 def cmd_check(args) -> int:
     config = load_config(args.config, args.set)
     scenario = build_scenario(config, seed=args.seed)
     states = _grid_states(config, scenario, args.seed)
-    if not states:
+    n_states = len(states)
+    if not n_states:
         print("check grid is empty", file=sys.stderr)
         return CONFIG_ERROR
 
     gamma = config["controller"].get("gamma")
-    spec = scenario.spec
-    nominal = spec.nominal if spec.kind == "safety_filter" else None
-    formula = spec.formula
+    stage, flagged = _stacked_grid(scenario, states)
+    if gamma is not None and not gamma > 0.0:
+        flagged[:] = True  # check_compatibility rejects such a gamma at every state
+    # In index order, so that the first state to raise is the one a per-state loop meets.
+    cells = {}
+    ok = np.ones(n_states, dtype=bool)
+    for i in np.flatnonzero(flagged).tolist():
+        ok[i], cells[i] = _check_state(scenario, gamma, states[i])
+    slack = None
+    if stage is not None:
+        with np.errstate(all="ignore"):
+            d_norm = np.broadcast_to(np.sqrt(stage.d2), n_states)
+            if gamma is not None:
+                slack = gamma * d_norm + stage.c_bar  # as analysis.check_compatibility forms it
+                ok &= flagged | (slack >= 0.0)  # an unflagged state's kappa is in range
+    qp = scenario.spec.formula.kind == "qp"
 
-    violations = []
-    rows = []
-    for idx, x in enumerate(states):
-        con = evaluate_constraint(scenario.system, scenario.barrier, x)
-        c_eff = con.c
-        if nominal is not None:
-            c_eff = con.c + float(con.d @ nominal(x))
-        eff = AffineConstraint(c_eff, con.d)
-        compat_txt = "-"
-        compat_ok = True
-        if gamma is not None:
-            compat = check_compatibility(eff, gamma)
-            compat_ok = compat.compatible
-            compat_txt = "yes" if compat_ok else f"no({compat.deficit:.3g})"
-        kappa_txt = "-"
-        range_ok = True
-        if formula.kind != "qp":
-            d2 = eff.d_norm_sq
-            gam = Gamma(c_eff, d2, formula.shaping)
-            try:
-                kappa = resolve_kappa(formula, c_eff, d2, gam, x)
-                kappa_txt = f"{kappa:.5f}"
-                check_kappa_range(kappa, c_eff, d2, gam, formula.relu, formula.gamma)
-            except (DomainError, KappaRangeError):
-                range_ok = False
-        ok = compat_ok and range_ok
-        if not ok:
-            violations.append((idx, x))
-        rows.append(
-            f"{idx:>4d} {c_eff:>12.5f} {eff.d_norm:>10.5f} {compat_txt:>7s} "
-            f"{kappa_txt:>10s} {'ok' if range_ok else 'FAIL':>6s}"
-        )
-    header = f"{'idx':>4s} {'c_eff':>12s} {'|d|':>10s} {'compat':>7s} {'kappa':>10s} {'range':>6s}"
-    print(header)
-    if len(rows) <= 200:
-        for row in rows:
-            print(row)
+    def row(i: int) -> str:
+        if i in cells:
+            return _check_row(i, *cells[i])
+        compat_txt = "-" if slack is None else "yes" if slack[i] >= 0.0 else f"no({float(-slack[i]):.3g})"
+        kappa_txt = "-" if qp else f"{float(stage.kappa[i]):.5f}"
+        return _check_row(i, float(stage.c_bar[i]), float(d_norm[i]), compat_txt, kappa_txt, True)
+
+    violations = np.flatnonzero(~ok).tolist()
+    print(f"{'idx':>4s} {'c_eff':>12s} {'|d|':>10s} {'compat':>7s} {'kappa':>10s} {'range':>6s}")
+    if n_states <= 200:
+        for i in range(n_states):
+            print(row(i))
     else:
-        bad = {idx for idx, _ in violations}
-        for i, row in enumerate(rows):
-            if i in bad:
-                print(row)
-        print(f"({len(rows)} grid points, table truncated to violating rows)")
+        for i in violations:
+            print(row(i))
+        print(f"({n_states} grid points, table truncated to violating rows)")
     if violations:
-        print(f"{len(violations)} of {len(states)} grid points violate", file=sys.stderr)
-        for idx, x in violations[:20]:
-            print(f"  point {idx}: x = {np.array2string(x, precision=5)}", file=sys.stderr)
+        print(f"{len(violations)} of {n_states} grid points violate", file=sys.stderr)
+        for i in violations[:20]:
+            print(f"  point {i}: x = {np.array2string(states[i], precision=5)}", file=sys.stderr)
         return CHECK_ERROR
-    print(f"all {len(states)} grid points pass")
+    print(f"all {n_states} grid points pass")
     return 0
 
 
@@ -549,15 +613,20 @@ def cmd_margin(args) -> int:
         )
         return CONFIG_ERROR
     states = _grid_states(config, scenario, args.seed)
-    if not states:
+    if not len(states):
         print("margin grid is empty", file=sys.stderr)
         return CONFIG_ERROR
-    margins = []
-    for x in states:
-        con = evaluate_constraint(scenario.system, scenario.barrier, x)
-        out = evaluate_controller(scenario.spec, con, x)
-        margins.append(margin_of(out))
-    finite = [m for m in margins if math.isfinite(m)]
+    stage, flagged = _stacked_grid(scenario, states)
+    if stage is None:
+        values = [math.nan] * len(states)
+    else:
+        with np.errstate(all="ignore"):
+            values = margins(stage.c_bar, stage.kappa, stage.gam).tolist()
+    # In index order, so that the first state to raise is the one a per-state loop meets.
+    for i in np.flatnonzero(flagged).tolist():
+        con = evaluate_constraint(scenario.system, scenario.barrier, states[i])
+        values[i] = margin_of(evaluate_controller(scenario.spec, con, states[i]))
+    finite = [m for m in values if math.isfinite(m)]
     if not finite:
         print("no finite margins on the grid", file=sys.stderr)
         return CONFIG_ERROR
@@ -571,8 +640,8 @@ def cmd_margin(args) -> int:
     out_path = out_dir / "margins.csv"
     with open(out_path, "w", newline="\n") as fh:
         fh.write("idx,margin\n")
-        for i, mval in enumerate(margins):
-            fh.write(f"{i},{_fmt(mval)}\n")
+        # One format per row, each value as _fmt writes it.
+        fh.write("".join(["%d,%.17g\n" % row for row in enumerate(values)]))
     print(f"wrote per-state margins to {out_path}")
     return 0
 

@@ -13,6 +13,7 @@ construction and every operation is a pure function of its arguments.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -22,6 +23,10 @@ import numpy as np
 # The formulas are exactly piecewise at d = 0; a threshold avoids
 # catastrophic cancellation right at the switch.
 EPS_D = 1e-12
+
+# Gamma's direct form is exact to rounding only where its sum is a normal float.
+_DBL_MIN = sys.float_info.min
+_DBL_MAX = sys.float_info.max
 
 
 class CBFControlError(Exception):
@@ -288,14 +293,15 @@ def evaluate_constraint(
 def Gamma(c: float, d2: float, shaping: ShapingFunction) -> float:
     """Tightening magnitude sqrt(c^2 + s(d2) d2) at (c, ||d||^2); always >= |c|.
 
-    Where the direct form overflows or underflows to 0, the same value is
-    taken as hypot(c, sqrt(s(d2)) sqrt(d2)); a Gamma that is still not
+    Where the direct form overflows, or its sum c^2 + s(d2) d2 is below the
+    smallest normal float (subnormal or 0, and so imprecise), the same value
+    is taken as hypot(c, sqrt(s(d2)) sqrt(d2)); a Gamma that is still not
     finite raises NumericsError rather than reaching a multiplier.
     """
     s = shaping(d2)
-    gam = math.sqrt(c * c + s * d2)
-    if math.isfinite(gam) and gam > 0.0:
-        return gam
+    sq = c * c + s * d2
+    if _DBL_MIN <= sq <= _DBL_MAX:
+        return math.sqrt(sq)
     gam = math.hypot(c, math.sqrt(s) * math.sqrt(d2))
     if not math.isfinite(gam):
         raise NumericsError(f"Gamma is not finite at c={c}, ||d||^2={d2}")

@@ -28,6 +28,7 @@ with one numpy call per operation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -45,6 +46,11 @@ from .core import (
     ShapingFunction,
     TunableTermPolicy,
 )
+
+
+# core.Gamma's direct form sqrt(c^2 + s(d2) d2) needs a normal sum: at least _DBL_MIN.
+_DBL_MIN = sys.float_info.min
+_SQRT_DBL_MIN = math.sqrt(_DBL_MIN)
 
 
 def _multiplier(c: float, d2: float, kappa: float, gam: float) -> float:
@@ -368,12 +374,18 @@ def evaluate_controller(
 
 def vectorisable(spec: ControllerSpec) -> bool:
     """Whether FormulaBatch evaluates spec: qp, or sontag, tunable or
-    bounded_input with a linear shaping, the last two with a constant eta."""
+    bounded_input with a linear shaping, the last two with a constant eta.
+
+    The slope sigma must keep s(d2) d2 a normal float wherever d2 > EPS_D,
+    so that core.Gamma's direct form holds there at every c.
+    """
     if spec.kind == "qp":
         return True
     if spec.kind not in ("sontag", "tunable", "bounded_input"):
         return False
     if spec.shaping is None or spec.shaping.kind != "linear":
+        return False
+    if not (spec.shaping.sigma * EPS_D) * EPS_D >= _DBL_MIN:
         return False
     return spec.kind == "sontag" or (spec.policy is not None and spec.policy.kind == "eta_constant")
 
@@ -387,8 +399,10 @@ class FormulaBatch:
     eta = 1, since (1 - 1) c / Gamma + 1 == 1.0, and qp is sontag's formula
     with kappa Gamma scaled by 0.  Instead of raising, a call flags every
     member at which evaluate_controller might raise, and maybe a few more
-    (a Gamma that overflows or underflows to 0, the tie kappa = 0 that the
-    range admits): the caller hands a flagged member to the scalar loop.
+    (a Gamma that overflows or is below sqrt(DBL_MIN), where core.Gamma
+    takes its hypot form, and the tie kappa = 0 that the range admits): the
+    caller hands a flagged member to the scalar path.  One spec also
+    broadcasts over a stack of points, as a check/margin grid uses it.
     """
 
     def __init__(self, specs: Sequence[ControllerSpec]):
@@ -447,12 +461,14 @@ class FormulaBatch:
             flagged |= num < 0.0
         elif self.smooth is not None:
             flagged |= (num < 0.0) & self.smooth
+        # Only where d2 <= EPS_D can the sum under Gamma fall below DBL_MIN
+        # (see vectorisable), where core.Gamma takes its hypot form.
         small = d2 <= EPS_D
         if np.ndim(small) == 0:
             if small:
                 lam = np.zeros_like(c)
-                flagged |= c <= 0.0
+                flagged |= (c <= 0.0) | (gam < _SQRT_DBL_MIN)
         elif small.any():
             lam[small] = 0.0
-            flagged |= small & (c <= 0.0)
+            flagged |= small & ((c <= 0.0) | (gam < _SQRT_DBL_MIN))
         return lam, kappa, gam, flagged

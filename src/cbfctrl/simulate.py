@@ -23,7 +23,8 @@ new state is not finite, leaves the batch: the scalar loop finishes it
 from its state x_k at step k, after the rows the batch recorded for the
 steps before k, and the others go on.  So does every member if the
 disturbance raises at step k.  A failure, its step and its rows are
-therefore the scalar loop's own.
+therefore the scalar loop's own.  evaluate_stack, the batch's evaluation
+at a stack of states, also serves the CLI's check and margin grids.
 """
 
 from __future__ import annotations
@@ -287,9 +288,9 @@ def _field(f: np.ndarray, g: np.ndarray, u: np.ndarray) -> np.ndarray:
     return f + gu
 
 
-class _Stage(NamedTuple):
-    """The batch's evaluation at a stack of states: the plant's maps, the
-    constraint (c, d) and the formula at (c_bar, d), c_bar = c + d.k_d."""
+class Stage(NamedTuple):
+    """The evaluation at a stack of states: the plant's maps, the constraint
+    (c, d) and the formula at (c_bar, d), c_bar = c + d.k_d."""
 
     f: np.ndarray
     g: np.ndarray
@@ -304,6 +305,55 @@ class _Stage(NamedTuple):
     u: np.ndarray
 
 
+def evaluate_stack(
+    system, barrier, nominal, ys: np.ndarray, kernel: FormulaBatch, check_shapes: bool = False
+) -> tuple[Stage, np.ndarray]:
+    """The stage at the stack of states ys (B, n), around the nominal (None
+    for none), and the rows that the kernel flags.
+
+    system, barrier and nominal must take stacks (see _batch_members); the
+    kernel's members are the rows, or one spec broadcast over them.  Each
+    value equals evaluate_constraint's and evaluate_controller's at the row,
+    bit for bit, where the maps are exact in this order of operations.
+    check_shapes checks the maps' output shapes, once per caller.
+    """
+    h = barrier.value(ys)
+    grad = barrier.gradient(ys)
+    f = system.drift(ys)
+    g = system.input_map(ys)
+    c = _dot(grad, f) + barrier.classk.fn(h)
+    d = _vecmat(grad, g)
+    d2 = _dot(d, d)
+    if nominal is None:
+        kd = None
+        c_bar = c
+    else:
+        kd = nominal(ys)
+        c_bar = c + _dot(kd, d)
+    if check_shapes:
+        _check_shapes(system, len(ys), f, g, h, grad, kd)
+    lam, kappa, gam, flagged = kernel(c_bar, d2)
+    u = lam[:, None] * d
+    if kd is not None:
+        u = u + kd
+    return Stage(f, g, h, c, d, d2, c_bar, lam, kappa, gam, u), flagged
+
+
+def _check_shapes(system, b, f, g, h, grad, kd) -> None:
+    n, m = system.state_dim, system.input_dim
+    for name, arr, shapes in (
+        ("drift", f, [(n,), (b, n)]),
+        ("input_map", g, [(n, m), (b, n, m)]),
+        ("barrier value", h, [(b,)]),
+        ("barrier gradient", grad, [(n,), (b, n)]),
+        ("nominal", kd, [(b, m)]),
+    ):
+        if arr is not None and np.shape(arr) not in shapes:
+            raise ConfigurationError(
+                f"{name} of a stack of {b} states has shape {np.shape(arr)}, expected one of {shapes}"
+            )
+
+
 class _Batch:
     """Members that share a plant and advance through one RK4 loop."""
 
@@ -314,44 +364,10 @@ class _Batch:
         self.nominal = specs[0].nominal if specs[0].kind == "safety_filter" else None
         self.checked = False
 
-    def evaluate(self, ys: np.ndarray, kernel: FormulaBatch) -> tuple[_Stage, np.ndarray]:
-        """The stage at the stack ys, and the members flagged by the kernel."""
-        system, barrier = self.system, self.barrier
-        h = barrier.value(ys)
-        grad = barrier.gradient(ys)
-        f = system.drift(ys)
-        g = system.input_map(ys)
-        c = _dot(grad, f) + barrier.classk.fn(h)
-        d = _vecmat(grad, g)
-        d2 = _dot(d, d)
-        if self.nominal is None:
-            kd = None
-            c_bar = c
-        else:
-            kd = self.nominal(ys)
-            c_bar = c + _dot(kd, d)
-        if not self.checked:
-            self._check_shapes(len(ys), f, g, h, grad, kd)
-        lam, kappa, gam, flagged = kernel(c_bar, d2)
-        u = lam[:, None] * d
-        if kd is not None:
-            u = u + kd
-        return _Stage(f, g, h, c, d, d2, c_bar, lam, kappa, gam, u), flagged
-
-    def _check_shapes(self, b, f, g, h, grad, kd) -> None:
-        n, m = self.system.state_dim, self.system.input_dim
-        for name, arr, shapes in (
-            ("drift", f, [(n,), (b, n)]),
-            ("input_map", g, [(n, m), (b, n, m)]),
-            ("barrier value", h, [(b,)]),
-            ("barrier gradient", grad, [(n,), (b, n)]),
-            ("nominal", kd, [(b, m)]),
-        ):
-            if arr is not None and np.shape(arr) not in shapes:
-                raise ConfigurationError(
-                    f"{name} of a stack of {b} states has shape {np.shape(arr)}, expected one of {shapes}"
-                )
+    def evaluate(self, ys: np.ndarray, kernel: FormulaBatch) -> tuple[Stage, np.ndarray]:
+        out = evaluate_stack(self.system, self.barrier, self.nominal, ys, kernel, not self.checked)
         self.checked = True
+        return out
 
     def run(self, x0: np.ndarray, cfg: SimConfig, disturbance) -> list[Trajectory]:
         n_members = len(self.specs)
@@ -407,7 +423,7 @@ class _Batch:
             trajs[i] = Trajectory(**rec.rows(i, len(rec.times)))
         return trajs
 
-    def step(self, xs, stage: _Stage, u_k, w, kernel, cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    def step(self, xs, stage: Stage, u_k, w, kernel, cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
         """One RK4 (or Euler) step of every member from xs, and the members
         flagged in stages 2-4 or whose new state is not finite."""
         dt = cfg.dt
@@ -443,7 +459,7 @@ class _Record:
         self.margins = np.empty((n_rows, n_members))
         self.correction_norms = np.empty((n_rows, n_members))
 
-    def write(self, row: int, members, xs, stage: _Stage, u_applied, kernel: FormulaBatch) -> None:
+    def write(self, row: int, members, xs, stage: Stage, u_applied, kernel: FormulaBatch) -> None:
         """Record row for the members (all when None) as the scalar loop's record would."""
         sel = slice(None) if members is None else members
         self.states[row, sel] = xs

@@ -1,11 +1,14 @@
 import importlib.util
 import json
 import math
+import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cbfctrl import CBFControlError, cli, evaluate_constraint, evaluate_controller
 from cbfctrl.cli import _fmt, main, write_trajectory_csv
 from cbfctrl.simulate import Trajectory
 
@@ -422,6 +425,163 @@ def test_config_value_types_are_config_errors(tmp_path, capsys, argv, message):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {message}, got ")
     assert "Traceback" not in err
+
+
+# --- check and margin grids ------------------------------------------------------
+
+BOX_AXES = [
+    {"dim": 0, "min": -2.0, "max": 4.0, "count": 8},
+    {"dim": 1, "min": -1.5, "max": 3.0, "count": 25},
+    {"dim": 2, "min": 0.0, "max": 6.0, "count": 10},
+]
+SMALL_AXES = [
+    {"dim": 1, "min": -1.5, "max": 3.0, "count": 12},
+    {"dim": 2, "min": 0.0, "max": 6.0, "count": 9},
+]
+
+
+def box(axes):
+    return ["--set", "grid.kind=box", "--set", "grid.axes=" + json.dumps(axes)]
+
+
+def outcome(capsys, out_dir, argv):
+    """Exit code, stdout, stderr and output files of one command into out_dir."""
+    shutil.rmtree(out_dir, ignore_errors=True)
+    code = main(argv + ["--out", str(out_dir)])
+    captured = capsys.readouterr()
+    files = {p.name: p.read_bytes() for p in out_dir.iterdir()} if out_dir.exists() else {}
+    return code, captured.out, captured.err, files
+
+
+def unstacked(monkeypatch):
+    """Make build_scenario declare no stacking maps, so that every grid state
+    goes through the per-state body."""
+    build = cli.build_scenario
+
+    def build_scenario(*args, **kwargs):
+        sc = build(*args, **kwargs)
+        sc.system = replace(sc.system, stacks=False)
+        sc.barrier = replace(sc.barrier, stacks=False)
+        return sc
+
+    monkeypatch.setattr(cli, "build_scenario", build_scenario)
+
+
+def counting(monkeypatch, name):
+    calls = []
+    fn = getattr(cli, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+GRID_CASES = {
+    "tunable": box(BOX_AXES),
+    "sontag": box(BOX_AXES) + ["--set", "controller.kind=sontag"],
+    "bounded_input": box(BOX_AXES) + ["--set", "controller.kind=bounded_input"],
+    "qp": box(SMALL_AXES) + ["--set", "controller.kind=qp"],
+    "relu": box(SMALL_AXES) + ["--set", "controller.relu=true"],
+    "eta_0.3": box(BOX_AXES) + ["--set", "controller.eta=0.3"],
+    "small_bounded_input": box(SMALL_AXES) + ["--set", "controller.kind=bounded_input"],
+    "trajectory": ["--set", "sim.horizon=2.0", "--set", "grid.subsample=10"],
+    "gamma_0": box(SMALL_AXES) + ["--set", "controller.gamma=0"],
+}
+
+
+@pytest.mark.parametrize("command", ["check", "margin"])
+@pytest.mark.parametrize("case", list(GRID_CASES))
+def test_stacked_grid_matches_the_per_state_body(tmp_path, capsys, monkeypatch, command, case):
+    argv = [command, "--config", VELOCITY_CONFIG] + GRID_CASES[case]
+    stacked = outcome(capsys, tmp_path / "out", argv)
+    unstacked(monkeypatch)
+    per_state = counting(monkeypatch, "evaluate_constraint")
+    assert outcome(capsys, tmp_path / "out", argv) == stacked
+    if (command, case) != ("margin", "qp"):  # margin rejects the min-norm filter up front
+        assert per_state
+    if case == "gamma_0" and command == "check":
+        assert stacked[0] == 1
+        assert stacked[2] == "config error: gamma must be positive, got 0\n"
+
+
+def test_bounded_input_margin_stops_at_the_first_state_out_of_range(tmp_path, capsys):
+    sets = GRID_CASES["bounded_input"]
+    code, out, err, files = outcome(capsys, tmp_path / "out", ["margin", "--config", VELOCITY_CONFIG] + sets)
+    assert (code, out, files) == (2, "", {})
+    config = cli.load_config(VELOCITY_CONFIG, sets[1::2])
+    sc = cli.build_scenario(config)
+    for x in cli._grid_states(config, sc, None):
+        try:
+            evaluate_controller(sc.spec, evaluate_constraint(sc.system, sc.barrier, x), x)
+        except CBFControlError as exc:
+            assert err == f"error: {exc}\n"
+            break
+    else:
+        pytest.fail("no grid state is out of range")
+
+
+@pytest.mark.parametrize("command, counted", [("check", "evaluate_constraint"), ("margin", "evaluate_controller")])
+def test_unflagged_grid_makes_no_per_state_evaluation(tmp_path, monkeypatch, command, counted):
+    calls = counting(monkeypatch, counted)
+    rc = main([command, "--config", VELOCITY_CONFIG, "--out", str(tmp_path)] + box(BOX_AXES))
+    assert rc == (3 if command == "check" else 0)  # compatibility with gamma = 2.3 fails on part of the box
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "config, n_states",
+    [
+        (dict(single_integrator_config(), grid={"kind": "box", "axes": [{"dim": 0, "min": -3.0, "max": 0.9, "count": 12}]}), 12),
+        (dict(json.loads((CONFIG_DIR / "twolink_torque.json").read_text()),
+              grid={"kind": "box", "axes": [{"dim": 1, "min": -1.0, "max": 1.0, "count": 4}]}), 4),
+    ],
+)
+def test_plants_without_stacking_maps_check_each_state(tmp_path, monkeypatch, config, n_states):
+    calls = counting(monkeypatch, "evaluate_constraint")
+    assert main(["check", "--config", str(write_config(tmp_path, "c.json", config)), "--out", str(tmp_path)]) == 0
+    assert len(calls) == n_states
+
+
+@pytest.mark.parametrize(
+    "axis, message",
+    [
+        ({"dim": 0, "min": 0.0, "max": 1.0}, "missing config key config.grid.axes[0].count"),
+        ({"dim": 7, "min": 0.0, "max": 1.0, "count": 2}, "config.grid.axes[0].dim must be an integer in [0, 3), got 7"),
+        ({"dim": 1.5, "min": 0.0, "max": 1.0, "count": 2}, "config.grid.axes[0].dim must be an integer in [0, 3), got 1.5"),
+        ({"dim": -1, "min": 0.0, "max": 1.0, "count": 2}, "config.grid.axes[0].dim must be an integer in [0, 3), got -1"),
+        ({"dim": 0, "min": 0.0, "max": 1.0, "count": -2}, "config.grid.axes[0].count must be a positive integer, got -2"),
+        ({"dim": 0, "min": 0.0, "max": 1.0, "count": True}, "config.grid.axes[0].count must be a positive integer, got True"),
+        ({"dim": 0, "min": "a", "max": 1.0, "count": 2}, "config.grid.axes[0].min must be a number, got 'a'"),
+    ],
+)
+@pytest.mark.parametrize("command", ["check", "margin"])
+def test_bad_grid_axes_are_config_errors(tmp_path, capsys, command, axis, message):
+    rc = main([command, "--config", VELOCITY_CONFIG, "--out", str(tmp_path)] + box([axis]))
+    assert rc == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_bad_subsample_is_a_config_error(tmp_path, capsys):
+    rc = main(["check", "--config", VELOCITY_CONFIG, "--set", "grid.subsample=0", "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == "config error: config.grid.subsample must be a positive integer, got 0\n"
+
+
+@pytest.mark.parametrize("command", ["check", "margin"])
+@pytest.mark.parametrize("eta, covered", [(0.45, 79), (0.4, 0)])
+def test_failed_trajectory_probe_is_reported(tmp_path, capsys, command, eta, covered):
+    # the probe leaves the kappa range at step 78 (eta 0.45) or at x0 (eta 0.4)
+    rc = main([command, "--config", VELOCITY_CONFIG, "--set", f"controller.eta={eta}",
+               "--set", "grid.subsample=100", "--out", str(tmp_path)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"error: trajectory probe failed after recording {covered} states: KappaRangeError at step {max(covered - 1, 0)}: "
+    )
 
 
 # --- CSV writer -----------------------------------------------------------------

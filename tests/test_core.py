@@ -15,6 +15,7 @@ from cbfctrl import (
     evaluate_constraint,
     finite_difference_gradient,
     gamma_sontag,
+    kappa_from_eta,
 )
 from cbfctrl.core import Gamma
 from cbfctrl.systems import linear_barrier, single_integrator
@@ -115,6 +116,14 @@ def test_gamma_underflow_falls_back_to_hypot():
     for c in (1e-265, -1e-265):
         assert Gamma(c, 0.0, s) == 1e-265
     assert Gamma(0.0, 0.0, s) == 0.0
+
+
+def test_gamma_takes_the_hypot_form_where_the_direct_sum_is_subnormal():
+    # c*c = 1e-320 is subnormal: its square root would be 9.99994e-161 < |c|
+    s = ShapingFunction.linear(0.2)
+    for c in (1e-160, -1e-160):
+        assert Gamma(c, 0.0, s) == 1e-160
+    assert kappa_from_eta(1e-160, 0.0, 0.5, s) == 1.0
 
 
 def test_gamma_not_finite_raises():

@@ -23,7 +23,7 @@ from cbfctrl import (
     lambda_min_norm,
     margin_of,
 )
-from cbfctrl.formulas import FormulaBatch, lambda_and_slope
+from cbfctrl.formulas import FormulaBatch, controller_spec, lambda_and_slope, vectorisable
 
 cs = st.floats(-50.0, 50.0, allow_nan=False)
 ds = st.lists(st.floats(-10.0, 10.0, allow_nan=False), min_size=1, max_size=3)
@@ -175,6 +175,8 @@ def assert_kernel_matches_scalar(specs, cs_, d):
 )
 @example([0.0, 2.225073858507203e-309, 0.0, 0.0, 0.0], [0.0], 1.0, 1.0, 1.0)  # the direct Gamma underflows to 0
 @example([1e-265] * 5, [0.0], 0.2, 0.7, 1.0)
+@example([1e-160] * 5, [0.0], 0.2, 0.5, 1.0)  # the direct Gamma's sum is subnormal
+@example([1e-170] * 5, [1e-78], 0.2, 0.7, 1.0)  # the same, with kappa and the multiplier in range
 def test_batch_kernel_matches_scalar(cs_, d, sigma, eta, gamma):
     assert_kernel_matches_scalar(batch_specs(sigma, eta, gamma), cs_, d)
 
@@ -198,13 +200,22 @@ def test_bounded_batch_kernel_matches_scalar(cs_, d, sigma, eta, gamma):
     assert_kernel_matches_scalar(specs, cs_, d)
 
 
+def test_shaping_slopes_too_small_for_the_kernel_do_not_batch():
+    # below sigma ~ 2.2e-284, s(d2) d2 can be subnormal at d2 > EPS_D, where
+    # the kernel does not test for core.Gamma's hypot form
+    assert vectorisable(controller_spec("sontag", sigma=1e-280))
+    assert not vectorisable(controller_spec("sontag", sigma=1e-290))
+    assert not vectorisable(controller_spec("tunable", sigma=1e-290, eta=0.7))
+
+
 @given(cs, ds, sigmas, gammas)
+@example(1e-170, [1e-78], 0.2, 1.0)  # the direct Gamma's sum is subnormal for the last two
 def test_batch_kernel_per_member_norms(c, d, sigma, gamma):
     # the same with one ||d||^2 per member, so that some sit below EPS_D
     specs = batch_specs(sigma, 0.7, gamma)
     cons = [AffineConstraint(c, np.asarray(d) * scale) for scale in (1.0, 1e-7, 0.0, 2.0, 1.0)]
     with np.errstate(all="ignore"):
-        lam, _, _, flagged = FormulaBatch(specs)(
+        lam, kappa, gam, flagged = FormulaBatch(specs)(
             np.array([con.c for con in cons]), np.array([con.d_norm_sq for con in cons])
         )
     for i, (spec, con) in enumerate(zip(specs, cons)):
@@ -213,4 +224,8 @@ def test_batch_kernel_per_member_norms(c, d, sigma, gamma):
         except CBFControlError:
             assert flagged[i]
             continue
-        assert flagged[i] or lam[i] == out.lam
+        if flagged[i]:
+            continue
+        assert lam[i] == out.lam
+        if spec.kind != "qp":
+            assert (kappa[i], gam[i]) == (out.kappa, out.gamma_eff)
