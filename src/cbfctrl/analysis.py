@@ -119,9 +119,14 @@ class CompatibilityResult:
 
 def check_compatibility(con: AffineConstraint, gamma: float) -> CompatibilityResult:
     """Can some ||u|| <= gamma satisfy c + d u >= 0?  Yes iff gamma*||d|| >= -c."""
+    return compatibility(con.c, con.d_norm_sq, gamma)
+
+
+def compatibility(c: float, d2: float, gamma: float) -> CompatibilityResult:
+    """check_compatibility at the offset c and squared norm d2 = ||d||^2."""
     if not gamma > 0.0:
         raise ConfigurationError(f"gamma must be positive, got {gamma}")
-    slack = norm_bound_slack(con.c, con.d_norm_sq, gamma)
+    slack = norm_bound_slack(c, d2, gamma)
     if slack >= 0.0:
         return CompatibilityResult(compatible=True, deficit=0.0)
     return CompatibilityResult(compatible=False, deficit=-slack)

@@ -26,9 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from . import manipulator, systems
-from .analysis import DisturbanceSpec, check_compatibility, margin_of, margins
+from .analysis import DisturbanceSpec, compatibility, margin_of, margins
 from .core import (
-    AffineConstraint,
+    EPS_D,
     CBFControlError,
     ConfigurationError,
     DomainError,
@@ -42,6 +42,7 @@ from .formulas import (
     check_kappa_range,
     controller_spec,
     evaluate_controller,
+    filter_offset,
     resolve_kappa,
 )
 from .simulate import SimConfig, Stage, Trajectory, _batch_members, evaluate_stack, run
@@ -89,6 +90,18 @@ def _is_int(value) -> bool:
 
 def _is_number(value) -> bool:
     return _is_int(value) or isinstance(value, float)
+
+
+def _config_array(value, key: str, length: int) -> np.ndarray:
+    """The config array at key as floats; a config error where an entry is not a number.
+
+    Its length is checked where it is used.
+    """
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        numbers = "number" if length == 1 else "numbers"
+        raise ConfigurationError(f"config.{key} must be a list of {length} {numbers}, got {value!r}") from None
 
 
 def load_config(path: str | Path, overrides: list[str] | None = None) -> dict:
@@ -238,7 +251,7 @@ def build_scenario(config: dict, zoh: bool = False, seed: int | None = None) -> 
             kp=sysconf.get("kp", 1.0),
             x0_q=tuple(sysconf.get("x0_q", (1.0, 0.0))),
         )
-        x0 = np.asarray(config.get("x0", sc.x0), dtype=float)
+        x0 = _config_array(config.get("x0", sc.x0), "x0", sc.system.state_dim)
         return Scenario(sc.system, sc.barrier, sc.spec, x0, sim_cfg, disturbance, config)
 
     if name == "two_link_torque":
@@ -264,7 +277,7 @@ def build_scenario(config: dict, zoh: bool = False, seed: int | None = None) -> 
             sigma=controller.get("sigma", 0.2),
             kind=controller["kind"],
         )
-        x0 = np.asarray(config.get("x0", sc.x0), dtype=float)
+        x0 = _config_array(config.get("x0", sc.x0), "x0", sc.system.state_dim)
         return Scenario(sc.system, sc.barrier, sc.spec, x0, sim_cfg, disturbance, config)
 
     if name == "single_integrator":
@@ -281,7 +294,7 @@ def build_scenario(config: dict, zoh: bool = False, seed: int | None = None) -> 
         if nom["kind"] == "zero":
             kd = np.zeros(system.input_dim)
         else:
-            kd = np.asarray(nom["value"], dtype=float)
+            kd = _config_array(nom["value"], "nominal.value", system.input_dim)
             if kd.shape != (system.input_dim,):
                 raise ConfigurationError(
                     f"config.nominal.value must have length {system.input_dim}"
@@ -289,7 +302,7 @@ def build_scenario(config: dict, zoh: bool = False, seed: int | None = None) -> 
         spec = ControllerSpec.safety_filter(spec, lambda x, kd=kd: kd)
     if "x0" not in config:
         raise ConfigurationError("missing config key config.x0")
-    x0 = np.asarray(config["x0"], dtype=float)
+    x0 = _config_array(config["x0"], "x0", system.state_dim)
     return Scenario(system, barrier, spec, x0, sim_cfg, disturbance, config)
 
 
@@ -469,7 +482,7 @@ def _grid_states(config: dict, scenario: Scenario, seed: int | None) -> np.ndarr
                 f"trajectory probe failed after recording {len(traj)} states: {traj.failure}"
             )
         return traj.states[::sub]
-    base = np.asarray(grid.get("base", scenario.x0), dtype=float)
+    base = _config_array(grid.get("base", scenario.x0), "grid.base", n)
     if base.shape != (n,):
         raise ConfigurationError(f"config.grid.base must have length {n}")
     axes = grid.get("axes", [])
@@ -514,24 +527,25 @@ def _stacked_grid(scenario: Scenario, states: np.ndarray) -> tuple[Stage | None,
 
 
 def _check_state(scenario: Scenario, gamma, x: np.ndarray) -> tuple[bool, tuple]:
-    """Whether x passes the check, and its table cells (c_eff, |d|, compat, kappa, range ok)."""
+    """Whether x passes the check, and its table cells (c_eff, |d|, compat, kappa, range ok).
+
+    A state where the controller is infeasible (||d||^2 <= EPS_D with
+    c_eff <= 0) fails whatever the kind.
+    """
     con = evaluate_constraint(scenario.system, scenario.barrier, x)
     spec = scenario.spec
-    c_eff = con.c
-    if spec.kind == "safety_filter":
-        c_eff = con.c + float(con.d @ spec.nominal(x))
-    eff = AffineConstraint(c_eff, con.d)
+    c_eff, _ = filter_offset(spec, con, x)
+    d2 = con.d_norm_sq
     compat_txt = "-"
     compat_ok = True
     if gamma is not None:
-        compat = check_compatibility(eff, gamma)
+        compat = compatibility(c_eff, d2, gamma)
         compat_ok = compat.compatible
         compat_txt = "yes" if compat_ok else f"no({compat.deficit:.3g})"
     kappa_txt = "-"
-    range_ok = True
+    range_ok = d2 > EPS_D or c_eff > 0.0
     formula = spec.formula
     if formula.kind != "qp":
-        d2 = eff.d_norm_sq
         gam = Gamma(c_eff, d2, formula.shaping)
         try:
             kappa = resolve_kappa(formula, c_eff, d2, gam, x)
@@ -539,7 +553,7 @@ def _check_state(scenario: Scenario, gamma, x: np.ndarray) -> tuple[bool, tuple]
             check_kappa_range(kappa, c_eff, d2, gam, formula.relu, formula.gamma)
         except (DomainError, KappaRangeError):
             range_ok = False
-    return compat_ok and range_ok, (c_eff, eff.d_norm, compat_txt, kappa_txt, range_ok)
+    return compat_ok and range_ok, (c_eff, con.d_norm, compat_txt, kappa_txt, range_ok)
 
 
 def _check_row(idx: int, c_eff: float, d_norm: float, compat_txt: str, kappa_txt: str, range_ok: bool) -> str:
@@ -561,7 +575,7 @@ def cmd_check(args) -> int:
     gamma = config["controller"].get("gamma")
     stage, flagged = _stacked_grid(scenario, states)
     if gamma is not None and not gamma > 0.0:
-        flagged[:] = True  # check_compatibility rejects such a gamma at every state
+        flagged[:] = True  # compatibility rejects such a gamma at every state
     # In index order, so that the first state to raise is the one a per-state loop meets.
     cells = {}
     ok = np.ones(n_states, dtype=bool)
@@ -572,7 +586,7 @@ def cmd_check(args) -> int:
         with np.errstate(all="ignore"):
             d_norm = np.broadcast_to(np.sqrt(stage.d2), n_states)
             if gamma is not None:
-                slack = gamma * d_norm + stage.c_bar  # as analysis.check_compatibility forms it
+                slack = gamma * d_norm + stage.c_bar  # as analysis.compatibility forms it
                 ok &= flagged | (slack >= 0.0)  # an unflagged state's kappa is in range
     qp = scenario.spec.formula.kind == "qp"
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -27,6 +27,8 @@ EPS_D = 1e-12
 # Gamma's direct form is exact to rounding only where its sum is a normal float.
 _DBL_MIN = sys.float_info.min
 _DBL_MAX = sys.float_info.max
+
+_FLOAT = np.dtype(float)
 
 
 class CBFControlError(Exception):
@@ -199,21 +201,26 @@ class AffineConstraint:
 
     Valid for controller synthesis only if c > 0 whenever ||d|| = 0
     (strict-inequality convention); that is enforced where controllers are
-    evaluated, not here.
+    evaluated, not here.  d_norm_sq = d . d is formed once, here, and every
+    formula reads it from the constraint.
     """
 
     c: float
     d: np.ndarray
+    d_norm_sq: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "c", float(self.c))
-        object.__setattr__(self, "d", np.atleast_1d(np.asarray(self.d, dtype=float)))
-        if not math.isfinite(self.c) or not np.isfinite(self.d).all():
-            raise NumericsError(f"constraint pair is not finite: c={self.c}, d={self.d}")
-
-    @property
-    def d_norm_sq(self) -> float:
-        return float(self.d @ self.d)
+        c = float(self.c)
+        object.__setattr__(self, "c", c)
+        d = self.d
+        if type(d) is not np.ndarray or d.dtype is not _FLOAT or d.ndim != 1:
+            d = np.atleast_1d(np.asarray(d, dtype=float))
+            object.__setattr__(self, "d", d)
+        d2 = float(d @ d)
+        # A finite d whose square overflows still constructs, with d_norm_sq inf.
+        if not math.isfinite(c) or not (math.isfinite(d2) or np.isfinite(d).all()):
+            raise NumericsError(f"constraint pair is not finite: c={c}, d={d}")
+        object.__setattr__(self, "d_norm_sq", d2)
 
     @property
     def d_norm(self) -> float:

@@ -20,7 +20,11 @@ gamma); where ||d||^2 <= EPS_D the multiplier is 0 whatever kappa, and only
 kappa > 0 is required.
 
 The scalar functions live in (c, ||d||^2) space: their d or d2 argument is
-always the squared norm of the constraint direction.  :class:`FormulaBatch`
+always the squared norm of the constraint direction, which
+:class:`AffineConstraint` forms once and evaluate_controller reads from it.
+A safety filter is one pass over the same pair: c is shifted to
+c + d k_d(x) (:func:`filter_offset`), checked as c is, and the inner
+formula runs there, with no second constraint and one output.  :class:`FormulaBatch`
 evaluates the same formulas for a batch of specs, each at its own point,
 with one numpy call per operation.
 """
@@ -43,6 +47,7 @@ from .core import (
     IncompatibleInputError,
     InfeasibleConstraintError,
     KappaRangeError,
+    NumericsError,
     ShapingFunction,
     TunableTermPolicy,
 )
@@ -318,6 +323,30 @@ def lambda_and_slope(spec: ControllerSpec, c: float, d2: float) -> tuple[float, 
     return lam, eta * (-1.0 + c / gam) / d2
 
 
+def filter_offset(
+    spec: ControllerSpec, con: AffineConstraint, x: np.ndarray | None
+) -> tuple[float, np.ndarray | None]:
+    """(c_eff, k_d): a safety filter's offset c + d k_d(x) and its nominal,
+    or (c, None) for any other kind.
+
+    Raises NumericsError where the shifted offset is not finite.
+    """
+    if spec.kind != "safety_filter":
+        return con.c, None
+    kd = np.asarray(spec.nominal(x), dtype=float)
+    c = con.c + float(con.d @ kd)
+    if not math.isfinite(c):
+        raise NumericsError(f"constraint pair is not finite: c={c}, d={con.d}")
+    return c, kd
+
+
+def _infeasible(c: float, d2: float, x: np.ndarray | None) -> InfeasibleConstraintError:
+    return InfeasibleConstraintError(
+        f"infeasible constraint: c={c} <= 0 with ||d||^2={d2} ~ 0"
+        + (f" at x={x}" if x is not None else "")
+    )
+
+
 def evaluate_controller(
     spec: ControllerSpec, con: AffineConstraint, x: np.ndarray | None = None
 ) -> ControllerOutput:
@@ -327,49 +356,44 @@ def evaluate_controller(
     convention makes that a hard error, never a silent zero input),
     KappaRangeError when the resolved tunable term leaves its validity
     range, and IncompatibleInputError when the bounded-input kind cannot
-    meet the constraint within its norm bound.
+    meet the constraint within its norm bound.  A safety filter is one
+    pass: its inner formula runs at the shifted offset c + d k_d(x) (see
+    filter_offset), which is checked for feasibility as c is, on the
+    constraint's own d and ||d||^2.
     """
     c = con.c
     d = con.d
     d2 = con.d_norm_sq
     if d2 <= EPS_D and c <= 0.0:
-        raise InfeasibleConstraintError(
-            f"infeasible constraint: c={c} <= 0 with ||d||^2={d2} ~ 0"
-            + (f" at x={x}" if x is not None else "")
-        )
+        raise _infeasible(c, d2, x)
+    kd = None
+    if spec.kind == "safety_filter":
+        c, kd = filter_offset(spec, con, x)
+        if d2 <= EPS_D and c <= 0.0:
+            raise _infeasible(c, d2, x)
+        spec = spec.inner
 
     if spec.kind == "qp":
         lam = lambda_min_norm(c, d2)
-        return ControllerOutput(
-            u=lam * d, lam=lam, kappa=None, residual=c + lam * d2, c_eff=c, gamma_eff=math.nan
-        )
-
-    if spec.kind == "safety_filter":
-        kd = np.asarray(spec.nominal(x), dtype=float)
-        c_bar = c + float(d @ kd)
-        inner_out = evaluate_controller(spec.inner, AffineConstraint(c_bar, d), x)
-        return ControllerOutput(
-            u=inner_out.u + kd,
-            lam=inner_out.lam,
-            kappa=inner_out.kappa,
-            residual=inner_out.residual,
-            c_eff=inner_out.c_eff,
-            gamma_eff=inner_out.gamma_eff,
-        )
-
-    if spec.kind not in ("sontag", "tunable", "bounded_input"):
+        kappa = None
+        gam = math.nan
+        residual = c + lam * d2
+    elif spec.kind in ("sontag", "tunable", "bounded_input"):
+        if spec.kind == "bounded_input":
+            slack = norm_bound_slack(c, d2, spec.gamma)
+            if slack < 0.0:
+                raise IncompatibleInputError(
+                    f"norm bound gamma={spec.gamma} incompatible with (c={c}, ||d||={math.sqrt(d2)})",
+                    deficit=-slack,
+                )
+        gam, kappa, lam = _tunable_terms(spec, c, d2, x)
+        residual = c + lam * d2 - kappa * gam
+    else:
         raise ConfigurationError(f"unknown controller kind {spec.kind!r}")
-    if spec.kind == "bounded_input":
-        slack = norm_bound_slack(c, d2, spec.gamma)
-        if slack < 0.0:
-            raise IncompatibleInputError(
-                f"norm bound gamma={spec.gamma} incompatible with (c={c}, ||d||={math.sqrt(d2)})",
-                deficit=-slack,
-            )
-    gam, kappa, lam = _tunable_terms(spec, c, d2, x)
-    return ControllerOutput(
-        u=lam * d, lam=lam, kappa=kappa, residual=c + lam * d2 - kappa * gam, c_eff=c, gamma_eff=gam
-    )
+    u = lam * d
+    if kd is not None:
+        u = u + kd
+    return ControllerOutput(u=u, lam=lam, kappa=kappa, residual=residual, c_eff=c, gamma_eff=gam)
 
 
 def vectorisable(spec: ControllerSpec) -> bool:

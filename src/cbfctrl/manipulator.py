@@ -117,11 +117,18 @@ def total_energy(p: ManipulatorParams, q: np.ndarray, v: np.ndarray) -> float:
     return kinetic_energy(p, q, v) + potential_energy(p, q)
 
 
-def _inverse_2x2(m: np.ndarray) -> np.ndarray:
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+def _inverse_terms(a: float, b: float, c: float, d: float) -> tuple[float, float, float, float]:
+    """Entries, row by row, of the inverse of [[a, b], [c, d]]."""
+    det = a * d - b * c
     if abs(det) < 1e-12:
         raise NumericsError(f"mass matrix is numerically singular, det={det}")
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
+    return d / det, -b / det, -c / det, a / det
+
+
+def _inverse_2x2(m: np.ndarray) -> np.ndarray:
+    (a, b), (c, d) = m.tolist()
+    i11, i12, i21, i22 = _inverse_terms(a, b, c, d)
+    return np.array([[i11, i12], [i21, i22]])
 
 
 def dynamics(
@@ -249,6 +256,7 @@ def velocity_level_scenario(
     # Every map also takes a stack of states (B, 3): drift, input map and
     # barrier gradient are constant, and the rest act row by row.
     kp_mat = np.diag([kp, kp])
+    neg_kp_mat = -kp_mat
     f_aug = np.array([0.0, 0.0, 1.0])
     g_aug = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     system = ControlAffineSystem(
@@ -267,8 +275,16 @@ def velocity_level_scenario(
         stacks=True,
     )
 
-    neg_kp_t = (-kp_mat).T
+    neg_kp_t = neg_kp_mat.T
     ref_offset = np.array([1.0, 0.0])
+
+    def tracking(q1: float, q2: float, tau: float) -> tuple[np.ndarray, np.ndarray]:
+        """The command -kp (q - reference(tau)) + reference_rate(tau) and
+        reference_rate(tau), with the reference formed in floats."""
+        ref = 2.0 * math.sin(tau)
+        rate = 2.0 * math.cos(tau)
+        ref_rate = np.array([rate, rate])
+        return neg_kp_mat @ np.array([q1 - (ref + 1.0), q2 - ref]) + ref_rate, ref_rate
 
     def nominal(x: np.ndarray) -> np.ndarray:
         if x.ndim == 2:
@@ -277,26 +293,26 @@ def velocity_level_scenario(
             tau = x[:, 2]
             ref = (2.0 * np.sin(tau))[:, None] + ref_offset
             return (x[:, :2] - ref) @ neg_kp_t + (2.0 * np.cos(tau))[:, None]
-        q = x[:2]
-        tau = x[2]
-        return -kp_mat @ (q - reference(tau)) + reference_rate(tau)
+        q1, q2, tau = x.tolist()
+        return tracking(q1, q2, tau)[0]
 
     spec = ControllerSpec.safety_filter(inner, nominal, nominal_stacks=True)
 
     # Constraint geometry at the filter: constant direction, c = beta * h.
     d_vec = np.array([0.0, -1.0])
+    d_col = d_vec[:, None]
     d2 = float(d_vec @ d_vec)
-    dcbar_dq = beta * np.array([0.0, -1.0]) + d_vec @ (-kp_mat)
+    dcbar_dq = beta * np.array([0.0, -1.0]) + d_vec @ neg_kp_mat
 
     def k0_terms(q: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """k0 and its Jacobians in q and tau from one multiplier evaluation."""
-        ref_rate = reference_rate(tau)
-        k0d = -kp_mat @ (q - reference(tau)) + ref_rate
-        lam, slope = lambda_and_slope(inner, beta * (q_bar - q[1]) + float(d_vec @ k0d), d2)
+        q2 = float(q[1])
+        k0d, ref_rate = tracking(float(q[0]), q2, tau)
+        lam, slope = lambda_and_slope(inner, beta * (q_bar - q2) + float(d_vec @ k0d), d2)
         dk0d_dtau = kp_mat @ ref_rate + reference_accel(tau)
         return (
             k0d + lam * d_vec,
-            -kp_mat + np.outer(d_vec, slope * dcbar_dq),
+            neg_kp_mat + d_col * (slope * dcbar_dq),  # the outer product d (slope dcbar/dq)
             dk0d_dtau + d_vec * (slope * float(d_vec @ dk0d_dtau)),
         )
 
@@ -410,7 +426,7 @@ def torque_terms(
     k0_terms = velocity.k0.terms
     h_of = velocity.barrier.value
     mu = cfg.mu
-    dh_dq = np.array([0.0, -1.0])
+    dh_dq1, dh_dq2 = 0.0, -1.0
     last: Optional[tuple[bytes, TorqueTerms]] = None
 
     def terms(x: np.ndarray) -> TorqueTerms:
@@ -420,24 +436,25 @@ def torque_terms(
         cached = last
         if cached is not None and cached[0] == key:
             return cached[1]
-        q, v, tau = x[:2], x[2:4], x[4]
-        m = mass_matrix(p, q)
-        m_inv = _inverse_2x2(m)
-        cv = coriolis_matrix(p, q, v) @ v
-        n = gravity_vector(p, q)
+        # The elementwise terms in floats, every sum of products a numpy @.
+        q1, q2, v1, v2, tau = x.tolist()
+        q, v = x[:2], x[2:4]
+        m = mass_matrix(p, (q1, q2))
+        (m11, m12), (m21, m22) = m.tolist()
+        i11, i12, i21, i22 = _inverse_terms(m11, m12, m21, m22)
+        cv = coriolis_matrix(p, (q1, q2), (v1, v2)) @ v
+        n = gravity_vector(p, (q1, q2))
         k0, jac_q, jac_tau = k0_terms(q, tau)
         e_v = v - k0
 
-        phi = -m_inv @ (cv + n)
-        f = np.array([v[0], v[1], phi[0], phi[1], 1.0])
-        g = np.zeros((5, 2))
-        g[2:4, :] = m_inv
-        h = h_of(np.array([q[0], q[1], tau]))
+        phi1, phi2 = (np.array([[-i11, -i12], [-i21, -i22]]) @ (cv + n)).tolist()
+        f = np.array([v1, v2, phi1, phi2, 1.0])
+        g = np.array([[0.0, 0.0], [0.0, 0.0], [i11, i12], [i21, i22], [0.0, 0.0]])
+        h = h_of(np.array([q1, q2, tau]))
         b = h - float(e_v @ e_v) / (2.0 * mu)
-        grad_b = np.empty(5)
-        grad_b[:2] = dh_dq + (e_v @ jac_q) / mu
-        grad_b[2:4] = -e_v / mu
-        grad_b[4] = float(e_v @ jac_tau) / mu
+        e1, e2 = e_v.tolist()
+        a1, a2 = (e_v @ jac_q).tolist()
+        grad_b = np.array([dh_dq1 + a1 / mu, dh_dq2 + a2 / mu, -e1 / mu, -e2 / mu, float(e_v @ jac_tau) / mu])
         k0_dot = jac_q @ v + jac_tau
         k_d = m @ (k0_dot - cfg.kp_bar * e_v) + cv + n
         for arr in (f, g, grad_b, k_d):

@@ -8,7 +8,9 @@ RK4 step costs four controller evaluations and an Euler step one.
 Disturbances are evaluated at the pre-step time and held across stages.
 Runs that hit an infeasible constraint, a tunable range violation, or a
 numerical blow-up return a truncated trajectory carrying the failure
-reason instead of raising.
+reason instead of raising.  An evaluation builds one AffineConstraint,
+which holds ||d||^2, and one ControllerOutput, a safety filter included;
+the record reads the correction norm from that ||d||^2.
 
 run also takes a sequence of specs over one plant and returns one
 trajectory per spec.  Members whose formulas vectorise (see
@@ -225,7 +227,7 @@ def _run_scalar(
             if k % cfg.record_every == 0:
                 rows["times"].append(k * cfg.dt)
                 rows["states"].append(x.copy())
-                rows["inputs"].append(np.array(out_k.u, dtype=float))
+                rows["inputs"].append(out_k.u)  # a new array at every evaluation
                 rows["h_values"].append(float(barrier.value(x)))
                 rows["residuals"].append(con_k.c + float(con_k.d @ u_k))
                 rows["kappas"].append(out_k.kappa if out_k.kappa is not None else math.nan)

@@ -322,6 +322,64 @@ def test_check_box_grid_compatibility(tmp_path, capsys):
     assert "violate" in err
 
 
+def double_integrator_infeasible_config(kind):
+    # h = 1 - x1 with d = 0: c = 1.5 - x1dot, so the grid's c_eff is 1.5, 0.5, -0.5, -1.5
+    controller = {"kind": kind} if kind == "qp" else {"kind": kind, "sigma": 0.2, "eta": 0.7}
+    return single_integrator_config(
+        system={"name": "double_integrator"},
+        barrier={"kind": "linear", "normal": [1.0, 0.0], "offset": 1.0, "beta": 1.5},
+        controller=controller,
+        nominal={"kind": "zero"},
+        x0=[0.0, 0.0],
+        grid={"kind": "box", "base": [0.0, 0.0], "axes": [{"dim": 1, "min": 0.0, "max": 3.0, "count": 4}]},
+    )
+
+
+@pytest.mark.parametrize("kind", ["qp", "sontag", "tunable"])
+def test_check_fails_states_where_the_controller_is_infeasible(tmp_path, capsys, kind):
+    # ||d||^2 <= EPS_D with c_eff <= 0 fails for every kind, even where the
+    # range rule alone passes (sontag's kappa is 1, qp has no range)
+    cfg = write_config(tmp_path, "di.json", double_integrator_infeasible_config(kind))
+    rc = main(["check", "--config", str(cfg), "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    rows = [line.split() for line in out.splitlines()[1:5]]
+    assert [row[1] for row in rows] == ["1.50000", "0.50000", "-0.50000", "-1.50000"]
+    assert [row[-1] for row in rows] == ["ok", "ok", "FAIL", "FAIL"]
+    assert "2 of 4 grid points violate" in err
+    if kind == "sontag":
+        rc = main(["margin", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "infeasible constraint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, sets, message",
+    [
+        ("simulate", ['x0=["a",1,2]'], "config.x0 must be a list of 3 numbers, got ['a', 1, 2]"),
+        ("simulate", ["x0=[[1],2,3]"], "config.x0 must be a list of 3 numbers, got [[1], 2, 3]"),
+        (
+            "check",
+            ["grid.kind=box", 'grid.base="abc"', 'grid.axes=[{"dim":0,"min":0,"max":1,"count":2}]'],
+            "config.grid.base must be a list of 3 numbers, got 'abc'",
+        ),
+    ],
+)
+def test_non_numeric_config_arrays_are_config_errors(tmp_path, capsys, command, sets, message):
+    argv = [command, "--config", str(CONFIG_DIR / "twolink_velocity.json"), "--out", str(tmp_path)]
+    for item in sets:
+        argv += ["--set", item]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_non_numeric_nominal_is_a_config_error(tmp_path, capsys):
+    config = single_integrator_config(nominal={"kind": "constant", "value": ["x"]})
+    cfg = write_config(tmp_path, "si.json", config)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "config error: config.nominal.value must be a list of 1 number, got ['x']\n"
+
+
 def test_margin_subcommand(tmp_path, capsys):
     config = {
         "schema": 1,
