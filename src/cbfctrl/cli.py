@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import manipulator, systems
-from .analysis import DisturbanceSpec, compatibility, margin_of, margins
+from .analysis import DisturbanceSpec, margin_of, margins
 from .core import (
     EPS_D,
     CBFControlError,
@@ -92,16 +92,36 @@ def _is_number(value) -> bool:
     return _is_int(value) or isinstance(value, float)
 
 
-def _config_array(value, key: str, length: int) -> np.ndarray:
-    """The config array at key as floats; a config error where an entry is not a number.
+_NUMBER = (_is_number, "a number")
+_INT = (_is_int, "an integer")
+_SEED = (lambda v: _is_int(v) and v >= 0, "a nonnegative integer")  # numpy seeds are nonnegative
+# The type of each typed scalar key per config section; validation rejects a value of another type.
+_SCALAR_TYPES = {
+    "config": {"seed": _SEED},
+    "config.system": {
+        "dim": _INT,
+        **dict.fromkeys(("q_bar", "beta", "kp", "mu", "kp_bar", "alpha_b", "m1", "m2", "l1", "l2", "gravity"), _NUMBER),
+    },
+    "config.barrier": {"offset": _NUMBER, "beta": _NUMBER},
+    "config.controller": {
+        "eta": _NUMBER, "sigma": _NUMBER, "gamma": _NUMBER, "relu": (lambda v: isinstance(v, bool), "true or false"),
+    },
+    "config.disturbance": {"freq": _NUMBER, "magnitude": _NUMBER, "seed": _SEED},
+}
 
-    Its length is checked where it is used.
-    """
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+
+def _check_scalar_types(section: dict, path: str) -> None:
+    for key, (is_type, kind) in _SCALAR_TYPES[path].items():
+        if key in section and not is_type(section[key]):
+            raise ConfigurationError(f"{path}.{key} must be {kind}, got {section[key]!r}")
+
+
+def _config_array(value, key: str, length: int) -> np.ndarray:
+    """The config array at key, a list of length numbers, as floats; a config error otherwise."""
+    if not (isinstance(value, list) and len(value) == length and all(map(_is_number, value))):
         numbers = "number" if length == 1 else "numbers"
-        raise ConfigurationError(f"config.{key} must be a list of {length} {numbers}, got {value!r}") from None
+        raise ConfigurationError(f"config.{key} must be a list of {length} {numbers}, got {value!r}")
+    return np.array(value, dtype=float)
 
 
 def load_config(path: str | Path, overrides: list[str] | None = None) -> dict:
@@ -140,8 +160,10 @@ def validate_config(config: dict) -> None:
         raise ConfigurationError(
             f"unsupported schema version {config['schema']!r}, expected {_SCHEMA_VERSION}"
         )
+    _check_scalar_types(config, "config")
     system = _require(config, "system", "config")
     _reject_unknown(system, _SYSTEM_KEYS, "config.system")
+    _check_scalar_types(system, "config.system")
     name = _require(system, "name", "config.system")
     if name not in (
         "single_integrator",
@@ -153,6 +175,7 @@ def validate_config(config: dict) -> None:
         raise ConfigurationError(f"unknown system name {name!r}")
     barrier = _require(config, "barrier", "config")
     _reject_unknown(barrier, _BARRIER_KEYS, "config.barrier")
+    _check_scalar_types(barrier, "config.barrier")
     kind = _require(barrier, "kind", "config.barrier")
     if kind not in ("linear", "builtin"):
         raise ConfigurationError(f"unknown barrier kind {kind!r}")
@@ -168,12 +191,7 @@ def validate_config(config: dict) -> None:
         raise ConfigurationError(f"config.controller.kind must be a string, got {ckind!r}")
     if ckind not in ("qp", "sontag", "tunable", "bounded_input"):
         raise ConfigurationError(f"unknown controller kind {ckind!r}")
-    for key in ("eta", "sigma", "gamma"):
-        value = controller.get(key, 0.0)
-        if not _is_number(value):
-            raise ConfigurationError(f"config.controller.{key} must be a number, got {value!r}")
-    if not isinstance(controller.get("relu", False), bool):
-        raise ConfigurationError(f"config.controller.relu must be true or false, got {controller['relu']!r}")
+    _check_scalar_types(controller, "config.controller")
     if ckind in ("tunable", "bounded_input") and "eta" not in controller:
         raise ConfigurationError("missing config key config.controller.eta")
     if ckind != "qp" and "sigma" not in controller:
@@ -191,6 +209,7 @@ def validate_config(config: dict) -> None:
         _reject_unknown(dist, _DISTURBANCE_KEYS, "config.disturbance")
         if dist.get("kind") not in ("constant", "sinusoidal", "bounded_random"):
             raise ConfigurationError("unknown disturbance kind")
+        _check_scalar_types(dist, "config.disturbance")
     if "grid" in config:
         grid = config["grid"]
         _reject_unknown(grid, _GRID_KEYS, "config.grid")
@@ -225,21 +244,8 @@ def build_scenario(config: dict, zoh: bool = False, seed: int | None = None) -> 
         sim["zoh"] = True
     sim_cfg = SimConfig(**sim)
 
-    if seed is None:
-        seed = int(config.get("seed", 0))
-    disturbance = None
-    if "disturbance" in config:
-        dist = config["disturbance"]
-        if dist["kind"] == "constant":
-            disturbance = DisturbanceSpec.constant(dist["value"])
-        elif dist["kind"] == "sinusoidal":
-            disturbance = DisturbanceSpec.sinusoidal(dist["amplitude"], dist["freq"])
-        else:
-            disturbance = DisturbanceSpec.bounded_random(
-                dist["magnitude"], dist.get("seed", seed)
-            )
-
     if name in ("two_link", "two_link_velocity"):
+        x0_q = tuple(_config_array(sysconf["x0_q"], "system.x0_q", 2)) if "x0_q" in sysconf else (1.0, 0.0)
         sc = manipulator.velocity_level_scenario(
             eta=controller.get("eta", 0.7),
             sigma=controller.get("sigma", 0.2),
@@ -249,12 +255,10 @@ def build_scenario(config: dict, zoh: bool = False, seed: int | None = None) -> 
             q_bar=sysconf.get("q_bar", manipulator.Q2_LIMIT),
             beta=sysconf.get("beta", 1.5),
             kp=sysconf.get("kp", 1.0),
-            x0_q=tuple(sysconf.get("x0_q", (1.0, 0.0))),
+            x0_q=x0_q,
         )
-        x0 = _config_array(config.get("x0", sc.x0), "x0", sc.system.state_dim)
-        return Scenario(sc.system, sc.barrier, sc.spec, x0, sim_cfg, disturbance, config)
-
-    if name == "two_link_torque":
+        system, barrier, spec, x0 = sc.system, sc.barrier, sc.spec, sc.x0
+    elif name == "two_link_torque":
         if controller["kind"] == "bounded_input":
             raise ConfigurationError("two_link_torque supports qp, sontag, and tunable kinds")
         params = manipulator.ManipulatorParams(
@@ -277,32 +281,40 @@ def build_scenario(config: dict, zoh: bool = False, seed: int | None = None) -> 
             sigma=controller.get("sigma", 0.2),
             kind=controller["kind"],
         )
-        x0 = _config_array(config.get("x0", sc.x0), "x0", sc.system.state_dim)
-        return Scenario(sc.system, sc.barrier, sc.spec, x0, sim_cfg, disturbance, config)
-
-    if name == "single_integrator":
-        system = systems.single_integrator(int(sysconf.get("dim", 1)))
+        system, barrier, spec, x0 = sc.system, sc.barrier, sc.spec, sc.x0
     else:
-        system = systems.double_integrator()
-    bar = config["barrier"]
-    barrier = systems.linear_barrier(
-        bar["normal"], bar["offset"], bar.get("beta", 1.5)
-    )
-    spec = controller_spec(**controller)
-    if "nominal" in config:
-        nom = config["nominal"]
-        if nom["kind"] == "zero":
-            kd = np.zeros(system.input_dim)
+        if name == "single_integrator":
+            system = systems.single_integrator(sysconf.get("dim", 1))
         else:
-            kd = _config_array(nom["value"], "nominal.value", system.input_dim)
-            if kd.shape != (system.input_dim,):
-                raise ConfigurationError(
-                    f"config.nominal.value must have length {system.input_dim}"
-                )
-        spec = ControllerSpec.safety_filter(spec, lambda x, kd=kd: kd)
-    if "x0" not in config:
-        raise ConfigurationError("missing config key config.x0")
-    x0 = _config_array(config["x0"], "x0", system.state_dim)
+            system = systems.double_integrator()
+        bar = config["barrier"]
+        normal = _config_array(_require(bar, "normal", "config.barrier"), "barrier.normal", system.state_dim)
+        barrier = systems.linear_barrier(normal, _require(bar, "offset", "config.barrier"), bar.get("beta", 1.5))
+        spec = controller_spec(**controller)
+        if "nominal" in config:
+            nom = config["nominal"]
+            if nom["kind"] == "zero":
+                kd = np.zeros(system.input_dim)
+            else:
+                kd = _config_array(_require(nom, "value", "config.nominal"), "nominal.value", system.input_dim)
+            spec = ControllerSpec.safety_filter(spec, lambda x, kd=kd: kd)
+        x0 = _require(config, "x0", "config")  # read below
+    if "x0" in config:
+        x0 = _config_array(config["x0"], "x0", system.state_dim)
+
+    disturbance = None
+    if "disturbance" in config:
+        dist = config["disturbance"]
+        path = "config.disturbance"
+        if dist["kind"] == "constant":
+            value = _config_array(_require(dist, "value", path), "disturbance.value", system.input_dim)
+            disturbance = DisturbanceSpec.constant(value)
+        elif dist["kind"] == "sinusoidal":
+            amplitude = _config_array(_require(dist, "amplitude", path), "disturbance.amplitude", system.input_dim)
+            disturbance = DisturbanceSpec.sinusoidal(amplitude, _require(dist, "freq", path))
+        else:
+            seed = config.get("seed", 0) if seed is None else seed
+            disturbance = DisturbanceSpec.bounded_random(_require(dist, "magnitude", path), dist.get("seed", seed))
     return Scenario(system, barrier, spec, x0, sim_cfg, disturbance, config)
 
 
@@ -413,10 +425,7 @@ def cmd_sweep(args) -> int:
         # Only the formula differs, so the members share the first one's
         # plant and nominal and advance together where their formulas allow.
         first = scenarios[0]
-        specs = [
-            replace(sc.spec, nominal=first.spec.nominal) if sc.spec.kind == "safety_filter" else sc.spec
-            for sc in scenarios
-        ]
+        specs = [replace(sc.spec, nominal=first.spec.nominal) for sc in scenarios]
         trajs = run(first.system, specs, first.barrier, first.x0, first.sim_cfg, first.disturbance)
     else:
         # Any other key, or the torque level (whose plant embeds k0 and so
@@ -482,9 +491,7 @@ def _grid_states(config: dict, scenario: Scenario, seed: int | None) -> np.ndarr
                 f"trajectory probe failed after recording {len(traj)} states: {traj.failure}"
             )
         return traj.states[::sub]
-    base = _config_array(grid.get("base", scenario.x0), "grid.base", n)
-    if base.shape != (n,):
-        raise ConfigurationError(f"config.grid.base must have length {n}")
+    base = _config_array(grid["base"], "grid.base", n) if "base" in grid else scenario.x0
     axes = grid.get("axes", [])
     for i, axis in enumerate(axes):
         path = f"config.grid.axes[{i}]"
@@ -519,15 +526,14 @@ def _stacked_grid(scenario: Scenario, states: np.ndarray) -> tuple[Stage | None,
     spec = scenario.spec
     if not _batch_members(scenario.system, scenario.barrier, [spec]):
         return None, np.ones(len(states), dtype=bool)
-    nominal = spec.nominal if spec.kind == "safety_filter" else None
     with np.errstate(all="ignore"):
         return evaluate_stack(
-            scenario.system, scenario.barrier, nominal, states, FormulaBatch([spec.formula]), check_shapes=True
+            scenario.system, scenario.barrier, spec.nominal, states, FormulaBatch([spec.formula]), check_shapes=True
         )
 
 
-def _check_state(scenario: Scenario, gamma, x: np.ndarray) -> tuple[bool, tuple]:
-    """Whether x passes the check, and its table cells (c_eff, |d|, compat, kappa, range ok).
+def _check_state(scenario: Scenario, x: np.ndarray) -> tuple[float, float, float, bool]:
+    """(c_eff, ||d||^2, kappa, range ok) at x; kappa is NaN where there is none.
 
     A state where the controller is infeasible (||d||^2 <= EPS_D with
     c_eff <= 0) fails whatever the kind.
@@ -536,31 +542,17 @@ def _check_state(scenario: Scenario, gamma, x: np.ndarray) -> tuple[bool, tuple]
     spec = scenario.spec
     c_eff, _ = filter_offset(spec, con, x)
     d2 = con.d_norm_sq
-    compat_txt = "-"
-    compat_ok = True
-    if gamma is not None:
-        compat = compatibility(c_eff, d2, gamma)
-        compat_ok = compat.compatible
-        compat_txt = "yes" if compat_ok else f"no({compat.deficit:.3g})"
-    kappa_txt = "-"
+    kappa = math.nan
     range_ok = d2 > EPS_D or c_eff > 0.0
     formula = spec.formula
     if formula.kind != "qp":
         gam = Gamma(c_eff, d2, formula.shaping)
         try:
             kappa = resolve_kappa(formula, c_eff, d2, gam, x)
-            kappa_txt = f"{kappa:.5f}"
             check_kappa_range(kappa, c_eff, d2, gam, formula.relu, formula.gamma)
         except (DomainError, KappaRangeError):
             range_ok = False
-    return compat_ok and range_ok, (c_eff, con.d_norm, compat_txt, kappa_txt, range_ok)
-
-
-def _check_row(idx: int, c_eff: float, d_norm: float, compat_txt: str, kappa_txt: str, range_ok: bool) -> str:
-    return (
-        f"{idx:>4d} {c_eff:>12.5f} {d_norm:>10.5f} {compat_txt:>7s} "
-        f"{kappa_txt:>10s} {'ok' if range_ok else 'FAIL':>6s}"
-    )
+    return c_eff, d2, kappa, range_ok
 
 
 def cmd_check(args) -> int:
@@ -571,40 +563,37 @@ def cmd_check(args) -> int:
     if not n_states:
         print("check grid is empty", file=sys.stderr)
         return CONFIG_ERROR
-
     gamma = config["controller"].get("gamma")
-    stage, flagged = _stacked_grid(scenario, states)
     if gamma is not None and not gamma > 0.0:
-        flagged[:] = True  # compatibility rejects such a gamma at every state
+        raise ConfigurationError(f"gamma must be positive, got {gamma}")
+
+    stage, flagged = _stacked_grid(scenario, states)
+    if stage is None:
+        c_eff, d2, kappa = np.full((3, n_states), math.nan)
+    else:
+        c_eff, d2, kappa = np.array(np.broadcast_arrays(stage.c_bar, stage.d2, stage.kappa))
+    range_ok = np.ones(n_states, dtype=bool)  # an unflagged state's kappa is in range
     # In index order, so that the first state to raise is the one a per-state loop meets.
-    cells = {}
-    ok = np.ones(n_states, dtype=bool)
     for i in np.flatnonzero(flagged).tolist():
-        ok[i], cells[i] = _check_state(scenario, gamma, states[i])
-    slack = None
-    if stage is not None:
-        with np.errstate(all="ignore"):
-            d_norm = np.broadcast_to(np.sqrt(stage.d2), n_states)
-            if gamma is not None:
-                slack = gamma * d_norm + stage.c_bar  # as analysis.compatibility forms it
-                ok &= flagged | (slack >= 0.0)  # an unflagged state's kappa is in range
-    qp = scenario.spec.formula.kind == "qp"
+        c_eff[i], d2[i], kappa[i], range_ok[i] = _check_state(scenario, states[i])
+    with np.errstate(all="ignore"):
+        d_norm = np.sqrt(d2)
+        slack = None if gamma is None else gamma * d_norm + c_eff  # as analysis.compatibility forms it
+    ok = range_ok if slack is None else range_ok & (slack >= 0.0)
 
     def row(i: int) -> str:
-        if i in cells:
-            return _check_row(i, *cells[i])
         compat_txt = "-" if slack is None else "yes" if slack[i] >= 0.0 else f"no({float(-slack[i]):.3g})"
-        kappa_txt = "-" if qp else f"{float(stage.kappa[i]):.5f}"
-        return _check_row(i, float(stage.c_bar[i]), float(d_norm[i]), compat_txt, kappa_txt, True)
+        kappa_txt = "-" if math.isnan(kappa[i]) else f"{float(kappa[i]):.5f}"
+        return (
+            f"{i:>4d} {float(c_eff[i]):>12.5f} {float(d_norm[i]):>10.5f} {compat_txt:>7s} "
+            f"{kappa_txt:>10s} {'ok' if range_ok[i] else 'FAIL':>6s}"
+        )
 
     violations = np.flatnonzero(~ok).tolist()
     print(f"{'idx':>4s} {'c_eff':>12s} {'|d|':>10s} {'compat':>7s} {'kappa':>10s} {'range':>6s}")
-    if n_states <= 200:
-        for i in range(n_states):
-            print(row(i))
-    else:
-        for i in violations:
-            print(row(i))
+    for i in range(n_states) if n_states <= 200 else violations:
+        print(row(i))
+    if n_states > 200:
         print(f"({n_states} grid points, table truncated to violating rows)")
     if violations:
         print(f"{len(violations)} of {n_states} grid points violate", file=sys.stderr)

@@ -136,9 +136,10 @@ class ControlAffineSystem:
     """Control-affine dynamics ``xdot = drift(x) + input_map(x) u``.
 
     drift maps a state vector (n,) to (n,); input_map maps it to (n, m).
-    stacks declares that both also map a stack of states (B, n), to
-    (B, n) and (B, n, m) or to one (n,) and (n, m) shared by the stack;
-    only then does a batched simulation call them on stacks.
+    stacks declares that both also map a stack of states (B, n): drift to
+    (B, n) or to one (n,) shared by the stack, input_map to one (n, m)
+    shared by the stack; only then does a batched simulation call them on
+    stacks.
     """
 
     state_dim: int
@@ -162,8 +163,8 @@ class BarrierFunction:
     implicitly by the sign of h.  Gradients are supplied analytically; a
     finite-difference construction exists for tests only, see
     :meth:`with_fd_gradient`.  stacks declares that value, gradient and
-    classk.fn also map a stack of states (B, n), value to (B,) and gradient
-    to (B, n) or to one (n,) shared by the stack.
+    classk.fn also map a stack of states (B, n): value to (B,), gradient
+    to one (n,) shared by the stack.
     """
 
     value: Callable[[np.ndarray], float]

@@ -235,6 +235,8 @@ class ControllerSpec:
                 f"safety_filter cannot wrap kind {inner.kind!r}; "
                 f"allowed: {_FILTER_INNER_KINDS}"
             )
+        if not callable(nominal):  # a spec without a nominal is a bare one, see simulate._batch_members
+            raise ConfigurationError(f"safety_filter needs a callable nominal, got {nominal!r}")
         return cls(kind="safety_filter", inner=inner, nominal=nominal, nominal_stacks=nominal_stacks)
 
     @property
@@ -460,7 +462,7 @@ class FormulaBatch:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(lambda, kappa, Gamma, flagged) at offsets c (B,) and squared norms d2, one shared or (B,).
 
-        kappa is the tunable term of sontag's formula at qp members; the
+        kappa is NaN at qp members, which have no tunable term; the
         multiplier of a flagged member may be anything.
         """
         gam = np.sqrt(c * c + (self.sigma * d2) * d2)
@@ -495,4 +497,6 @@ class FormulaBatch:
         elif small.any():
             lam[small] = 0.0
             flagged |= small & ((c <= 0.0) | (gam < _SQRT_DBL_MIN))
+        if self.kappa_nan is not None:
+            kappa = kappa + self.kappa_nan  # after the flags, which read sontag's kappa
         return lam, kappa, gam, flagged

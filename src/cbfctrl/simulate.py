@@ -14,10 +14,12 @@ the record reads the correction norm from that ||d||^2.
 
 run also takes a sequence of specs over one plant and returns one
 trajectory per spec.  Members whose formulas vectorise (see
-formulas.FormulaBatch), on a plant whose maps declare that they take
-stacks of states, advance together: one RK4 loop over the (B, n) stack of
-their states, with one numpy call per operation for all of them; every
-other member runs the scalar loop.  The scalar loop is the reference, and
+formulas.FormulaBatch) and that share one nominal, or have none, advance
+together on a plant whose maps declare that they take stacks of states:
+one RK4 loop over the (B, n) stack of their states, with one numpy call
+per operation for all of them; every other member runs the scalar loop.
+Such a plant's input map and barrier gradient are shared by the stack, so
+d and ||d||^2 are too.  The scalar loop is the reference, and
 the batch reproduces it bit for bit on the velocity-level manipulator,
 whose maps are exact in the batch's order of operations.  A member that
 the formula kernel flags at step k (at x_k or in RK4 stages 2-4), or whose
@@ -32,6 +34,7 @@ at a stack of states, also serves the CLI's check and margin grids.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -61,10 +64,23 @@ class SimConfig:
     allow_unsafe_start: bool = False
 
     def __post_init__(self):
+        for name, kind, what in (
+            ("dt", numbers.Real, "a number"),
+            ("horizon", numbers.Real, "a number"),
+            ("record_every", numbers.Integral, "an integer"),
+            ("integrator", str, "a string"),
+            ("zoh", bool, "true or false"),
+            ("allow_unsafe_start", bool, "true or false"),
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+                raise ConfigurationError(f"{name} must be {what}, got {value!r}")
         if not self.dt > 0.0:
             raise ConfigurationError(f"dt must be positive, got {self.dt}")
         if self.horizon < 0.0:
             raise ConfigurationError(f"horizon must be nonnegative, got {self.horizon}")
+        if not math.isfinite(self.horizon):
+            raise ConfigurationError(f"horizon must be finite, got {self.horizon}")
         if self.horizon > 0.0 and self.dt > self.horizon:
             raise ConfigurationError(
                 f"dt={self.dt} exceeds horizon={self.horizon}"
@@ -263,31 +279,9 @@ def _batch_members(system, barrier, specs: list[ControllerSpec]) -> list[int]:
     if not fits:
         return []
     first = specs[fits[0]]
-    if first.kind == "safety_filter" and not first.nominal_stacks:
+    if first.nominal is not None and not first.nominal_stacks:
         return []
-    return [i for i in fits if specs[i].kind == first.kind and specs[i].nominal is first.nominal]
-
-
-def _dot(a: np.ndarray, b: np.ndarray):
-    """a . b row by row, of vectors (k,) or stacks (B, k)."""
-    if a.ndim == 1:
-        return a @ b if b.ndim == 1 else b @ a
-    if b.ndim == 1:
-        return a @ b
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
-def _vecmat(v: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """v @ mat row by row: v (n,) or (B, n), mat (n, m) or (B, n, m)."""
-    if v.ndim == 1 or mat.ndim == 2:
-        return v @ mat
-    return (v[:, None, :] @ mat)[:, 0, :]
-
-
-def _field(f: np.ndarray, g: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """f + g u for B inputs u (B, m), with f and g shared or stacked."""
-    gu = u @ g.T if g.ndim == 2 else (g @ u[:, :, None])[:, :, 0]
-    return f + gu
+    return [i for i in fits if specs[i].nominal is first.nominal]
 
 
 class Stage(NamedTuple):
@@ -299,7 +293,7 @@ class Stage(NamedTuple):
     h: np.ndarray
     c: np.ndarray
     d: np.ndarray
-    d2: float | np.ndarray
+    d2: float
     c_bar: np.ndarray
     lam: np.ndarray
     kappa: np.ndarray
@@ -313,8 +307,10 @@ def evaluate_stack(
     """The stage at the stack of states ys (B, n), around the nominal (None
     for none), and the rows that the kernel flags.
 
-    system, barrier and nominal must take stacks (see _batch_members); the
-    kernel's members are the rows, or one spec broadcast over them.  Each
+    system, barrier and nominal must take stacks (see _batch_members): the
+    input map (n, m) and the barrier gradient (n,) are shared by the rows,
+    the drift is (B, n) or shared, and the value and the nominal act row by
+    row.  The kernel's members are the rows, or one spec broadcast over them.  Each
     value equals evaluate_constraint's and evaluate_controller's at the row,
     bit for bit, where the maps are exact in this order of operations.
     check_shapes checks the maps' output shapes, once per caller.
@@ -323,17 +319,13 @@ def evaluate_stack(
     grad = barrier.gradient(ys)
     f = system.drift(ys)
     g = system.input_map(ys)
-    c = _dot(grad, f) + barrier.classk.fn(h)
-    d = _vecmat(grad, g)
-    d2 = _dot(d, d)
-    if nominal is None:
-        kd = None
-        c_bar = c
-    else:
-        kd = nominal(ys)
-        c_bar = c + _dot(kd, d)
+    kd = None if nominal is None else nominal(ys)
     if check_shapes:
         _check_shapes(system, len(ys), f, g, h, grad, kd)
+    c = f @ grad + barrier.classk.fn(h)
+    d = grad @ g
+    d2 = d @ d  # a numpy float: the kernel's array ops take it faster than a Python float
+    c_bar = c if kd is None else c + kd @ d
     lam, kappa, gam, flagged = kernel(c_bar, d2)
     u = lam[:, None] * d
     if kd is not None:
@@ -345,9 +337,9 @@ def _check_shapes(system, b, f, g, h, grad, kd) -> None:
     n, m = system.state_dim, system.input_dim
     for name, arr, shapes in (
         ("drift", f, [(n,), (b, n)]),
-        ("input_map", g, [(n, m), (b, n, m)]),
+        ("input_map", g, [(n, m)]),
         ("barrier value", h, [(b,)]),
-        ("barrier gradient", grad, [(n,), (b, n)]),
+        ("barrier gradient", grad, [(n,)]),
         ("nominal", kd, [(b, m)]),
     ):
         if arr is not None and np.shape(arr) not in shapes:
@@ -363,7 +355,7 @@ class _Batch:
         self.system = system
         self.barrier = barrier
         self.specs = specs
-        self.nominal = specs[0].nominal if specs[0].kind == "safety_filter" else None
+        self.nominal = specs[0].nominal
         self.checked = False
 
     def evaluate(self, ys: np.ndarray, kernel: FormulaBatch) -> tuple[Stage, np.ndarray]:
@@ -412,7 +404,7 @@ class _Batch:
                     continue  # evaluate the others again at x_k
                 u_k = stage.u if w is None else stage.u + w
                 if k % every == 0:
-                    rec.write(k // every, None if len(members) == n_members else members, xs, stage, u_k, kernel)
+                    rec.write(k // every, None if len(members) == n_members else members, xs, stage, u_k)
                 if k >= n_steps:
                     break
                 x_new, flagged = self.step(xs, stage, u_k, w, kernel, cfg)
@@ -429,16 +421,16 @@ class _Batch:
         """One RK4 (or Euler) step of every member from xs, and the members
         flagged in stages 2-4 or whose new state is not finite."""
         dt = cfg.dt
-        k1 = _field(stage.f, stage.g, u_k)
+        k1 = stage.f + u_k @ stage.g.T
         if cfg.integrator == "euler":
             x_new = xs + dt * k1
             return x_new, ~np.isfinite(x_new).all(axis=1)
 
         def f_cl(ys):
             if cfg.zoh:
-                return _field(self.system.drift(ys), self.system.input_map(ys), u_k), False
+                return self.system.drift(ys) + u_k @ self.system.input_map(ys).T, False
             st, flagged = self.evaluate(ys, kernel)
-            return _field(st.f, st.g, st.u if w is None else st.u + w), flagged
+            return st.f + (st.u if w is None else st.u + w) @ st.g.T, flagged
 
         k2, flagged2 = f_cl(xs + (0.5 * dt) * k1)
         k3, flagged3 = f_cl(xs + (0.5 * dt) * k2)
@@ -461,16 +453,15 @@ class _Record:
         self.margins = np.empty((n_rows, n_members))
         self.correction_norms = np.empty((n_rows, n_members))
 
-    def write(self, row: int, members, xs, stage: Stage, u_applied, kernel: FormulaBatch) -> None:
+    def write(self, row: int, members, xs, stage: Stage, u_applied) -> None:
         """Record row for the members (all when None) as the scalar loop's record would."""
         sel = slice(None) if members is None else members
         self.states[row, sel] = xs
         self.inputs[row, sel] = stage.u
         self.h_values[row, sel] = stage.h
-        self.residuals[row, sel] = stage.c + _dot(u_applied, stage.d)
-        kappa = stage.kappa if kernel.kappa_nan is None else stage.kappa + kernel.kappa_nan
-        self.kappas[row, sel] = kappa
-        self.margins[row, sel] = margins(stage.c_bar, kappa, stage.gam)
+        self.residuals[row, sel] = stage.c + u_applied @ stage.d
+        self.kappas[row, sel] = stage.kappa
+        self.margins[row, sel] = margins(stage.c_bar, stage.kappa, stage.gam)
         self.correction_norms[row, sel] = stage.lam * np.sqrt(stage.d2)
 
     def rows(self, i: int, n_rows: int) -> dict[str, np.ndarray]:

@@ -10,7 +10,7 @@ import pytest
 
 from cbfctrl import CBFControlError, cli, evaluate_constraint, evaluate_controller
 from cbfctrl.cli import _fmt, main, write_trajectory_csv
-from cbfctrl.simulate import Trajectory
+from cbfctrl.simulate import SimConfig, Trajectory, run
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -353,6 +353,11 @@ def test_check_fails_states_where_the_controller_is_infeasible(tmp_path, capsys,
         assert "infeasible constraint" in capsys.readouterr().err
 
 
+# the single integrator on the shipped velocity config, for its linear barrier and constant nominal
+SINGLE = ['system={"name":"single_integrator"}', 'controller={"kind":"qp"}', "x0=[0]"]
+LINE = 'barrier={"kind":"linear","normal":[1],"offset":1}'
+
+
 @pytest.mark.parametrize(
     "command, sets, message",
     [
@@ -362,6 +367,30 @@ def test_check_fails_states_where_the_controller_is_infeasible(tmp_path, capsys,
             "check",
             ["grid.kind=box", 'grid.base="abc"', 'grid.axes=[{"dim":0,"min":0,"max":1,"count":2}]'],
             "config.grid.base must be a list of 3 numbers, got 'abc'",
+        ),
+        ("simulate", ['x0=["1","0","0"]'], "config.x0 must be a list of 3 numbers, got ['1', '0', '0']"),
+        ("simulate", ["x0=[true,0,0]"], "config.x0 must be a list of 3 numbers, got [True, 0, 0]"),
+        ("simulate", ["x0=[1,0]"], "config.x0 must be a list of 3 numbers, got [1, 0]"),
+        ("simulate", ['system.x0_q=["a",0]'], "config.system.x0_q must be a list of 2 numbers, got ['a', 0]"),
+        (
+            "simulate",
+            ['disturbance={"kind":"sinusoidal","amplitude":["a",0],"freq":1}'],
+            "config.disturbance.amplitude must be a list of 2 numbers, got ['a', 0]",
+        ),
+        (
+            "simulate",
+            ['disturbance={"kind":"constant","value":[0,0.1,0]}'],
+            "config.disturbance.value must be a list of 2 numbers, got [0, 0.1, 0]",
+        ),
+        (
+            "simulate",
+            SINGLE + ['barrier={"kind":"linear","normal":["a"],"offset":1}'],
+            "config.barrier.normal must be a list of 1 number, got ['a']",
+        ),
+        (
+            "simulate",
+            SINGLE + [LINE, 'nominal={"kind":"constant","value":[1,2]}'],
+            "config.nominal.value must be a list of 1 number, got [1, 2]",
         ),
     ],
 )
@@ -475,6 +504,24 @@ VELOCITY_CONFIG = str(CONFIG_DIR / "twolink_velocity.json")
         (["check", "--set", "controller.kind=5"], "config.controller.kind must be a string"),
         (["sweep", "--param", "eta", "--values", "null"], "config.controller.eta must be a number"),
         (["sweep", "--param", "eta", "--values", '0.7,"abc"'], "config.controller.eta must be a number"),
+        (["simulate", "--set", "sim.dt=abc"], "dt must be a number"),
+        (["simulate", "--set", "sim.horizon=null"], "horizon must be a number"),
+        (["simulate", "--set", "sim.record_every=1.5"], "record_every must be an integer"),
+        (["sweep", "--param", "eta", "--values", "0.7", "--set", "sim.record_every=1.5"], "record_every must be an integer"),
+        (["simulate", "--set", "sim.zoh=yes"], "zoh must be true or false"),
+        (["simulate", "--set", "sim.integrator=4"], "integrator must be a string"),
+        (["simulate", "--set", "seed=a"], "config.seed must be a nonnegative integer"),
+        (["simulate", "--set", "seed=-1"], "config.seed must be a nonnegative integer"),
+        (["simulate", "--set", "system.dim=a"], "config.system.dim must be an integer"),
+        (["simulate", "--set", "system.q_bar=a"], "config.system.q_bar must be a number"),
+        (["check", "--set", "system.kp=a"], "config.system.kp must be a number"),
+        (["simulate", "--set", "barrier.offset=a"], "config.barrier.offset must be a number"),
+        (["simulate", "--set", "disturbance.kind=sinusoidal", "--set", "disturbance.freq=a"],
+         "config.disturbance.freq must be a number"),
+        (["simulate", "--set", "disturbance.kind=bounded_random", "--set", "disturbance.magnitude=null"],
+         "config.disturbance.magnitude must be a number"),
+        (["simulate", "--set", "disturbance.kind=bounded_random", "--set", "disturbance.seed=1.5"],
+         "config.disturbance.seed must be a nonnegative integer"),
     ],
 )
 def test_config_value_types_are_config_errors(tmp_path, capsys, argv, message):
@@ -558,11 +605,47 @@ def test_stacked_grid_matches_the_per_state_body(tmp_path, capsys, monkeypatch, 
     unstacked(monkeypatch)
     per_state = counting(monkeypatch, "evaluate_constraint")
     assert outcome(capsys, tmp_path / "out", argv) == stacked
-    if (command, case) != ("margin", "qp"):  # margin rejects the min-norm filter up front
-        assert per_state
     if case == "gamma_0" and command == "check":
+        # check rejects the norm bound before it evaluates any state
         assert stacked[0] == 1
         assert stacked[2] == "config error: gamma must be positive, got 0\n"
+    elif (command, case) != ("margin", "qp"):  # margin rejects the min-norm filter up front
+        assert per_state
+
+
+def per_row(fn):
+    """fn with its shared array repeated for every state of a stack."""
+
+    def mapped(x):
+        out = fn(x)
+        return np.broadcast_to(out, (len(x),) + out.shape) if x.ndim == 2 else out
+
+    return mapped
+
+
+def break_stacking(sc, name):
+    """Make the scenario's map called name break the stacking contract: a
+    per-row input map or barrier gradient, or a nominal of the wrong shape."""
+    if name == "input_map":
+        sc.system = replace(sc.system, input_map=per_row(sc.system.input_map))
+    elif name == "barrier gradient":
+        sc.barrier = replace(sc.barrier, gradient=per_row(sc.barrier.gradient))
+    else:
+        nominal = sc.spec.nominal
+        sc.spec = replace(sc.spec, nominal=lambda x: nominal(x)[..., :1])
+    return sc
+
+
+@pytest.mark.parametrize("name", ["input_map", "barrier gradient", "nominal"])
+def test_stacks_outside_the_shared_contract_are_config_errors(tmp_path, capsys, monkeypatch, name):
+    sc = break_stacking(cli.build_scenario(cli.load_config(VELOCITY_CONFIG)), name)
+    with pytest.raises(cli.ConfigurationError, match=rf"^{name} of a stack of 2 states has shape \("):
+        run(sc.system, [sc.spec, sc.spec], sc.barrier, sc.x0, SimConfig(dt=1e-3, horizon=0.01))
+    build = cli.build_scenario
+    monkeypatch.setattr(cli, "build_scenario", lambda *args, **kwargs: break_stacking(build(*args, **kwargs), name))
+    rc = main(["check", "--config", VELOCITY_CONFIG, "--out", str(tmp_path)] + box(SMALL_AXES))
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"config error: {name} of a stack of 108 states has shape (")
 
 
 def test_bounded_input_margin_stops_at_the_first_state_out_of_range(tmp_path, capsys):

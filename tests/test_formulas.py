@@ -313,6 +313,8 @@ def test_safety_filter_rejects_filter_inner():
     inner = ControllerSpec.safety_filter(ControllerSpec.qp(), lambda x: np.zeros(1))
     with pytest.raises(ConfigurationError):
         ControllerSpec.safety_filter(inner, lambda x: np.zeros(1))
+    with pytest.raises(ConfigurationError, match="needs a callable nominal, got None"):
+        ControllerSpec.safety_filter(ControllerSpec.qp(), None)
 
 
 def test_bounded_input_norm_bound():

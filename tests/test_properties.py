@@ -154,6 +154,8 @@ def assert_kernel_matches_scalar(specs, cs_, d):
     with np.errstate(all="ignore"):
         lam, kappa, gam, flagged = FormulaBatch(specs)(np.array(cs_), d2)
     for i, (spec, c) in enumerate(zip(specs, cs_)):
+        if spec.kind == "qp":
+            assert math.isnan(kappa[i])  # qp has no tunable term
         try:
             out = evaluate_controller(spec, AffineConstraint(c, d))
         except CBFControlError:

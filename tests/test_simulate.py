@@ -242,6 +242,14 @@ def test_sim_config_validation():
         SimConfig(record_every=0)
     with pytest.raises(ConfigurationError):
         SimConfig(integrator="rk5")
+    for bad in (
+        {"dt": "abc"}, {"dt": True}, {"horizon": None}, {"horizon": math.inf}, {"horizon": math.nan},
+        {"record_every": 1.5}, {"record_every": True}, {"integrator": 4},
+        {"zoh": "yes"}, {"zoh": 1}, {"allow_unsafe_start": None},
+    ):
+        with pytest.raises(ConfigurationError, match=f"^{next(iter(bad))} must be "):
+            SimConfig(**bad)
+    SimConfig(dt=np.float64(1e-3), horizon=1, record_every=np.int64(2))  # numpy and int values are numbers
     with pytest.raises(ConfigurationError):
         step(single_integrator(1), lambda y: np.zeros(1), np.zeros(1), 0.1, "rk5")
 
@@ -450,6 +458,18 @@ def test_list_run_members_stay_batched(monkeypatch):
     assert [t.failure_step for t in trajs] == [86, 272, 563]
     per_member = [sum(spec is s for s in calls) for spec in gammas]
     assert sum(per_member) == len(calls) and all(1 <= n <= 4 for n in per_member)
+    # bare specs of different kinds share no nominal, so they advance together
+    calls.clear()
+    system, barrier = stacked_line(lambda x: np.full_like(x, -1.0))  # pushed toward h = 0
+    bare = [ControllerSpec.qp(), ControllerSpec.sontag(S02), ControllerSpec.tunable(S02, TunableTermPolicy.eta_constant(0.6))]
+    assert _batch_members(system, barrier, bare) == [0, 1, 2]
+    cfg = SimConfig(dt=1e-3, horizon=1.0)
+    trajs = run(system, bare, barrier, np.array([0.0]), cfg)
+    assert all(t.ok for t in trajs) and calls == []
+    for traj, alone in zip(trajs, assert_list_run_matches(system, bare, barrier, np.array([0.0]), cfg)):
+        for name in RECORDED:
+            assert getattr(traj, name).tobytes() == getattr(alone, name).tobytes(), name
+    assert np.isnan(trajs[0].kappas).all() and not np.isnan(trajs[1].kappas).any()
 
 
 def test_list_run_failures_at_step_zero_and_run_scenario_equivalence():
@@ -495,6 +515,7 @@ def test_list_run_blow_ups_match_scalar():
     # xdot = x^2 + u, pushed outward (h = 1 + x grows): escapes near t = 0.5,
     # as a non-finite constraint at x_k (qp) or inside the step (the others)
     system, barrier = stacked_line(lambda x: x * x)
+    assert _batch_members(system, barrier, specs) == [0, 1, 2]
     cfg = SimConfig(dt=1e-3, horizon=1.0)
     with np.errstate(all="ignore"):
         trajs = assert_list_run_matches(system, specs, barrier, np.array([2.0]), cfg)
