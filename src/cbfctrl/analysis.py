@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .core import (
     AffineConstraint,
     ConfigurationError,
     DegenerateMarginError,
-    IncompatibleInputError,
     ShapingFunction,
     gamma_sontag,
 )
@@ -27,7 +26,6 @@ from .formulas import (
     ControllerOutput,
     ControllerSpec,
     evaluate_controller,
-    kappa_upper,
     norm_bound_slack,
 )
 
@@ -84,29 +82,6 @@ def margin_of(out: ControllerOutput) -> float:
 
 
 @dataclass(frozen=True)
-class MarginReport:
-    """Sample-based margin summary.
-
-    xi_bar_estimate is the maximum of the per-sample margins; it is an
-    estimate over the supplied states only, never a global supremum.
-    m_of_x is the margin at the last sample evaluated.
-    """
-
-    m_of_x: float
-    xi_bar_estimate: float
-    sample_count: int
-
-
-def margin_report(margins: Sequence[float]) -> MarginReport:
-    vals = [float(m) for m in margins]
-    if not vals:
-        raise ConfigurationError("margin report needs at least one sample")
-    return MarginReport(
-        m_of_x=vals[-1], xi_bar_estimate=max(vals), sample_count=len(vals)
-    )
-
-
-@dataclass(frozen=True)
 class CompatibilityResult:
     """Outcome of the norm-bound compatibility test gamma*||d|| + c >= 0."""
 
@@ -119,30 +94,12 @@ class CompatibilityResult:
 
 def check_compatibility(con: AffineConstraint, gamma: float) -> CompatibilityResult:
     """Can some ||u|| <= gamma satisfy c + d u >= 0?  Yes iff gamma*||d|| >= -c."""
-    return compatibility(con.c, con.d_norm_sq, gamma)
-
-
-def compatibility(c: float, d2: float, gamma: float) -> CompatibilityResult:
-    """check_compatibility at the offset c and squared norm d2 = ||d||^2."""
     if not gamma > 0.0:
         raise ConfigurationError(f"gamma must be positive, got {gamma}")
-    slack = norm_bound_slack(c, d2, gamma)
+    slack = norm_bound_slack(con.c, con.d_norm_sq, gamma)
     if slack >= 0.0:
         return CompatibilityResult(compatible=True, deficit=0.0)
     return CompatibilityResult(compatible=False, deficit=-slack)
-
-
-def kappa_bi_upper(
-    con: AffineConstraint, gamma: float, shaping: ShapingFunction
-) -> float:
-    """Right endpoint (gamma*||d|| + c) / Gamma of the bounded-input kappa range."""
-    compat = check_compatibility(con, gamma)
-    if not compat.compatible:
-        raise IncompatibleInputError(
-            f"bound gamma={gamma} incompatible with (c={con.c}, ||d||={con.d_norm})",
-            deficit=compat.deficit,
-        )
-    return kappa_upper(con.c, con.d_norm_sq, gamma_sontag(con, shaping), gamma)
 
 
 def probe_derivative_jump(

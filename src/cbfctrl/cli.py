@@ -578,7 +578,7 @@ def cmd_check(args) -> int:
         c_eff[i], d2[i], kappa[i], range_ok[i] = _check_state(scenario, states[i])
     with np.errstate(all="ignore"):
         d_norm = np.sqrt(d2)
-        slack = None if gamma is None else gamma * d_norm + c_eff  # as analysis.compatibility forms it
+        slack = None if gamma is None else gamma * d_norm + c_eff  # as check_compatibility forms it
     ok = range_ok if slack is None else range_ok & (slack >= 0.0)
 
     def row(i: int) -> str:
@@ -677,6 +677,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        is_seed, kind = _SEED
+        if args.seed is not None and not is_seed(args.seed):
+            raise ConfigurationError(f"--seed must be {kind}, got {args.seed}")
         return args.fn(args)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -160,40 +160,16 @@ class BarrierFunction:
     """Scalar barrier h, its gradient, and the class-K term beta.
 
     The safe set is {x : h(x) >= 0}; its boundary and interior are carried
-    implicitly by the sign of h.  Gradients are supplied analytically; a
-    finite-difference construction exists for tests only, see
-    :meth:`with_fd_gradient`.  stacks declares that value, gradient and
-    classk.fn also map a stack of states (B, n): value to (B,), gradient
-    to one (n,) shared by the stack.
+    implicitly by the sign of h.  Gradients are supplied analytically.
+    stacks declares that value, gradient and classk.fn also map a stack
+    of states (B, n): value to (B,), gradient to one (n,) shared by the
+    stack.
     """
 
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     classk: ExtendedClassK
     stacks: bool = False
-
-    @classmethod
-    def with_fd_gradient(
-        cls, value: Callable[[np.ndarray], float], classk: ExtendedClassK
-    ) -> "BarrierFunction":
-        """Barrier with a central finite-difference gradient (testing only)."""
-        return cls(value=value, gradient=lambda x: finite_difference_gradient(value, x), classk=classk)
-
-
-def finite_difference_gradient(
-    fn: Callable[[np.ndarray], float], x: np.ndarray, rel_step: float = 1e-6
-) -> np.ndarray:
-    """Central finite-difference gradient with step rel_step*(1 + |x_i|)."""
-    x = np.asarray(x, dtype=float)
-    grad = np.empty_like(x)
-    for i in range(x.size):
-        step = rel_step * (1.0 + abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += step
-        xm[i] -= step
-        grad[i] = (fn(xp) - fn(xm)) / (2.0 * step)
-    return grad
 
 
 @dataclass(frozen=True)
@@ -256,11 +232,6 @@ class TunableTermPolicy:
     @classmethod
     def kappa_direct(cls, fn: Callable[[np.ndarray], float]) -> "TunableTermPolicy":
         return cls(kind="kappa_direct", kappa_fn=fn)
-
-    @property
-    def safe_by_construction(self) -> bool:
-        """True when the range checks can never trip (constant eta >= 0.5)."""
-        return self.kind == "eta_constant" and self.eta is not None and self.eta >= 0.5
 
 
 def evaluate_constraint(

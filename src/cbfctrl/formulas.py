@@ -79,11 +79,6 @@ def lambda_sontag(c: float, d: float, shaping: ShapingFunction) -> float:
     return _multiplier(c, d, 1.0, Gamma(c, d, shaping))
 
 
-def lambda_tunable_relu(c: float, d: float, kappa: float, shaping: ShapingFunction) -> float:
-    """ReLU((-c + kappa*Gamma) / d), the bare formula for any kappa."""
-    return _multiplier(c, d, kappa, Gamma(c, d, shaping))
-
-
 def lambda_tunable(c: float, d: float, kappa: float, shaping: ShapingFunction) -> float:
     """Smooth form (-c + kappa*Gamma) / d, with kappa checked against its range."""
     gam = Gamma(c, d, shaping)

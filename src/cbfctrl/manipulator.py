@@ -10,10 +10,9 @@ through the rigid-body dynamics using the composite barrier
 
 with a min-norm safety filter around the tracking torque.  Backstepping
 needs the total derivative of k0, so the velocity-level scenario carries
-analytic Jacobians built on the multiplier slope of its formula
-(finite-difference fallbacks exist for tests).  Every torque-level map
-reads one per-state evaluation, torque_terms, so the dynamics, k0 and its
-Jacobians are formed once per state.
+analytic Jacobians built on the multiplier slope of its formula.  Every
+torque-level map reads one per-state evaluation, torque_terms, so the
+dynamics, k0 and its Jacobians are formed once per state.
 
 Time enters through the reference trajectory; both layers carry it as a
 trailing clock state with rate 1, which keeps every map a pure function
@@ -34,7 +33,6 @@ from .core import (
     ControlAffineSystem,
     ExtendedClassK,
     NumericsError,
-    finite_difference_gradient,
 )
 from .formulas import ControllerSpec, controller_spec, lambda_and_slope
 from .simulate import SimConfig, Trajectory, run
@@ -101,22 +99,6 @@ def gravity_vector(p: ManipulatorParams, q: np.ndarray) -> np.ndarray:
     )
 
 
-def potential_energy(p: ManipulatorParams, q: np.ndarray) -> float:
-    g = p.gravity
-    return float(
-        (p.m1 * p.lc1 + p.m2 * p.l1) * g * math.sin(q[0])
-        + p.m2 * p.lc2 * g * math.sin(q[0] + q[1])
-    )
-
-
-def kinetic_energy(p: ManipulatorParams, q: np.ndarray, v: np.ndarray) -> float:
-    return 0.5 * float(v @ mass_matrix(p, q) @ v)
-
-
-def total_energy(p: ManipulatorParams, q: np.ndarray, v: np.ndarray) -> float:
-    return kinetic_energy(p, q, v) + potential_energy(p, q)
-
-
 def _inverse_terms(a: float, b: float, c: float, d: float) -> tuple[float, float, float, float]:
     """Entries, row by row, of the inverse of [[a, b], [c, d]]."""
     det = a * d - b * c
@@ -125,29 +107,7 @@ def _inverse_terms(a: float, b: float, c: float, d: float) -> tuple[float, float
     return d / det, -b / det, -c / det, a / det
 
 
-def _inverse_2x2(m: np.ndarray) -> np.ndarray:
-    (a, b), (c, d) = m.tolist()
-    i11, i12, i21, i22 = _inverse_terms(a, b, c, d)
-    return np.array([[i11, i12], [i21, i22]])
-
-
-def dynamics(
-    p: ManipulatorParams, q: np.ndarray, qdot: np.ndarray, u: np.ndarray
-) -> np.ndarray:
-    """State derivative [qdot; qddot] of M qddot + C qdot + N = u."""
-    q = np.asarray(q, dtype=float)
-    qdot = np.asarray(qdot, dtype=float)
-    u = np.asarray(u, dtype=float)
-    m_inv = _inverse_2x2(mass_matrix(p, q))
-    qddot = m_inv @ (u - coriolis_matrix(p, q, qdot) @ qdot - gravity_vector(p, q))
-    return np.concatenate([qdot, qddot])
-
-
-# --- reference trajectory ---------------------------------------------------
-
-def reference(tau: float) -> np.ndarray:
-    return np.array([2.0 * math.sin(tau) + 1.0, 2.0 * math.sin(tau)])
-
+# --- reference trajectory r(tau) = [2 sin(tau) + 1, 2 sin(tau)] -------------
 
 def reference_rate(tau: float) -> np.ndarray:
     c = 2.0 * math.cos(tau)
@@ -176,9 +136,6 @@ class VirtualController:
     jac_tau: Callable[[np.ndarray, float], np.ndarray]
     terms: Callable[[np.ndarray, float], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
-    def total_derivative(self, q: np.ndarray, v: np.ndarray, tau: float) -> np.ndarray:
-        return self.jac_q(q, tau) @ v + self.jac_tau(q, tau)
-
     @classmethod
     def from_terms(
         cls, terms: Callable[[np.ndarray, float], tuple[np.ndarray, np.ndarray, np.ndarray]]
@@ -189,28 +146,6 @@ class VirtualController:
             jac_q=lambda q, tau: terms(q, tau)[1],
             jac_tau=lambda q, tau: terms(q, tau)[2],
             terms=terms,
-        )
-
-    @classmethod
-    def from_map(cls, fn: Callable[[np.ndarray, float], np.ndarray]) -> "VirtualController":
-        """Finite-difference Jacobians around an opaque map (tests only)."""
-
-        def jac_q(q, tau):
-            cols = []
-            for i in range(2):
-                comp = lambda z, i=i: fn(np.array([z[0], z[1]]), tau)[i]
-                cols.append(finite_difference_gradient(comp, np.asarray(q, float)))
-            return np.vstack(cols)
-
-        def jac_tau(q, tau):
-            step = 1e-6 * (1.0 + abs(tau))
-            return (fn(q, tau + step) - fn(q, tau - step)) / (2.0 * step)
-
-        return cls(
-            value=fn,
-            jac_q=jac_q,
-            jac_tau=jac_tau,
-            terms=lambda q, tau: (fn(q, tau), jac_q(q, tau), jac_tau(q, tau)),
         )
 
 
@@ -279,8 +214,8 @@ def velocity_level_scenario(
     ref_offset = np.array([1.0, 0.0])
 
     def tracking(q1: float, q2: float, tau: float) -> tuple[np.ndarray, np.ndarray]:
-        """The command -kp (q - reference(tau)) + reference_rate(tau) and
-        reference_rate(tau), with the reference formed in floats."""
+        """The command -kp (q - r(tau)) + r'(tau) and the rate r'(tau), with
+        the reference r formed in floats."""
         ref = 2.0 * math.sin(tau)
         rate = 2.0 * math.cos(tau)
         ref_rate = np.array([rate, rate])
@@ -288,8 +223,8 @@ def velocity_level_scenario(
 
     def nominal(x: np.ndarray) -> np.ndarray:
         if x.ndim == 2:
-            # reference() and reference_rate() of every row; -kp_mat is
-            # diagonal, so each product has the scalar path's one term.
+            # r and r' at every row; -kp_mat is diagonal, so each product
+            # has the scalar path's one term.
             tau = x[:, 2]
             ref = (2.0 * np.sin(tau))[:, None] + ref_offset
             return (x[:, :2] - ref) @ neg_kp_t + (2.0 * np.cos(tau))[:, None]

@@ -81,6 +81,10 @@ class SimConfig:
             raise ConfigurationError(f"horizon must be nonnegative, got {self.horizon}")
         if not math.isfinite(self.horizon):
             raise ConfigurationError(f"horizon must be finite, got {self.horizon}")
+        if not math.isfinite(self.horizon / self.dt):
+            raise ConfigurationError(
+                f"horizon / dt must be a finite step count, got {self.horizon} / {self.dt}"
+            )
         if self.horizon > 0.0 and self.dt > self.horizon:
             raise ConfigurationError(
                 f"dt={self.dt} exceeds horizon={self.horizon}"
@@ -89,6 +93,11 @@ class SimConfig:
             raise ConfigurationError(f"record_every must be >= 1, got {self.record_every}")
         if self.integrator not in ("rk4", "euler"):
             raise ConfigurationError(f"unknown integrator {self.integrator!r}")
+
+    @property
+    def n_steps(self) -> int:
+        """Steps of dt in the horizon; 0 for a zero horizon."""
+        return int(round(self.horizon / self.dt)) if self.horizon > 0.0 else 0
 
 
 @dataclass
@@ -215,7 +224,7 @@ def _run_scalar(
 ) -> Trajectory:
     """The closed loop from x0 at step start, after the prior rows (keyed by
     Trajectory field) that a run from step 0 recorded before it."""
-    n_steps = int(round(cfg.horizon / cfg.dt)) if cfg.horizon > 0.0 else 0
+    n_steps = cfg.n_steps
     m = system.input_dim
     rows = {name: list(prior[name]) if prior else [] for name in _ROWS}
     failure: Optional[str] = None
@@ -365,7 +374,7 @@ class _Batch:
 
     def run(self, x0: np.ndarray, cfg: SimConfig, disturbance) -> list[Trajectory]:
         n_members = len(self.specs)
-        n_steps = int(round(cfg.horizon / cfg.dt)) if cfg.horizon > 0.0 else 0
+        n_steps = cfg.n_steps
         every = cfg.record_every
         m = self.system.input_dim
         rec = _Record(np.arange(0, n_steps + 1, every) * cfg.dt, n_members, self.system.state_dim, m)

@@ -1,0 +1,75 @@
+"""Reference implementations the tests compare the library against.
+
+Each is written independently of the library's fused evaluation paths:
+forward dynamics and energies of the two-link arm, its reference
+trajectory, central finite differences, and the bare ReLU multiplier.
+"""
+
+import math
+
+import numpy as np
+
+from cbfctrl.manipulator import ManipulatorParams, coriolis_matrix, gravity_vector, mass_matrix
+
+
+def finite_difference_gradient(fn, x, rel_step=1e-6):
+    """Central finite-difference gradient with step rel_step*(1 + |x_i|)."""
+    x = np.asarray(x, dtype=float)
+    grad = np.empty_like(x)
+    for i in range(x.size):
+        step = rel_step * (1.0 + abs(x[i]))
+        xp = x.copy()
+        xm = x.copy()
+        xp[i] += step
+        xm[i] -= step
+        grad[i] = (fn(xp) - fn(xm)) / (2.0 * step)
+    return grad
+
+
+def fd_k0_jacobians(k0, q, tau):
+    """Central finite-difference Jacobians (in q, in tau) of a velocity command k0(q, tau)."""
+    jac_q = np.vstack(
+        [finite_difference_gradient(lambda z, i=i: k0(z, tau)[i], q) for i in range(2)]
+    )
+    step = 1e-6 * (1.0 + abs(tau))
+    return jac_q, (k0(q, tau + step) - k0(q, tau - step)) / (2.0 * step)
+
+
+def total_derivative(k0, q, v, tau):
+    """d/dt k0(q, tau) along qdot = v, from a VirtualController's Jacobians."""
+    return k0.jac_q(q, tau) @ v + k0.jac_tau(q, tau)
+
+
+def reference(tau):
+    """The joint reference trajectory r(tau) tracked by both manipulator layers."""
+    return np.array([2.0 * math.sin(tau) + 1.0, 2.0 * math.sin(tau)])
+
+
+def inverse_2x2(m):
+    """Inverse of a 2x2 matrix by its adjugate."""
+    (a, b), (c, d) = m.tolist()
+    return np.array([[d, -b], [-c, a]]) / (a * d - b * c)
+
+
+def dynamics(p: ManipulatorParams, q, qdot, u):
+    """State derivative [qdot; qddot] of M qddot + C qdot + N = u."""
+    q, qdot, u = (np.asarray(a, dtype=float) for a in (q, qdot, u))
+    m_inv = inverse_2x2(mass_matrix(p, q))
+    qddot = m_inv @ (u - coriolis_matrix(p, q, qdot) @ qdot - gravity_vector(p, q))
+    return np.concatenate([qdot, qddot])
+
+
+def total_energy(p: ManipulatorParams, q, v):
+    """Kinetic plus potential energy of the arm."""
+    g = p.gravity
+    potential = (
+        (p.m1 * p.lc1 + p.m2 * p.l1) * g * math.sin(q[0]) + p.m2 * p.lc2 * g * math.sin(q[0] + q[1])
+    )
+    return 0.5 * float(v @ mass_matrix(p, q) @ v) + potential
+
+
+def lambda_tunable_relu(c, d2, kappa, sigma):
+    """ReLU((-c + kappa*Gamma) / ||d||^2) with Gamma = sqrt(c^2 + sigma ||d||^4); 0 at d2 = 0."""
+    if d2 == 0.0:
+        return 0.0
+    return max((-c + kappa * math.sqrt(c * c + sigma * d2 * d2)) / d2, 0.0)

@@ -5,6 +5,7 @@ import pytest
 
 from cbfctrl import (
     AffineConstraint,
+    ConfigurationError,
     ControllerSpec,
     DegenerateMarginError,
     DisturbanceSpec,
@@ -13,16 +14,16 @@ from cbfctrl import (
     TunableTermPolicy,
     check_compatibility,
     disturbed_residual,
+    evaluate_controller,
     gamma_sontag,
-    kappa_bi_upper,
     kappa_from_eta,
     lambda_min_norm,
     lambda_sontag,
     lambda_tunable,
-    margin_report,
     probe_derivative_jump,
     safety_margin_at,
 )
+from cbfctrl.formulas import kappa_upper
 
 S1 = ShapingFunction.linear(1.0)
 S02 = ShapingFunction.linear(0.2)
@@ -86,13 +87,6 @@ def test_margin_nonpositive_and_monotone_in_kappa():
             assert all(step <= 1e-12 for step in diffs)
 
 
-def test_margin_report_invariant():
-    rep = margin_report([-0.9, -0.4, -0.7])
-    assert rep.xi_bar_estimate == pytest.approx(-0.4)
-    assert rep.m_of_x == pytest.approx(-0.7)
-    assert rep.sample_count == 3
-
-
 # --- compatibility with a norm bound -------------------------------------------
 
 def sphere_max_oracle(c, d, gamma, n_samples=2000, rng=None):
@@ -113,6 +107,9 @@ def test_compatibility_hand_values():
     assert not res.compatible
     assert res.deficit == pytest.approx(0.7)
     assert check_compatibility(AffineConstraint(0.1, [0.0]), 5.0).compatible
+    for gamma in (0.0, -1.0, math.nan):
+        with pytest.raises(ConfigurationError, match="gamma must be positive"):
+            check_compatibility(AffineConstraint(0.1, [1.0]), gamma)
 
 
 def test_compatibility_sign_agrees_with_sphere_oracle():
@@ -130,16 +127,22 @@ def test_compatibility_sign_agrees_with_sphere_oracle():
         assert check_compatibility(con, gamma).compatible == (oracle_max >= 0.0)
 
 
+def bi_upper(con, gamma, shaping):
+    """Right end of the bounded-input kappa range at a compatible con."""
+    assert check_compatibility(con, gamma)
+    return kappa_upper(con.c, con.d_norm_sq, gamma_sontag(con, shaping), gamma)
+
+
 def test_kappa_bi_upper_values():
     # (c = -2, ||d|| = 1, gamma = 2.3, sigma = 0.2): 0.3 / sqrt(4.2)
-    upper = kappa_bi_upper(AffineConstraint(-2.0, [1.0]), 2.3, S02)
+    upper = bi_upper(AffineConstraint(-2.0, [1.0]), 2.3, S02)
     assert upper == pytest.approx(0.3 / math.sqrt(4.2), rel=1e-12)
     assert upper == pytest.approx(0.14638501094227998, rel=1e-10)
-    assert kappa_bi_upper(AffineConstraint(0.0, [1.0]), 1.0, S1) == pytest.approx(1.0)
+    assert bi_upper(AffineConstraint(0.0, [1.0]), 1.0, S1) == pytest.approx(1.0)
     # compatibility boundary: range collapses to the empty set
-    assert kappa_bi_upper(AffineConstraint(-2.3, [1.0]), 2.3, S02) == pytest.approx(0.0)
+    assert bi_upper(AffineConstraint(-2.3, [1.0]), 2.3, S02) == pytest.approx(0.0)
     with pytest.raises(IncompatibleInputError) as info:
-        kappa_bi_upper(AffineConstraint(-3.0, [1.0]), 2.3, S02)
+        evaluate_controller(ControllerSpec.bounded_input(S02, 2.3), AffineConstraint(-3.0, [1.0]))
     assert info.value.deficit == pytest.approx(0.7)
 
 

@@ -522,6 +522,10 @@ VELOCITY_CONFIG = str(CONFIG_DIR / "twolink_velocity.json")
          "config.disturbance.magnitude must be a number"),
         (["simulate", "--set", "disturbance.kind=bounded_random", "--set", "disturbance.seed=1.5"],
          "config.disturbance.seed must be a nonnegative integer"),
+        (["simulate", "--set", 'disturbance={"kind":"bounded_random","magnitude":0.1}', "--seed", "-2"],
+         "--seed must be a nonnegative integer"),
+        (["simulate", "--set", "sim.horizon=1e308"], "horizon / dt must be a finite step count"),
+        (["simulate", "--set", "sim.dt=1e-320"], "horizon / dt must be a finite step count"),
     ],
 )
 def test_config_value_types_are_config_errors(tmp_path, capsys, argv, message):

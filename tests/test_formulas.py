@@ -20,10 +20,10 @@ from cbfctrl import (
     lambda_min_norm,
     lambda_sontag,
     lambda_tunable,
-    lambda_tunable_relu,
     lin_sontag_eta,
 )
 from cbfctrl.formulas import check_kappa_range
+from oracles import lambda_tunable_relu
 
 S1 = ShapingFunction.linear(1.0)
 S02 = ShapingFunction.linear(0.2)
@@ -62,20 +62,30 @@ def test_lambda_sontag_positive_for_positive_d():
             assert lambda_sontag(c, d, S02) > 0.0
 
 
+def relu_lam(c, d, kappa):
+    """The ReLU tunable multiplier at (c, d) with constant kappa, as evaluate_controller forms it."""
+    spec = ControllerSpec.tunable(S1, TunableTermPolicy.kappa_direct(lambda x: kappa), relu=True)
+    return evaluate_controller(spec, AffineConstraint(c, d), x=np.zeros(1)).lam
+
+
 def test_lambda_tunable_relu_values():
-    assert lambda_tunable_relu(3.0, 4.0, 1.0, S1) == pytest.approx(
+    # ||d||^2 = 4: the oracle at d2 = 4 and the library at d = [2]
+    assert lambda_tunable_relu(3.0, 4.0, 1.0, 1.0) == pytest.approx(
         lambda_sontag(3.0, 4.0, S1)
     )
+    assert relu_lam(3.0, [2.0], 1.0) == pytest.approx(lambda_tunable_relu(3.0, 4.0, 1.0, 1.0))
     # (-3 + 0.5*5)/4 < 0 clips to 0
-    assert lambda_tunable_relu(3.0, 4.0, 0.5, S1) == 0.0
+    assert lambda_tunable_relu(3.0, 4.0, 0.5, 1.0) == 0.0
+    assert relu_lam(3.0, [2.0], 0.5) == 0.0
     # kappa -> 0 recovers the min-norm multiplier for c < 0
-    assert lambda_tunable_relu(-3.0, 4.0, 1e-12, S1) == pytest.approx(
+    assert lambda_tunable_relu(-3.0, 4.0, 1e-12, 1.0) == pytest.approx(
         lambda_min_norm(-3.0, 4.0), abs=1e-11
     )
+    assert relu_lam(-3.0, [2.0], 1e-12) == pytest.approx(lambda_min_norm(-3.0, 4.0), abs=1e-11)
 
 
 def test_lambda_tunable_relu_safety_range_flag():
-    assert lambda_tunable_relu(0.0, 1.0, 1.4, S1) > 0.0  # bare formula is total
+    assert lambda_tunable_relu(0.0, 1.0, 1.4, 1.0) > 0.0  # bare formula is total
     con = AffineConstraint(0.0, [1.0])
     for kappa in (1.4, 0.0):
         spec = ControllerSpec.tunable(

@@ -250,6 +250,10 @@ def test_sim_config_validation():
         with pytest.raises(ConfigurationError, match=f"^{next(iter(bad))} must be "):
             SimConfig(**bad)
     SimConfig(dt=np.float64(1e-3), horizon=1, record_every=np.int64(2))  # numpy and int values are numbers
+    for bad in ({"horizon": 1e308}, {"dt": 1e-320}):  # the step count overflows to inf
+        with pytest.raises(ConfigurationError, match="^horizon / dt must be a finite step count"):
+            SimConfig(**bad)
+    assert (SimConfig(dt=1e-3, horizon=0.1).n_steps, SimConfig(horizon=0.0).n_steps) == (100, 0)
     with pytest.raises(ConfigurationError):
         step(single_integrator(1), lambda y: np.zeros(1), np.zeros(1), 0.1, "rk5")
 
