@@ -45,7 +45,7 @@ from .formulas import (
     filter_offset,
     resolve_kappa,
 )
-from .simulate import SimConfig, Stage, Trajectory, _batch_members, evaluate_stack, run
+from .simulate import SimConfig, Stage, Trajectory, _batch_members, evaluate_stack, point_evaluation, run
 
 CONFIG_ERROR = 1
 RUN_ERROR = 2
@@ -339,10 +339,20 @@ def write_trajectory_csv(path: Path, traj: Trajectory, n: int, m: int) -> None:
         fh.write("".join([row % tuple(values) for values in table.tolist()]))
 
 
+def _point_evaluation(scenario: Scenario):
+    """The scenario's evaluation at one state x, (con, k_d): one plant
+    evaluation where the plant declares it (see simulate.point_evaluation),
+    else evaluate_constraint with k_d None (the nominal is called later)."""
+    at = point_evaluation(scenario.system, scenario.barrier, scenario.spec)
+    if at is None:
+        return lambda x: (evaluate_constraint(scenario.system, scenario.barrier, x), None)
+    return lambda x: at(x)[3:]
+
+
 def _strict_range_precheck(scenario: Scenario) -> None:
     """Evaluate the controller once at x0 so range violations fail fast."""
-    con = evaluate_constraint(scenario.system, scenario.barrier, scenario.x0)
-    evaluate_controller(scenario.spec, con, scenario.x0)
+    con, kd = _point_evaluation(scenario)(scenario.x0)
+    evaluate_controller(scenario.spec, con, scenario.x0, kd)
 
 
 def cmd_simulate(args) -> int:
@@ -532,15 +542,16 @@ def _stacked_grid(scenario: Scenario, states: np.ndarray) -> tuple[Stage | None,
         )
 
 
-def _check_state(scenario: Scenario, x: np.ndarray) -> tuple[float, float, float, bool]:
-    """(c_eff, ||d||^2, kappa, range ok) at x; kappa is NaN where there is none.
+def _check_state(scenario: Scenario, at, x: np.ndarray) -> tuple[float, float, float, bool]:
+    """(c_eff, ||d||^2, kappa, range ok) at x, evaluated by at (see
+    _point_evaluation); kappa is NaN where there is none.
 
     A state where the controller is infeasible (||d||^2 <= EPS_D with
     c_eff <= 0) fails whatever the kind.
     """
-    con = evaluate_constraint(scenario.system, scenario.barrier, x)
+    con, kd = at(x)
     spec = scenario.spec
-    c_eff, _ = filter_offset(spec, con, x)
+    c_eff, _ = filter_offset(spec, con, x, kd)
     d2 = con.d_norm_sq
     kappa = math.nan
     range_ok = d2 > EPS_D or c_eff > 0.0
@@ -573,9 +584,10 @@ def cmd_check(args) -> int:
     else:
         c_eff, d2, kappa = np.array(np.broadcast_arrays(stage.c_bar, stage.d2, stage.kappa))
     range_ok = np.ones(n_states, dtype=bool)  # an unflagged state's kappa is in range
+    at = _point_evaluation(scenario)
     # In index order, so that the first state to raise is the one a per-state loop meets.
     for i in np.flatnonzero(flagged).tolist():
-        c_eff[i], d2[i], kappa[i], range_ok[i] = _check_state(scenario, states[i])
+        c_eff[i], d2[i], kappa[i], range_ok[i] = _check_state(scenario, at, states[i])
     with np.errstate(all="ignore"):
         d_norm = np.sqrt(d2)
         slack = None if gamma is None else gamma * d_norm + c_eff  # as check_compatibility forms it
@@ -625,10 +637,11 @@ def cmd_margin(args) -> int:
     else:
         with np.errstate(all="ignore"):
             values = margins(stage.c_bar, stage.kappa, stage.gam).tolist()
+    at = _point_evaluation(scenario)
     # In index order, so that the first state to raise is the one a per-state loop meets.
     for i in np.flatnonzero(flagged).tolist():
-        con = evaluate_constraint(scenario.system, scenario.barrier, states[i])
-        values[i] = margin_of(evaluate_controller(scenario.spec, con, states[i]))
+        con, kd = at(states[i])
+        values[i] = margin_of(evaluate_controller(scenario.spec, con, states[i], kd))
     finite = [m for m in values if math.isfinite(m)]
     if not finite:
         print("no finite margins on the grid", file=sys.stderr)

@@ -139,7 +139,9 @@ class ControlAffineSystem:
     stacks declares that both also map a stack of states (B, n): drift to
     (B, n) or to one (n,) shared by the stack, input_map to one (n, m)
     shared by the stack; only then does a batched simulation call them on
-    stacks.
+    stacks.  evaluation declares a one-call evaluation of these maps with
+    a barrier and a nominal (see PlantEvaluation); the scalar simulation
+    loop uses it for runs on exactly that barrier and nominal.
     """
 
     state_dim: int
@@ -147,6 +149,7 @@ class ControlAffineSystem:
     drift: Callable[[np.ndarray], np.ndarray]
     input_map: Callable[[np.ndarray], np.ndarray]
     stacks: bool = False
+    evaluation: "PlantEvaluation | None" = None
 
     def __post_init__(self):
         if self.state_dim < 1 or self.input_dim < 1:
@@ -170,6 +173,23 @@ class BarrierFunction:
     gradient: Callable[[np.ndarray], np.ndarray]
     classk: ExtendedClassK
     stacks: bool = False
+
+
+@dataclass(frozen=True)
+class PlantEvaluation:
+    """One call that forms a plant's maps with the barrier and nominal built beside it.
+
+    fn maps a state (n,) to (f, g, h, grad_h, k_d): the drift (n,), the
+    input map (n, m), the barrier value, its gradient (n,) and the nominal
+    input (m,), or None for no nominal, all float and each equal, bit for
+    bit, to what the separate maps give at that state.  It holds for this
+    barrier and this nominal only (compared by identity), and for the
+    drift and input map of the system that declares it.
+    """
+
+    fn: Callable[[np.ndarray], tuple]
+    barrier: BarrierFunction
+    nominal: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)

@@ -321,16 +321,17 @@ def lambda_and_slope(spec: ControllerSpec, c: float, d2: float) -> tuple[float, 
 
 
 def filter_offset(
-    spec: ControllerSpec, con: AffineConstraint, x: np.ndarray | None
+    spec: ControllerSpec, con: AffineConstraint, x: np.ndarray | None, kd: np.ndarray | None = None
 ) -> tuple[float, np.ndarray | None]:
     """(c_eff, k_d): a safety filter's offset c + d k_d(x) and its nominal,
-    or (c, None) for any other kind.
+    or (c, None) for any other kind.  kd is the nominal at x where the
+    caller has it; without it the nominal is called.
 
     Raises NumericsError where the shifted offset is not finite.
     """
     if spec.kind != "safety_filter":
         return con.c, None
-    kd = np.asarray(spec.nominal(x), dtype=float)
+    kd = np.asarray(spec.nominal(x) if kd is None else kd, dtype=float)
     c = con.c + float(con.d @ kd)
     if not math.isfinite(c):
         raise NumericsError(f"constraint pair is not finite: c={c}, d={con.d}")
@@ -345,7 +346,7 @@ def _infeasible(c: float, d2: float, x: np.ndarray | None) -> InfeasibleConstrai
 
 
 def evaluate_controller(
-    spec: ControllerSpec, con: AffineConstraint, x: np.ndarray | None = None
+    spec: ControllerSpec, con: AffineConstraint, x: np.ndarray | None = None, kd: np.ndarray | None = None
 ) -> ControllerOutput:
     """Evaluate the controller described by spec on the constraint pair.
 
@@ -356,19 +357,22 @@ def evaluate_controller(
     meet the constraint within its norm bound.  A safety filter is one
     pass: its inner formula runs at the shifted offset c + d k_d(x) (see
     filter_offset), which is checked for feasibility as c is, on the
-    constraint's own d and ||d||^2.
+    constraint's own d and ||d||^2.  kd is the filter's nominal at x where
+    the caller has it (see simulate.point_evaluation); any other kind
+    ignores it.
     """
     c = con.c
     d = con.d
     d2 = con.d_norm_sq
     if d2 <= EPS_D and c <= 0.0:
         raise _infeasible(c, d2, x)
-    kd = None
     if spec.kind == "safety_filter":
-        c, kd = filter_offset(spec, con, x)
+        c, kd = filter_offset(spec, con, x, kd)
         if d2 <= EPS_D and c <= 0.0:
             raise _infeasible(c, d2, x)
         spec = spec.inner
+    else:
+        kd = None
 
     if spec.kind == "qp":
         lam = lambda_min_norm(c, d2)

@@ -11,8 +11,9 @@ through the rigid-body dynamics using the composite barrier
 with a min-norm safety filter around the tracking torque.  Backstepping
 needs the total derivative of k0, so the velocity-level scenario carries
 analytic Jacobians built on the multiplier slope of its formula.  Every
-torque-level map reads one per-state evaluation, torque_terms, so the
-dynamics, k0 and its Jacobians are formed once per state.
+torque-level map is a view of one per-state evaluation, torque_terms,
+which the torque-level system declares as its plant evaluation: a
+closed-loop run forms the dynamics, k0 and its Jacobians once per state.
 
 Time enters through the reference trajectory; both layers carry it as a
 trailing clock state with rate 1, which keeps every map a pure function
@@ -33,6 +34,7 @@ from .core import (
     ControlAffineSystem,
     ExtendedClassK,
     NumericsError,
+    PlantEvaluation,
 )
 from .formulas import ControllerSpec, controller_spec, lambda_and_slope
 from .simulate import SimConfig, Trajectory, run
@@ -112,11 +114,6 @@ def _inverse_terms(a: float, b: float, c: float, d: float) -> tuple[float, float
 def reference_rate(tau: float) -> np.ndarray:
     c = 2.0 * math.cos(tau)
     return np.array([c, c])
-
-
-def reference_accel(tau: float) -> np.ndarray:
-    s = -2.0 * math.sin(tau)
-    return np.array([s, s])
 
 
 # --- velocity-level scenario ------------------------------------------------
@@ -212,14 +209,18 @@ def velocity_level_scenario(
 
     neg_kp_t = neg_kp_mat.T
     ref_offset = np.array([1.0, 0.0])
+    # kp is diagonal and d = [0, -1] is constant, so every product with them
+    # below has one nonzero term: each entry is formed in floats, as numpy
+    # forms it elementwise, from the matrices' own entries.
+    (n00, n01), (n10, n11) = neg_kp_mat.tolist()
+    kp_00 = kp_mat.tolist()[0][0]
 
-    def tracking(q1: float, q2: float, tau: float) -> tuple[np.ndarray, np.ndarray]:
-        """The command -kp (q - r(tau)) + r'(tau) and the rate r'(tau), with
-        the reference r formed in floats."""
+    def tracking(q1: float, q2: float, tau: float) -> tuple[float, float, float]:
+        """The command -kp (q - r(tau)) + r'(tau), entry by entry, and the
+        rate r'(tau) (both entries)."""
         ref = 2.0 * math.sin(tau)
         rate = 2.0 * math.cos(tau)
-        ref_rate = np.array([rate, rate])
-        return neg_kp_mat @ np.array([q1 - (ref + 1.0), q2 - ref]) + ref_rate, ref_rate
+        return n00 * (q1 - (ref + 1.0)) + rate, n11 * (q2 - ref) + rate, rate
 
     def nominal(x: np.ndarray) -> np.ndarray:
         if x.ndim == 2:
@@ -229,26 +230,29 @@ def velocity_level_scenario(
             ref = (2.0 * np.sin(tau))[:, None] + ref_offset
             return (x[:, :2] - ref) @ neg_kp_t + (2.0 * np.cos(tau))[:, None]
         q1, q2, tau = x.tolist()
-        return tracking(q1, q2, tau)[0]
+        k1, k2, _ = tracking(q1, q2, tau)
+        return np.array([k1, k2])
 
     spec = ControllerSpec.safety_filter(inner, nominal, nominal_stacks=True)
 
-    # Constraint geometry at the filter: constant direction, c = beta * h.
+    # Constraint geometry at the filter: constant direction d = [0, -1],
+    # c = beta * h, so d.k0d = -k0d[1] and dcbar/dq = beta dh/dq + d (-kp).
     d_vec = np.array([0.0, -1.0])
-    d_col = d_vec[:, None]
     d2 = float(d_vec @ d_vec)
-    dcbar_dq = beta * np.array([0.0, -1.0]) + d_vec @ neg_kp_mat
+    dc1, dc2 = (beta * np.array([0.0, -1.0]) + d_vec @ neg_kp_mat).tolist()
 
     def k0_terms(q: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """k0 and its Jacobians in q and tau from one multiplier evaluation."""
         q2 = float(q[1])
-        k0d, ref_rate = tracking(float(q[0]), q2, tau)
-        lam, slope = lambda_and_slope(inner, beta * (q_bar - q2) + float(d_vec @ k0d), d2)
-        dk0d_dtau = kp_mat @ ref_rate + reference_accel(tau)
+        k1, k2, rate = tracking(float(q[0]), q2, tau)
+        lam, slope = lambda_and_slope(inner, beta * (q_bar - q2) - k2, d2)
+        dk_dtau = kp_00 * rate + -2.0 * math.sin(tau)  # kp r' + r'', both entries
+        s1, s2 = slope * dc1, slope * dc2
+        s_tau = slope * -dk_dtau
         return (
-            k0d + lam * d_vec,
-            neg_kp_mat + d_col * (slope * dcbar_dq),  # the outer product d (slope dcbar/dq)
-            dk0d_dtau + d_vec * (slope * float(d_vec @ dk0d_dtau)),
+            np.array([k1 + lam * 0.0, k2 - lam]),  # k0d + lam d
+            np.array([[n00 + 0.0 * s1, n01 + 0.0 * s2], [n10 - s1, n11 - s2]]),  # -kp + d (slope dcbar/dq)
+            np.array([dk_dtau + 0.0 * s_tau, dk_dtau - s_tau]),  # dk0d/dtau + d slope (d.dk0d/dtau)
         )
 
     k0 = VirtualController.from_terms(k0_terms)
@@ -350,28 +354,21 @@ class TorqueTerms(NamedTuple):
 def torque_terms(
     p: ManipulatorParams, velocity: VelocityScenario, cfg: BacksteppingConfig
 ) -> Callable[[np.ndarray], TorqueTerms]:
-    """Per-state evaluation of the torque level, remembering the last state.
+    """Per-state evaluation of the torque level.
 
     One call forms M and its inverse, C(q, v) v, N(q), k0 with both its
-    Jacobians, and from them every field of TorqueTerms.  The closed loop
-    asks for several of these maps at the same state, so the last result
-    is kept, keyed on the state's bytes (a state mutated in place is a new
-    state); its arrays are read-only because every caller shares them.
+    Jacobians, and from them every field of TorqueTerms, in new arrays.
+    It is the plant evaluation the torque-level system declares (see
+    core.PlantEvaluation), so the closed loop calls it once per state.
     """
     k0_terms = velocity.k0.terms
     h_of = velocity.barrier.value
     mu = cfg.mu
     dh_dq1, dh_dq2 = 0.0, -1.0
-    last: Optional[tuple[bytes, TorqueTerms]] = None
 
     def terms(x: np.ndarray) -> TorqueTerms:
-        nonlocal last
-        x = np.asarray(x, dtype=float)
-        key = x.tobytes()
-        cached = last
-        if cached is not None and cached[0] == key:
-            return cached[1]
         # The elementwise terms in floats, every sum of products a numpy @.
+        x = np.asarray(x, dtype=float)
         q1, q2, v1, v2, tau = x.tolist()
         q, v = x[:2], x[2:4]
         m = mass_matrix(p, (q1, q2))
@@ -392,11 +389,7 @@ def torque_terms(
         grad_b = np.array([dh_dq1 + a1 / mu, dh_dq2 + a2 / mu, -e1 / mu, -e2 / mu, float(e_v @ jac_tau) / mu])
         k0_dot = jac_q @ v + jac_tau
         k_d = m @ (k0_dot - cfg.kp_bar * e_v) + cv + n
-        for arr in (f, g, grad_b, k_d):
-            arr.flags.writeable = False
-        result = TorqueTerms(f=f, g=g, b=b, grad_b=grad_b, k_d=k_d)
-        last = (key, result)
-        return result
+        return TorqueTerms(f=f, g=g, b=b, grad_b=grad_b, k_d=k_d)
 
     return terms
 
@@ -410,25 +403,28 @@ def torque_level_scenario(
 ) -> TorqueScenario:
     """Backstepped safe tracking with a min-norm filter on the composite barrier.
 
-    The system, barrier and nominal torque all read one torque_terms
-    evaluation per state.
+    The system declares torque_terms as its plant evaluation for this
+    barrier and nominal torque, so a run of spec evaluates each state once.
+    The separate maps (drift, input map, barrier value and gradient,
+    nominal) are views of it, each one full evaluation.
     """
     params = params or ManipulatorParams()
     cfg = cfg or BacksteppingConfig()
     velocity = velocity_level_scenario(eta=eta, sigma=sigma, kind=kind, kp=cfg.kp)
     terms = torque_terms(params, velocity, cfg)
-    system = ControlAffineSystem(
-        state_dim=5,
-        input_dim=2,
-        drift=lambda x: terms(x).f,
-        input_map=lambda x: terms(x).g,
-    )
     barrier = BarrierFunction(
         value=lambda x: terms(x).b,
         gradient=lambda x: terms(x).grad_b,
         classk=ExtendedClassK.linear(cfg.alpha_b),
     )
     nominal = lambda x: terms(x).k_d
+    system = ControlAffineSystem(
+        state_dim=5,
+        input_dim=2,
+        drift=lambda x: terms(x).f,
+        input_map=lambda x: terms(x).g,
+        evaluation=PlantEvaluation(terms, barrier, nominal),
+    )
     spec = ControllerSpec.safety_filter(ControllerSpec.qp(), nominal)
     v0 = reference_rate(0.0)
     x0 = np.array([velocity.x0[0], velocity.x0[1], v0[0], v0[1], 0.0])

@@ -12,6 +12,15 @@ reason instead of raising.  An evaluation builds one AffineConstraint,
 which holds ||d||^2, and one ControllerOutput, a safety filter included;
 the record reads the correction norm from that ||d||^2.
 
+A plant may declare a one-call evaluation of its maps with the barrier
+and nominal built beside it (core.PlantEvaluation).  A scalar run on
+exactly that barrier and nominal calls it once per state: the constraint
+(c, d), the filter's offset and k_d, the RK4 stage field f + g u and the
+recorded h all come from that one call, and the maps' shapes are checked
+once per run.  Any other run calls the separate maps (evaluate_constraint,
+the nominal, drift and input map in the stage field, the barrier value
+in the record).  Both give the same trajectory, bit for bit.
+
 run also takes a sequence of specs over one plant and returns one
 trajectory per spec.  Members whose formulas vectorise (see
 formulas.FormulaBatch) and that share one nominal, or have none, advance
@@ -152,19 +161,64 @@ def step(
     def f_cl(y: np.ndarray) -> np.ndarray:
         return system.drift(y) + system.input_map(y) @ controller(y)
 
-    if integrator == "euler":
-        x_new = x + dt * f_cl(x)
-    elif integrator == "rk4":
-        k1 = f_cl(x)
-        k2 = f_cl(x + (0.5 * dt) * k1)
-        k3 = f_cl(x + (0.5 * dt) * k2)
-        k4 = f_cl(x + dt * k3)
-        x_new = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    else:
+    return _advance(f_cl, x, dt, integrator)
+
+
+def _advance(
+    field: Callable[[np.ndarray], np.ndarray],
+    x: np.ndarray,
+    dt: float,
+    integrator: str,
+    k1: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """One Euler or RK4 step of xdot = field(y) from x; k1 is field(x) where
+    the caller has it."""
+    if integrator not in ("euler", "rk4"):
         raise ConfigurationError(f"unknown integrator {integrator!r}")
+    if k1 is None:
+        k1 = field(x)
+    if integrator == "euler":
+        x_new = x + dt * k1
+    else:
+        k2 = field(x + (0.5 * dt) * k1)
+        k3 = field(x + (0.5 * dt) * k2)
+        k4 = field(x + dt * k3)
+        x_new = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.isfinite(x_new).all():
         raise NumericsError(f"state became non-finite after one step from x={x}")
     return x_new
+
+
+def point_evaluation(system: ControlAffineSystem, barrier: BarrierFunction, spec: ControllerSpec):
+    """The evaluation at one state y from the plant's one-call evaluation,
+    or None where the system declares none for this barrier and the spec's
+    nominal (see core.PlantEvaluation).
+
+    The evaluation gives (f, g, h, con, k_d), con the pair (c, d), equal
+    bit for bit to the separate maps, evaluate_constraint and the nominal
+    at y; it checks the maps' shapes at its first call.
+    """
+    ev = system.evaluation
+    if ev is None or barrier is not ev.barrier or spec.nominal is not ev.nominal:
+        return None
+    terms = ev.fn
+    classk = barrier.classk
+    checked = False
+
+    def evaluate(y: np.ndarray):
+        nonlocal checked
+        f, g, h, grad, kd = terms(y)
+        if not checked:
+            _check_shapes(system, None, f, g, h, grad, kd)
+            checked = True
+        c = float(grad @ f) + classk(h)
+        d = grad @ g
+        try:
+            return f, g, h, AffineConstraint(c=c, d=d), kd
+        except NumericsError as exc:
+            raise NumericsError(f"constraint evaluation not finite at x={y}: c={c}, d={d}") from exc
+
+    return evaluate
 
 
 def run(
@@ -177,10 +231,11 @@ def run(
 ) -> Trajectory | list[Trajectory]:
     """Simulate the closed loop and record the trajectory.
 
-    The controller is composed as evaluate_constraint followed by
-    evaluate_controller at every evaluation point.  The disturbance is
-    added to the input after controller evaluation, at the pre-step time.
-    The start state must satisfy h(x0) >= 0 unless allow_unsafe_start.
+    At every evaluation point the controller is evaluate_controller on the
+    constraint pair that point_evaluation forms.  The disturbance is added
+    to the input after controller evaluation, at the pre-step time; it must
+    be an (m,) vector, checked at t = 0 before the first step.  The start
+    state must satisfy h(x0) >= 0 unless allow_unsafe_start.
     Given a sequence of specs, returns the trajectory of each, as the
     scalar run of that spec would (see the module docstring).
     """
@@ -194,6 +249,8 @@ def run(
         raise ConfigurationError(
             f"x0 outside the safe set: h(x0) = {h0} < 0 (set allow_unsafe_start to override)"
         )
+    if disturbance is not None:
+        _check_disturbance(disturbance, system.input_dim)
     if isinstance(spec, ControllerSpec):
         return _run_scalar(system, spec, barrier, x0, cfg, disturbance)
     specs = list(spec)
@@ -207,6 +264,20 @@ def run(
         for i, traj in zip(together, batch.run(x0, cfg, disturbance)):
             trajs[i] = traj
     return trajs
+
+
+def _check_disturbance(disturbance: DisturbanceSpec, m: int) -> None:
+    """Raise ConfigurationError unless the disturbance at t = 0 is an (m,) vector.
+
+    A disturbance that raises there is left to the loop, which records the
+    failure at step 0.
+    """
+    try:
+        w = disturbance.at(0.0, m)
+    except CBFControlError:
+        return
+    if np.shape(w) != (m,):
+        raise ConfigurationError(f"disturbance has shape {np.shape(w)}, expected ({m},)")
 
 
 _ROWS = ("times", "states", "inputs", "h_values", "residuals", "kappas", "margins", "correction_norms")
@@ -229,31 +300,52 @@ def _run_scalar(
     rows = {name: list(prior[name]) if prior else [] for name in _ROWS}
     failure: Optional[str] = None
     failure_step: Optional[int] = None
+    at = point_evaluation(system, barrier, spec)
 
-    def evaluate(y: np.ndarray) -> tuple[AffineConstraint, ControllerOutput]:
-        con = evaluate_constraint(system, barrier, y)
-        return con, evaluate_controller(spec, con, y)
+    def applied(out: ControllerOutput) -> np.ndarray:
+        return out.u if w is None else out.u + w
 
-    def controller(y: np.ndarray) -> np.ndarray:
-        # The controller of step k: step calls it at x_k itself only for
-        # stage 1, which reuses u_k; the zero-order hold reuses it at every stage.
-        if cfg.zoh or y is x:
-            return u_k
-        u = evaluate(y)[1].u
-        return u if w is None else u + w
+    # evaluate(y) gives (f, g, h, con, out) at y, with f, g and h None on
+    # the separate maps; field(y) is the closed-loop field at RK4 stages
+    # 2-4, where the controller is evaluated or, under the zero-order hold,
+    # held at u_k.
+    if at is None:
+
+        def evaluate(y: np.ndarray):
+            con = evaluate_constraint(system, barrier, y)
+            return None, None, None, con, evaluate_controller(spec, con, y)
+
+        def field(y: np.ndarray) -> np.ndarray:
+            if cfg.zoh:
+                return system.drift(y) + system.input_map(y) @ u_k
+            return system.drift(y) + system.input_map(y) @ applied(evaluate(y)[4])
+
+    else:
+        terms = system.evaluation.fn
+
+        def evaluate(y: np.ndarray):
+            f, g, h, con, kd = at(y)
+            return f, g, h, con, evaluate_controller(spec, con, y, kd)
+
+        def field(y: np.ndarray) -> np.ndarray:
+            if cfg.zoh:
+                f, g = terms(y)[:2]
+                return f + g @ u_k
+            f, g, _, _, out = evaluate(y)
+            return f + g @ applied(out)
 
     x = x0.copy()
     k = start
     try:
         while True:
             w = disturbance.at(k * cfg.dt, m) if disturbance is not None else None
-            con_k, out_k = evaluate(x)
-            u_k = out_k.u if w is None else out_k.u + w
+            f_k, g_k, h_k, con_k, out_k = evaluate(x)
+            u_k = applied(out_k)
             if k % cfg.record_every == 0:
                 rows["times"].append(k * cfg.dt)
                 rows["states"].append(x.copy())
                 rows["inputs"].append(out_k.u)  # a new array at every evaluation
-                rows["h_values"].append(float(barrier.value(x)))
+                rows["h_values"].append(float(barrier.value(x) if h_k is None else h_k))
                 rows["residuals"].append(con_k.c + float(con_k.d @ u_k))
                 rows["kappas"].append(out_k.kappa if out_k.kappa is not None else math.nan)
                 rows["margins"].append(margin_of(out_k))
@@ -261,7 +353,12 @@ def _run_scalar(
             if k >= n_steps:
                 break
             try:
-                x = step(system, controller, x, cfg.dt, cfg.integrator)
+                # RK4 stage 1 (the Euler stage) is the field at x_k under u_k.
+                if f_k is None:
+                    k1 = system.drift(x) + system.input_map(x) @ u_k
+                else:
+                    k1 = f_k + g_k @ u_k
+                x = _advance(field, x, cfg.dt, cfg.integrator, k1)
             except NumericsError as exc:
                 raise BlowUpError(str(exc), step_index=k) from exc
             k += 1
@@ -343,17 +440,20 @@ def evaluate_stack(
 
 
 def _check_shapes(system, b, f, g, h, grad, kd) -> None:
+    """The maps' output shapes at a stack of b states, or at one state (b None)."""
     n, m = system.state_dim, system.input_dim
+    one = b is None
+    where = "one state" if one else f"a stack of {b} states"
     for name, arr, shapes in (
-        ("drift", f, [(n,), (b, n)]),
+        ("drift", f, [(n,)] if one else [(n,), (b, n)]),
         ("input_map", g, [(n, m)]),
-        ("barrier value", h, [(b,)]),
+        ("barrier value", h, [()] if one else [(b,)]),
         ("barrier gradient", grad, [(n,)]),
-        ("nominal", kd, [(b, m)]),
+        ("nominal", kd, [(m,)] if one else [(b, m)]),
     ):
         if arr is not None and np.shape(arr) not in shapes:
             raise ConfigurationError(
-                f"{name} of a stack of {b} states has shape {np.shape(arr)}, expected one of {shapes}"
+                f"{name} of {where} has shape {np.shape(arr)}, expected one of {shapes}"
             )
 
 

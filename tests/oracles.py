@@ -2,13 +2,17 @@
 
 Each is written independently of the library's fused evaluation paths:
 forward dynamics and energies of the two-link arm, its reference
-trajectory, central finite differences, and the bare ReLU multiplier.
+trajectory and that trajectory's acceleration, central finite
+differences, and the bare ReLU multiplier; and a torque plant whose
+maps count their calls.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
+from cbfctrl import PlantEvaluation
 from cbfctrl.manipulator import ManipulatorParams, coriolis_matrix, gravity_vector, mass_matrix
 
 
@@ -45,6 +49,12 @@ def reference(tau):
     return np.array([2.0 * math.sin(tau) + 1.0, 2.0 * math.sin(tau)])
 
 
+def reference_accel(tau):
+    """r''(tau), the reference's second derivative."""
+    s = -2.0 * math.sin(tau)
+    return np.array([s, s])
+
+
 def inverse_2x2(m):
     """Inverse of a 2x2 matrix by its adjugate."""
     (a, b), (c, d) = m.tolist()
@@ -73,3 +83,26 @@ def lambda_tunable_relu(c, d2, kappa, sigma):
     if d2 == 0.0:
         return 0.0
     return max((-c + kappa * math.sqrt(c * c + sigma * d2 * d2)) / d2, 0.0)
+
+
+def counted_plant(sc, calls):
+    """The torque-level scenario's (system, barrier, spec), with its plant
+    evaluation counted under calls["evaluation"] and each separate map
+    counted under its own name."""
+
+    def counted(name, fn):
+        def wrapped(x):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(x)
+
+        return wrapped
+
+    barrier = replace(sc.barrier, value=counted("value", sc.barrier.value), gradient=counted("gradient", sc.barrier.gradient))
+    nominal = counted("nominal", sc.spec.nominal)
+    system = replace(
+        sc.system,
+        drift=counted("drift", sc.system.drift),
+        input_map=counted("input_map", sc.system.input_map),
+        evaluation=PlantEvaluation(counted("evaluation", sc.system.evaluation.fn), barrier, nominal),
+    )
+    return system, barrier, replace(sc.spec, nominal=nominal)

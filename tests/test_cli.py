@@ -11,6 +11,7 @@ import pytest
 from cbfctrl import CBFControlError, cli, evaluate_constraint, evaluate_controller
 from cbfctrl.cli import _fmt, main, write_trajectory_csv
 from cbfctrl.simulate import SimConfig, Trajectory, run
+from oracles import counted_plant
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -685,9 +686,32 @@ def test_unflagged_grid_makes_no_per_state_evaluation(tmp_path, monkeypatch, com
     ],
 )
 def test_plants_without_stacking_maps_check_each_state(tmp_path, monkeypatch, config, n_states):
-    calls = counting(monkeypatch, "evaluate_constraint")
+    calls = counting(monkeypatch, "_check_state")
     assert main(["check", "--config", str(write_config(tmp_path, "c.json", config)), "--out", str(tmp_path)]) == 0
     assert len(calls) == n_states
+
+
+def test_torque_check_evaluates_the_plant_once_per_state(tmp_path, capsys, monkeypatch):
+    # the torque plant declares its one-call evaluation: a check state costs
+    # one plant evaluation and no call of the separate maps
+    config = dict(
+        json.loads((CONFIG_DIR / "twolink_torque.json").read_text()),
+        grid={"kind": "box", "axes": [{"dim": 1, "min": -1.0, "max": 1.0, "count": 4},
+                                      {"dim": 2, "min": 1.0, "max": 3.0, "count": 3}]},
+    )
+    argv = ["check", "--config", str(write_config(tmp_path, "c.json", config))]
+    want = outcome(capsys, tmp_path / "out", argv)
+    calls = {}
+    build = cli.build_scenario
+
+    def build_scenario(*args, **kwargs):
+        sc = build(*args, **kwargs)
+        sc.system, sc.barrier, sc.spec = counted_plant(sc, calls)
+        return sc
+
+    monkeypatch.setattr(cli, "build_scenario", build_scenario)
+    assert outcome(capsys, tmp_path / "out", argv) == want
+    assert calls == {"evaluation": 12}
 
 
 @pytest.mark.parametrize(

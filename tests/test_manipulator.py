@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cbfctrl import (
     ControllerSpec,
+    DisturbanceSpec,
     ShapingFunction,
     evaluate_constraint,
     evaluate_controller,
@@ -23,7 +25,6 @@ from cbfctrl.manipulator import (
     coriolis_matrix,
     gravity_vector,
     mass_matrix,
-    reference_accel,
     reference_rate,
     run_scenario,
     torque_level_scenario,
@@ -31,11 +32,13 @@ from cbfctrl.manipulator import (
 )
 from cbfctrl.simulate import SimConfig, run, step
 from oracles import (
+    counted_plant,
     dynamics,
     fd_k0_jacobians,
     finite_difference_gradient,
     inverse_2x2,
     reference,
+    reference_accel,
     total_derivative,
     total_energy,
 )
@@ -389,25 +392,101 @@ def test_torque_maps_match_oracle(kind):
             np.testing.assert_array_equal(got[k](x), ref[k](x))
 
 
-def test_torque_cached_arrays_are_read_only():
+def test_torque_maps_return_fresh_arrays():
+    # no map shares an array between calls: writing into a returned array
+    # changes no later evaluation, at the same state or at another
     sc = torque_level_scenario(eta=0.7)
-    x = random_torque_state(np.random.default_rng(69))
-    drift, input_map, _, gradient, nominal = _torque_maps(sc)
-    for arr in (drift(x), input_map(x), gradient(x), nominal(x)):
-        with pytest.raises(ValueError):
-            arr[-1] = 0.0
+    rng = np.random.default_rng(69)
+    x, other = random_torque_state(rng), random_torque_state(rng)
+    maps = _torque_maps(sc)
+    want = [[np.array(fn(y)) for fn in maps] for y in (x, other)]
+    for fn in maps:
+        first = fn(x)
+        if isinstance(first, np.ndarray):
+            assert fn(x) is not first
+            first[...] = np.nan
+        for y, values in zip((x, other), want):
+            for k, value in zip(maps, values):
+                np.testing.assert_array_equal(k(y), value)
+    f, g, b, grad_b, k_d = sc.system.evaluation.fn(x)
+    for arr in (f, g, grad_b, k_d):
+        arr[...] = np.nan
+    np.testing.assert_array_equal(sc.system.evaluation.fn(x).f, want[0][0])
+
+
+def _oracle_and_library_runs(cfg, disturbance=None):
+    sc = torque_level_scenario(eta=0.7)
+    system, barrier, spec = oracle_torque_pieces(PARAMS, oracle_k0(eta=0.7), sc.cfg)
+    assert system.evaluation is None  # the oracle runs on the loop's separate maps
+    got = run(sc.system, sc.spec, sc.barrier, sc.x0, cfg, disturbance)
+    want = run(system, spec, barrier, sc.x0, cfg, disturbance)
+    assert got.ok and want.ok
+    return got, want
+
+
+TORQUE_RECORDED = ("times", "states", "inputs", "h_values", "residuals", "kappas", "margins", "correction_norms")
 
 
 @pytest.mark.parametrize("zoh", [False, True])
 def test_torque_run_matches_oracle_scenario(zoh):
-    sc = torque_level_scenario(eta=0.7)
-    system, barrier, spec = oracle_torque_pieces(PARAMS, oracle_k0(eta=0.7), sc.cfg)
-    cfg = SimConfig(dt=1e-3, horizon=0.3, zoh=zoh)
-    got = run(sc.system, sc.spec, sc.barrier, sc.x0, cfg)
-    want = run(system, spec, barrier, sc.x0, cfg)
-    assert got.ok and want.ok
-    for field in ("states", "inputs", "h_values", "residuals", "margins", "correction_norms"):
+    got, want = _oracle_and_library_runs(SimConfig(dt=1e-3, horizon=0.3, zoh=zoh))
+    for field in TORQUE_RECORDED:
         np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+
+
+def test_torque_run_matches_oracle_scenario_held_and_disturbed():
+    cfg = SimConfig(dt=1e-3, horizon=0.3, zoh=True, record_every=3)
+    got, want = _oracle_and_library_runs(cfg, DisturbanceSpec.constant([0.4, -0.3]))
+    assert len(got) == 101
+    for field in TORQUE_RECORDED:
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+
+
+@pytest.mark.parametrize(
+    "sim, evaluations, formulas",
+    [({}, 4, 4), ({"integrator": "euler"}, 1, 1), ({"zoh": True}, 4, 1), ({"zoh": True, "integrator": "euler"}, 1, 1)],
+    ids=["rk4", "euler", "zoh", "zoh-euler"],
+)
+def test_torque_run_evaluates_the_plant_once_per_state(monkeypatch, sim, evaluations, formulas):
+    # RK4 evaluates the plant at 4 states a step; the zero-order hold still
+    # needs f and g at stages 2-4, but runs the formula only at x_k
+    sc = torque_level_scenario(eta=0.7)
+    calls = {}
+    system, barrier, spec = counted_plant(sc, calls)
+    n_formulas = []
+
+    def counted_controller(spec, con, x=None, kd=None):
+        n_formulas.append(kd)
+        return evaluate_controller(spec, con, x, kd)
+
+    monkeypatch.setattr("cbfctrl.simulate.evaluate_controller", counted_controller)
+    cfg = SimConfig(dt=1e-3, horizon=0.05, **sim)
+    traj = run(system, spec, barrier, sc.x0, cfg)
+    assert traj.ok and cfg.n_steps == 50
+    # run reads h(x0) once through the barrier to check the start state
+    assert calls == {"value": 1, "evaluation": evaluations * 50 + 1}
+    assert len(n_formulas) == formulas * 50 + 1 and all(kd is not None for kd in n_formulas)
+    monkeypatch.undo()
+    alone = run(sc.system, sc.spec, sc.barrier, sc.x0, cfg)
+    for field in TORQUE_RECORDED:
+        assert getattr(traj, field).tobytes() == getattr(alone, field).tobytes(), field
+
+
+def test_torque_run_on_another_barrier_or_nominal_uses_the_separate_maps():
+    sc = torque_level_scenario(eta=0.7)
+    calls = {}
+    system, barrier, spec = counted_plant(sc, calls)
+    cfg = SimConfig(dt=1e-3, horizon=0.01)
+    other_barrier = replace(barrier)
+    other_spec = ControllerSpec.safety_filter(ControllerSpec.qp(), lambda x: spec.nominal(x))
+    want = run(sc.system, sc.spec, sc.barrier, sc.x0, cfg)
+    for b, s in ((other_barrier, spec), (barrier, other_spec)):
+        calls.clear()
+        traj = run(system, s, b, sc.x0, cfg)
+        assert "evaluation" not in calls and calls["drift"] == calls["input_map"] == 4 * 10 + 1 + 4 * 10
+        assert calls["nominal"] == 4 * 10 + 1
+        for field in TORQUE_RECORDED:
+            assert getattr(traj, field).tobytes() == getattr(want, field).tobytes(), field
 
 
 def test_backstepping_short_run_safe():

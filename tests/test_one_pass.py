@@ -219,9 +219,9 @@ def test_scalar_loop_builds_one_constraint_and_one_output_per_evaluation(plant, 
         counts["outputs"] += 1
         output_init(self, *args, **kwargs)
 
-    def counted_evaluate(spec, con, x=None):
+    def counted_evaluate(spec, con, x=None, kd=None):
         counts["evaluations"] += 1
-        return evaluate_controller(spec, con, x)
+        return evaluate_controller(spec, con, x, kd)
 
     monkeypatch.setattr(AffineConstraint, "__post_init__", counted_post_init)
     monkeypatch.setattr(ControllerOutput, "__init__", counted_output_init)

@@ -258,6 +258,21 @@ def test_sim_config_validation():
         step(single_integrator(1), lambda y: np.zeros(1), np.zeros(1), 0.1, "rk5")
 
 
+@pytest.mark.parametrize("value", [[0.3], [0.3, 0.3, 0.3], [[0.3, 0.3]]])
+def test_run_rejects_a_disturbance_of_the_wrong_shape(value):
+    # the velocity level has 2 inputs: a 1-vector would broadcast, a 3-vector
+    # would fail inside numpy, so both are config errors before the first step
+    sc = velocity_level_scenario(eta=0.7, sigma=0.2)
+    dist = DisturbanceSpec.constant(value)
+    cfg = SimConfig(dt=1e-3, horizon=0.01)
+    with pytest.raises(ConfigurationError, match=r"^disturbance has shape .*, expected \(2,\)$"):
+        run(sc.system, sc.spec, sc.barrier, sc.x0, cfg, dist)
+    with pytest.raises(ConfigurationError, match=r"^disturbance has shape .*, expected \(2,\)$"):
+        run_formulas(sc, [controller_spec("qp"), controller_spec("sontag", sigma=0.2)], cfg, dist)
+    ok = DisturbanceSpec.constant([0.3, 0.3])
+    assert run(sc.system, sc.spec, sc.barrier, sc.x0, cfg, ok).ok
+
+
 # --- one evaluation per state -------------------------------------------------
 
 RECORDED = (
@@ -449,9 +464,9 @@ def test_list_run_members_stay_batched(monkeypatch):
     # failing step on the scalar loop (at most one RK4 step, 4 evaluations)
     calls = []
 
-    def counted(spec, con, x=None):
+    def counted(spec, con, x=None, kd=None):
         calls.append(spec)
-        return evaluate_controller(spec, con, x)
+        return evaluate_controller(spec, con, x, kd)
 
     monkeypatch.setattr("cbfctrl.simulate.evaluate_controller", counted)
     etas = velocity_specs([controller_spec("tunable", sigma=0.2, eta=e) for e in (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)])
