@@ -10,6 +10,13 @@ Configs are JSON with a versioned ``schema`` key; unknown keys are
 rejected.  CSV output is locale-independent, 17 significant digits, LF
 line endings, so identical runs produce byte-identical files.
 
+check and margin evaluate a grid on a plant whose maps take stacks as one
+stack (see simulate.evaluate_stack).  check takes each state's range
+verdict from it (FormulaBatch.range_verdict) and evaluates per state only
+where Gamma leaves its direct form; margin evaluates per state every state
+that the formula kernel flags.  On other plants every state is evaluated
+per state.  The output is the per-state evaluation's either way.
+
 Exit codes: 0 success, 1 config error, 2 infeasibility or blow-up during
 simulation, 3 check violations.
 """
@@ -17,6 +24,7 @@ simulation, 3 check violations.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -84,12 +92,23 @@ def _require(section: dict, key: str, path: str):
     return section[key]
 
 
+def _object(value, path: str, allowed: set) -> dict:
+    """The config section value at path, an object with keys in allowed; a config error otherwise."""
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{path} must be an object, got {value!r}")
+    _reject_unknown(value, allowed, path)
+    return value
+
+
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)  # JSON true is a bool
 
 
 def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
+    """A finite number: JSON's NaN, Infinity and literals that overflow a float are not."""
+    if _is_int(value):
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, float) and math.isfinite(value)
 
 
 _NUMBER = (_is_number, "a number")
@@ -161,8 +180,7 @@ def validate_config(config: dict) -> None:
             f"unsupported schema version {config['schema']!r}, expected {_SCHEMA_VERSION}"
         )
     _check_scalar_types(config, "config")
-    system = _require(config, "system", "config")
-    _reject_unknown(system, _SYSTEM_KEYS, "config.system")
+    system = _object(_require(config, "system", "config"), "config.system", _SYSTEM_KEYS)
     _check_scalar_types(system, "config.system")
     name = _require(system, "name", "config.system")
     if name not in (
@@ -173,8 +191,7 @@ def validate_config(config: dict) -> None:
         "two_link_torque",
     ):
         raise ConfigurationError(f"unknown system name {name!r}")
-    barrier = _require(config, "barrier", "config")
-    _reject_unknown(barrier, _BARRIER_KEYS, "config.barrier")
+    barrier = _object(_require(config, "barrier", "config"), "config.barrier", _BARRIER_KEYS)
     _check_scalar_types(barrier, "config.barrier")
     kind = _require(barrier, "kind", "config.barrier")
     if kind not in ("linear", "builtin"):
@@ -184,8 +201,7 @@ def validate_config(config: dict) -> None:
             raise ConfigurationError("two_link scenarios define their own barrier; use kind 'builtin'")
     elif kind != "linear":
         raise ConfigurationError(f"system {name!r} needs a linear barrier section")
-    controller = _require(config, "controller", "config")
-    _reject_unknown(controller, _CONTROLLER_KEYS, "config.controller")
+    controller = _object(_require(config, "controller", "config"), "config.controller", _CONTROLLER_KEYS)
     ckind = _require(controller, "kind", "config.controller")
     if not isinstance(ckind, str):
         raise ConfigurationError(f"config.controller.kind must be a string, got {ckind!r}")
@@ -198,27 +214,27 @@ def validate_config(config: dict) -> None:
         raise ConfigurationError("missing config key config.controller.sigma")
     if ckind == "bounded_input" and "gamma" not in controller:
         raise ConfigurationError("missing config key config.controller.gamma")
-    sim = _require(config, "sim", "config")
-    _reject_unknown(sim, _SIM_KEYS, "config.sim")
+    _object(_require(config, "sim", "config"), "config.sim", _SIM_KEYS)
     if "nominal" in config:
-        _reject_unknown(config["nominal"], _NOMINAL_KEYS, "config.nominal")
-        if config["nominal"].get("kind") not in ("zero", "constant"):
+        nominal = _object(config["nominal"], "config.nominal", _NOMINAL_KEYS)
+        if nominal.get("kind") not in ("zero", "constant"):
             raise ConfigurationError("config.nominal.kind must be 'zero' or 'constant'")
     if "disturbance" in config:
-        dist = config["disturbance"]
-        _reject_unknown(dist, _DISTURBANCE_KEYS, "config.disturbance")
+        dist = _object(config["disturbance"], "config.disturbance", _DISTURBANCE_KEYS)
         if dist.get("kind") not in ("constant", "sinusoidal", "bounded_random"):
             raise ConfigurationError("unknown disturbance kind")
         _check_scalar_types(dist, "config.disturbance")
     if "grid" in config:
-        grid = config["grid"]
-        _reject_unknown(grid, _GRID_KEYS, "config.grid")
+        grid = _object(config["grid"], "config.grid", _GRID_KEYS)
         if grid.get("kind") not in ("box", "trajectory"):
             raise ConfigurationError("config.grid.kind must be 'box' or 'trajectory'")
-        for i, axis in enumerate(grid.get("axes", [])):
-            _reject_unknown(axis, _AXIS_KEYS, f"config.grid.axes[{i}]")
+        axes = grid.get("axes", [])
+        if not isinstance(axes, list):
+            raise ConfigurationError(f"config.grid.axes must be a list, got {axes!r}")
+        for i, axis in enumerate(axes):
+            _object(axis, f"config.grid.axes[{i}]", _AXIS_KEYS)
     if "output" in config:
-        _reject_unknown(config["output"], _OUTPUT_KEYS, "config.output")
+        _object(config["output"], "config.output", _OUTPUT_KEYS)
 
 
 class Scenario:
@@ -524,22 +540,23 @@ def _grid_states(config: dict, scenario: Scenario, seed: int | None) -> np.ndarr
     return states
 
 
-def _stacked_grid(scenario: Scenario, states: np.ndarray) -> tuple[Stage | None, np.ndarray]:
-    """The grid's stacked evaluation and the states left to the per-state body.
+def _stacked_grid(scenario: Scenario, states: np.ndarray) -> tuple[FormulaBatch, Stage, np.ndarray] | None:
+    """The grid's stacked evaluation: the formula kernel, its stage and the
+    states that the kernel flags; None where the scenario does not stack.
 
     Where the scenario's maps and formula stack (the sweep's rule, see
-    simulate.evaluate_stack), every state is evaluated in one pass, the
-    per-state body takes only those that the formula kernel flags, and every
-    other state's values equal the per-state body's, bit for bit.
-    Elsewhere there is no stage and the per-state body takes every state.
+    simulate.evaluate_stack), every state is evaluated in one pass and every
+    unflagged state's values equal the per-state body's, bit for bit.
     """
     spec = scenario.spec
     if not _batch_members(scenario.system, scenario.barrier, [spec]):
-        return None, np.ones(len(states), dtype=bool)
+        return None
+    kernel = FormulaBatch([spec.formula])
     with np.errstate(all="ignore"):
-        return evaluate_stack(
-            scenario.system, scenario.barrier, spec.nominal, states, FormulaBatch([spec.formula]), check_shapes=True
+        stage, flagged = evaluate_stack(
+            scenario.system, scenario.barrier, spec.nominal, states, kernel, check_shapes=True
         )
+    return kernel, stage, flagged
 
 
 def _check_state(scenario: Scenario, at, x: np.ndarray) -> tuple[float, float, float, bool]:
@@ -578,39 +595,49 @@ def cmd_check(args) -> int:
     if gamma is not None and not gamma > 0.0:
         raise ConfigurationError(f"gamma must be positive, got {gamma}")
 
-    stage, flagged = _stacked_grid(scenario, states)
-    if stage is None:
+    stacked = _stacked_grid(scenario, states)
+    if stacked is None:
         c_eff, d2, kappa = np.full((3, n_states), math.nan)
+        range_ok = np.ones(n_states, dtype=bool)
+        decided = np.zeros(n_states, dtype=bool)
     else:
-        c_eff, d2, kappa = np.array(np.broadcast_arrays(stage.c_bar, stage.d2, stage.kappa))
-    range_ok = np.ones(n_states, dtype=bool)  # an unflagged state's kappa is in range
+        kernel, stage, _ = stacked
+        with np.errstate(all="ignore"):
+            kappa, range_ok, decided = kernel.range_verdict(stage.c_bar, stage.d2, stage.kappa, stage.gam)
+        c_eff, d2, kappa = np.array(np.broadcast_arrays(stage.c_bar, stage.d2, kappa))
     at = _point_evaluation(scenario)
-    # In index order, so that the first state to raise is the one a per-state loop meets.
-    for i in np.flatnonzero(flagged).tolist():
+    # A decided state's values are the per-state body's, which raises at
+    # none of them; the rest go through it in index order, so that the first
+    # state to raise is the one a per-state loop meets.
+    for i in np.flatnonzero(~decided).tolist():
         c_eff[i], d2[i], kappa[i], range_ok[i] = _check_state(scenario, at, states[i])
     with np.errstate(all="ignore"):
         d_norm = np.sqrt(d2)
         slack = None if gamma is None else gamma * d_norm + c_eff  # as check_compatibility forms it
     ok = range_ok if slack is None else range_ok & (slack >= 0.0)
+    violations = np.flatnonzero(~ok).tolist()
+    shown = range(n_states) if n_states <= 200 else violations
+    # Each column as Python floats, once, rather than one array entry at a time.
+    c_col, d_col, kappa_col, ok_col = (a.tolist() for a in (c_eff, d_norm, kappa, range_ok))
+    slack_col = None if slack is None else slack.tolist()
 
     def row(i: int) -> str:
-        compat_txt = "-" if slack is None else "yes" if slack[i] >= 0.0 else f"no({float(-slack[i]):.3g})"
-        kappa_txt = "-" if math.isnan(kappa[i]) else f"{float(kappa[i]):.5f}"
+        compat_txt = "-" if slack_col is None else "yes" if slack_col[i] >= 0.0 else f"no({-slack_col[i]:.3g})"
+        kappa_txt = "-" if math.isnan(kappa_col[i]) else f"{kappa_col[i]:.5f}"
         return (
-            f"{i:>4d} {float(c_eff[i]):>12.5f} {float(d_norm[i]):>10.5f} {compat_txt:>7s} "
-            f"{kappa_txt:>10s} {'ok' if range_ok[i] else 'FAIL':>6s}"
+            f"{i:>4d} {c_col[i]:>12.5f} {d_col[i]:>10.5f} {compat_txt:>7s} "
+            f"{kappa_txt:>10s} {'ok' if ok_col[i] else 'FAIL':>6s}"
         )
 
-    violations = np.flatnonzero(~ok).tolist()
-    print(f"{'idx':>4s} {'c_eff':>12s} {'|d|':>10s} {'compat':>7s} {'kappa':>10s} {'range':>6s}")
-    for i in range(n_states) if n_states <= 200 else violations:
-        print(row(i))
+    table = [f"{'idx':>4s} {'c_eff':>12s} {'|d|':>10s} {'compat':>7s} {'kappa':>10s} {'range':>6s}"]
+    table += [row(i) for i in shown]
     if n_states > 200:
-        print(f"({n_states} grid points, table truncated to violating rows)")
+        table.append(f"({n_states} grid points, table truncated to violating rows)")
+    print("\n".join(table))
     if violations:
         print(f"{len(violations)} of {n_states} grid points violate", file=sys.stderr)
-        for i in violations[:20]:
-            print(f"  point {i}: x = {np.array2string(states[i], precision=5)}", file=sys.stderr)
+        for i, x in zip(violations, states[violations[:20]].tolist()):
+            print(f"  point {i}: x = [{', '.join(str(round(v, 5)) for v in x)}]", file=sys.stderr)
         return CHECK_ERROR
     print(f"all {n_states} grid points pass")
     return 0
@@ -631,10 +658,12 @@ def cmd_margin(args) -> int:
     if not len(states):
         print("margin grid is empty", file=sys.stderr)
         return CONFIG_ERROR
-    stage, flagged = _stacked_grid(scenario, states)
-    if stage is None:
+    stacked = _stacked_grid(scenario, states)
+    if stacked is None:
         values = [math.nan] * len(states)
+        flagged = np.ones(len(states), dtype=bool)
     else:
+        _, stage, flagged = stacked
         with np.errstate(all="ignore"):
             values = margins(stage.c_bar, stage.kappa, stage.gam).tolist()
     at = _point_evaluation(scenario)
@@ -662,23 +691,21 @@ def cmd_margin(args) -> int:
     return 0
 
 
+_COMMANDS = ("simulate", "sweep", "check", "margin")  # each runs the function cmd_<name>
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of the command line; args.command names the subcommand."""
     parser = argparse.ArgumentParser(
         prog="cbfctrl", description="CBF safety-controller simulation toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("simulate", cmd_simulate),
-        ("sweep", cmd_sweep),
-        ("check", cmd_check),
-        ("margin", cmd_margin),
-    ):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
         p.add_argument("--out", default=".")
         p.add_argument("--seed", type=int, default=None)
-        p.set_defaults(fn=fn)
     for name in ("simulate", "sweep"):
         sub.choices[name].add_argument("--zoh", action="store_true")
     sub.choices["simulate"].add_argument("--strict-range", action="store_true")
@@ -687,13 +714,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built at its first call; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # Looked up at each call, so that a rebound cmd_<name> is the one that runs.
+    command = globals()[f"cmd_{args.command}"]
     try:
         is_seed, kind = _SEED
         if args.seed is not None and not is_seed(args.seed):
             raise ConfigurationError(f"--seed must be {kind}, got {args.seed}")
-        return args.fn(args)
+        return command(args)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return CONFIG_ERROR

@@ -53,8 +53,9 @@ from .core import (
 )
 
 
-# core.Gamma's direct form sqrt(c^2 + s(d2) d2) needs a normal sum: at least _DBL_MIN.
+# core.Gamma's direct form sqrt(c^2 + s(d2) d2) needs a normal, finite sum: in [_DBL_MIN, _DBL_MAX].
 _DBL_MIN = sys.float_info.min
+_DBL_MAX = sys.float_info.max
 _SQRT_DBL_MIN = math.sqrt(_DBL_MIN)
 
 
@@ -423,11 +424,14 @@ class FormulaBatch:
     evaluate_controller's bit for bit.  sontag is the tunable formula at
     eta = 1, since (1 - 1) c / Gamma + 1 == 1.0, and qp is sontag's formula
     with kappa Gamma scaled by 0.  Instead of raising, a call flags every
-    member at which evaluate_controller might raise, and maybe a few more
-    (a Gamma that overflows or is below sqrt(DBL_MIN), where core.Gamma
-    takes its hypot form, and the tie kappa = 0 that the range admits): the
-    caller hands a flagged member to the scalar path.  One spec also
-    broadcasts over a stack of points, as a check/margin grid uses it.
+    member at which evaluate_controller might raise, and a few more where
+    it does not: a Gamma that overflows or is below sqrt(DBL_MIN) (where
+    core.Gamma takes its hypot form) and the tie kappa = 0 that the range
+    admits.  The caller hands a flagged member to the scalar path.
+    :meth:`range_verdict` gives the exact verdict of the range rule
+    instead, at every member whose Gamma is in its direct form, so that
+    only the others need the scalar path.  One spec also broadcasts over a
+    stack of points, as a check/margin grid uses it.
     """
 
     def __init__(self, specs: Sequence[ControllerSpec]):
@@ -436,8 +440,9 @@ class FormulaBatch:
                 raise ConfigurationError(f"kind {spec.kind!r} with this shaping or policy does not batch")
         self.specs = list(specs)
         has_eta = [spec.kind in ("tunable", "bounded_input") for spec in specs]
-        qp = np.array([spec.kind == "qp" for spec in specs], dtype=bool)
-        relu = np.array([spec.relu for spec in specs], dtype=bool)
+        self.has_eta = np.array(has_eta, dtype=bool)
+        self.qp = qp = np.array([spec.kind == "qp" for spec in specs], dtype=bool)
+        self.relu = relu = np.array([spec.relu for spec in specs], dtype=bool)
         bounded = [spec.kind == "bounded_input" for spec in specs]
         self.eta = np.array([s.policy.eta if e else 1.0 for s, e in zip(specs, has_eta)])
         self.one_minus_eta = 1.0 - self.eta
@@ -499,3 +504,39 @@ class FormulaBatch:
         if self.kappa_nan is not None:
             kappa = kappa + self.kappa_nan  # after the flags, which read sontag's kappa
         return lam, kappa, gam, flagged
+
+    def range_verdict(
+        self, c: np.ndarray, d2, kappa: np.ndarray, gam: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(kappa, ok, decided) of a point check at the offsets c and squared
+        norms d2 of a call, with the call's kappa and Gamma.
+
+        Where decided, ok equals the scalar verdict: the point is feasible
+        (||d||^2 > EPS_D or c > 0) and, except at qp members, check_kappa_range
+        admits kappa; and kappa is resolve_kappa's, which is NaN where it
+        raises DomainError (tunable and bounded-input members at an
+        infeasible point).  Decided are the members whose Gamma is in
+        core.Gamma's direct form, DBL_MIN <= c^2 + s(d2) d2 <= DBL_MAX, where
+        the call's kappa and Gamma equal the scalar ones; elsewhere ok and
+        kappa may be anything.
+        """
+        sq = c * c + (self.sigma * d2) * d2
+        decided = (sq >= _DBL_MIN) & (sq <= _DBL_MAX)
+        big = d2 > EPS_D
+        feasible = big | (c > 0.0)
+        # check_kappa_range, branch by branch
+        if self.gamma is None:
+            upper = 1.0
+        else:
+            upper = (self.gamma * np.sqrt(d2) + c) / gam
+            if not self.all_bounded:
+                upper = np.where(np.isnan(self.gamma), 1.0, upper)
+        num = kappa * gam - c
+        smooth_lower = ~((num != 0.0) & ((num < 0.0) | (kappa <= 0.0)))
+        relu_lower = (kappa > 0.0) | (big & (kappa == upper) & (upper == 0.0))
+        in_range = np.where(big, kappa <= upper, True) & np.where(big & ~self.relu, smooth_lower, relu_lower)
+        ok = feasible & (self.qp | in_range)
+        domain = self.has_eta & ~feasible
+        if domain.any():
+            kappa = np.where(domain, math.nan, kappa)
+        return kappa, ok, decided

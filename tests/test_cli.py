@@ -537,6 +537,48 @@ def test_config_value_types_are_config_errors(tmp_path, capsys, argv, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "item, message",
+    [
+        ("sim=5", "config.sim must be an object, got 5"),
+        ("grid=7", "config.grid must be an object, got 7"),
+        ("grid.axes=5", "config.grid.axes must be a list, got 5"),
+        ("grid.axes=[1]", "config.grid.axes[0] must be an object, got 1"),
+        ("output=1", "config.output must be an object, got 1"),
+        ("controller=[]", "config.controller must be an object, got []"),
+        ("system=null", "config.system must be an object, got None"),
+        ('barrier="builtin"', "config.barrier must be an object, got 'builtin'"),
+        ("nominal=[0,0]", "config.nominal must be an object, got [0, 0]"),
+        ("disturbance=0.1", "config.disturbance must be an object, got 0.1"),
+    ],
+)
+def test_config_sections_that_are_not_objects_are_config_errors(tmp_path, capsys, item, message):
+    rc = main(["check", "--config", VELOCITY_CONFIG, "--set", item, "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "item, message",
+    [
+        ("x0=[NaN,0.0,0.0]", "config.x0 must be a list of 3 numbers, got [nan, 0.0, 0.0]"),
+        ("x0=[0.0,Infinity,0.0]", "config.x0 must be a list of 3 numbers, got [0.0, inf, 0.0]"),
+        ("system.q_bar=NaN", "config.system.q_bar must be a number, got nan"),
+        ("system.kp=1e400", "config.system.kp must be a number, got inf"),
+        ("system.kp=-1e400", "config.system.kp must be a number, got -inf"),
+        ("controller.eta=NaN", "config.controller.eta must be a number, got nan"),
+        ("system.beta=1" + "0" * 400, "config.system.beta must be a number, got 1" + "0" * 400),
+    ],
+)
+def test_non_finite_config_numbers_are_config_errors(tmp_path, capsys, item, message):
+    # before any step runs: no trajectory file is written
+    out = tmp_path / "out"
+    rc = main(["simulate", "--config", VELOCITY_CONFIG, "--set", item, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 # --- check and margin grids ------------------------------------------------------
 
 BOX_AXES = [
@@ -599,6 +641,8 @@ GRID_CASES = {
     "small_bounded_input": box(SMALL_AXES) + ["--set", "controller.kind=bounded_input"],
     "trajectory": ["--set", "sim.horizon=2.0", "--set", "grid.subsample=10"],
     "gamma_0": box(SMALL_AXES) + ["--set", "controller.gamma=0"],
+    # c_eff ~ -q2 / 2: its square overflows at |q2| >= 5e159, where Gamma takes its hypot form
+    "huge_q2": box([{"dim": 1, "min": -1e160, "max": 1e160, "count": 5}, {"dim": 2, "min": 0.0, "max": 6.0, "count": 3}]),
 }
 
 
@@ -677,6 +721,17 @@ def test_unflagged_grid_makes_no_per_state_evaluation(tmp_path, monkeypatch, com
     assert calls == []
 
 
+@pytest.mark.parametrize("case", [case for case in GRID_CASES if case != "gamma_0"])
+def test_check_evaluates_per_state_only_where_gamma_leaves_its_direct_form(tmp_path, monkeypatch, case):
+    # the stack decides every state whose Gamma is in its direct form, the
+    # flagged ones of the bounded-input grid included; on the huge_q2 grid
+    # the 4 x 3 states with |q2| >= 5e159 are left to the per-state body
+    # (test_stacked_grid_matches_the_per_state_body checks the output)
+    calls = counting(monkeypatch, "_check_state")
+    assert main(["check", "--config", VELOCITY_CONFIG, "--out", str(tmp_path)] + GRID_CASES[case]) in (0, 3)
+    assert len(calls) == (12 if case == "huge_q2" else 0)
+
+
 @pytest.mark.parametrize(
     "config, n_states",
     [
@@ -751,6 +806,52 @@ def test_failed_trajectory_probe_is_reported(tmp_path, capsys, command, eta, cov
     assert captured.err.startswith(
         f"error: trajectory probe failed after recording {covered} states: KappaRangeError at step {max(covered - 1, 0)}: "
     )
+
+
+def test_check_lists_the_first_20_failing_states_rounded(tmp_path, capsys):
+    code, out, err, _ = outcome(capsys, tmp_path / "out", ["check", "--config", VELOCITY_CONFIG] + GRID_CASES["bounded_input"])
+    assert code == 3
+    lines = err.splitlines()
+    assert lines[0] == "200 of 2000 grid points violate"
+    violations = [int(line.split()[0]) for line in out.splitlines()[1:-1]]
+    config = cli.load_config(VELOCITY_CONFIG, GRID_CASES["bounded_input"][1::2])
+    states = cli._grid_states(config, cli.build_scenario(config), None)
+    assert lines[1:] == [
+        f"  point {i}: x = [{', '.join(str(round(float(v), 5)) for v in states[i])}]" for i in violations[:20]
+    ]
+    assert lines[1] == "  point 121: x = [-2.0, 0.75, 0.66667]"
+
+
+# --- the parser -----------------------------------------------------------------
+
+
+def test_main_builds_one_parser_and_arguments_do_not_leak(tmp_path, capsys):
+    # two calls in one process give what each gives alone, on a new parser
+    config = dict(json.loads(Path(VELOCITY_CONFIG).read_text()), grid={"kind": "trajectory", "subsample": 100})
+    config["sim"]["horizon"] = 0.5
+    plain = ["margin", "--config", str(write_config(tmp_path, "short.json", config))]
+    with_sets = ["check", "--config", VELOCITY_CONFIG] + GRID_CASES["small_bounded_input"] + ["--seed", "3"]
+    alone = {}
+    for name, argv in (("plain", plain), ("with_sets", with_sets)):
+        cli._parser.cache_clear()
+        alone[name] = outcome(capsys, tmp_path / name, argv)
+    assert alone["with_sets"][0] == 3 and alone["plain"][0] == 0
+    for order in (("with_sets", "plain"), ("plain", "with_sets")):
+        cli._parser.cache_clear()
+        for name in order:
+            argv = plain if name == "plain" else with_sets
+            assert outcome(capsys, tmp_path / name, argv) == alone[name]
+        assert cli._parser.cache_info().misses == 1  # one parser built for both calls
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_main_runs_the_command_bound_at_call_time(tmp_path, monkeypatch):
+    argv = ["check", "--config", VELOCITY_CONFIG, "--out", str(tmp_path)] + GRID_CASES["qp"]
+    assert main(argv) == 3  # the parser exists from here on
+    seen = []
+    monkeypatch.setattr(cli, "cmd_check", lambda args: seen.append(args.set) or 42)
+    assert main(argv) == 42
+    assert seen == [GRID_CASES["qp"][1::2]]
 
 
 # --- CSV writer -----------------------------------------------------------------

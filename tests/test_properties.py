@@ -6,6 +6,7 @@ implies, at points hypothesis draws rather than at hand-picked ones.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import assume, example, given
@@ -23,6 +24,7 @@ from cbfctrl import (
     lambda_min_norm,
     margin_of,
 )
+from cbfctrl import cli
 from cbfctrl.formulas import FormulaBatch, controller_spec, lambda_and_slope, vectorisable
 
 cs = st.floats(-50.0, 50.0, allow_nan=False)
@@ -231,3 +233,60 @@ def test_batch_kernel_per_member_norms(c, d, sigma, gamma):
         assert lam[i] == out.lam
         if spec.kind != "qp":
             assert (kappa[i], gam[i]) == (out.kappa, out.gamma_eff)
+
+
+def checked_point(spec, c, d):
+    """(kappa, ok) of cli's per-state check body at the constraint (c, d)."""
+    con = AffineConstraint(c, d)
+    _, _, kappa, ok = cli._check_state(SimpleNamespace(spec=spec), lambda x: (con, None), None)
+    return kappa, ok
+
+
+def range_specs(sigma, eta, gamma, relu):
+    shaping = ShapingFunction.linear(sigma)
+    policy = TunableTermPolicy.eta_constant(eta)
+    return [
+        ControllerSpec.qp(),
+        ControllerSpec.sontag(shaping),
+        ControllerSpec.tunable(shaping, policy, relu),
+        ControllerSpec.bounded_input(shaping, gamma, policy),
+    ]
+
+
+@given(
+    st.lists(st.one_of(st.floats(-50.0, 50.0), st.sampled_from([0.0, 1e-170, -1e-170, 1e160, -1e160, -1e300])),
+             min_size=4, max_size=4),
+    # ||d||^2 well above EPS_D, just below and above it, 0, subnormal-squared and overflowing
+    st.one_of(ds, st.sampled_from([[0.0], [1e-7], [9.99e-7], [1.001e-6], [1e-78], [1e160]])),
+    st.floats(0.01, 5.0),
+    st.floats(0.05, 1.0),
+    gammas,
+    st.booleans(),
+)
+# the bounded-input tie kappa == upper == 0: Gamma == -c, kappa = 0.5 (-1) + 0.5, slack = 2^30 - 2^30
+@example([-2.0**30] * 4, [1.0], 1.0, 0.5, 2.0**30, True)
+# the smooth tie kappa Gamma == c: Gamma == c and kappa == 1
+@example([2.0**30] * 4, [1.0], 1.0, 0.3, 1.0, False)
+def test_range_verdict_matches_the_per_state_check(cs_, d, sigma, eta, gamma, relu):
+    # wherever the kernel decides a point, its verdict and kappa are the
+    # per-state check's (resolve_kappa's DomainError and check_kappa_range);
+    # where Gamma leaves its direct form the point is undecided
+    specs = range_specs(sigma, eta, gamma, relu)
+    with np.errstate(over="ignore"):
+        d2 = AffineConstraint(0.0, d).d_norm_sq
+    c = np.array(cs_)
+    # the four kinds as one batch, member i at cs_[i], and each kind alone over the stack cs_
+    batches = [(FormulaBatch(specs), specs)] + [(FormulaBatch([spec]), [spec] * len(cs_)) for spec in specs]
+    for kernel, members in batches:
+        with np.errstate(all="ignore"):
+            _, kappa, gam, _ = kernel(c, d2)
+            kappa, ok, decided = kernel.range_verdict(c, d2, kappa, gam)
+        for i, (spec, ci) in enumerate(zip(members, cs_)):
+            if 1e-100 < abs(ci) < 1e100 and d2 < 1e100:
+                assert decided[i]
+            if not decided[i]:
+                continue
+            assert abs(ci) < 1e155 and d2 < 1e155  # no Gamma outside its direct form is decided
+            want_kappa, want_ok = checked_point(spec, ci, d)
+            assert ok[i] == want_ok, (spec.kind, ci, d2)
+            assert kappa[i] == want_kappa or (math.isnan(kappa[i]) and math.isnan(want_kappa))
