@@ -17,6 +17,9 @@ where Gamma leaves its direct form; margin evaluates per state every state
 that the formula kernel flags.  On other plants every state is evaluated
 per state.  The output is the per-state evaluation's either way.
 
+A box grid holds at most MAX_GRID_STATES (10^6) states, the product of
+its axis counts; a larger one is a config error.
+
 Exit codes: 0 success, 1 config error, 2 infeasibility or blow-up during
 simulation, 3 check violations.
 """
@@ -78,6 +81,9 @@ _DISTURBANCE_KEYS = {"kind", "value", "amplitude", "freq", "magnitude", "seed"}
 _GRID_KEYS = {"kind", "base", "axes", "subsample"}
 _AXIS_KEYS = {"dim", "min", "max", "count"}
 _OUTPUT_KEYS = {"trajectory"}
+# The most states a box grid may hold (the product of its axis counts);
+# a larger grid is a config error, raised before any state is formed.
+MAX_GRID_STATES = 10**6
 
 
 def _reject_unknown(section: dict, allowed: set, path: str) -> None:
@@ -234,7 +240,10 @@ def validate_config(config: dict) -> None:
         for i, axis in enumerate(axes):
             _object(axis, f"config.grid.axes[{i}]", _AXIS_KEYS)
     if "output" in config:
-        _object(config["output"], "config.output", _OUTPUT_KEYS)
+        output = _object(config["output"], "config.output", _OUTPUT_KEYS)
+        name = output.get("trajectory", "trajectory.csv")
+        if not (isinstance(name, str) and name):
+            raise ConfigurationError(f"config.output.trajectory must be a non-empty string, got {name!r}")
 
 
 class Scenario:
@@ -532,6 +541,11 @@ def _grid_states(config: dict, scenario: Scenario, seed: int | None) -> np.ndarr
                 raise ConfigurationError(f"{path}.{key} must be a number, got {axis[key]!r}")
     if not axes:
         return np.empty((0, n))
+    total = math.prod(axis["count"] for axis in axes)
+    if total > MAX_GRID_STATES:
+        raise ConfigurationError(
+            f"config.grid.axes hold {total} states (the product of their counts), more than {MAX_GRID_STATES}"
+        )
     grids = [np.linspace(a["min"], a["max"], a["count"]) for a in axes]
     combos = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, len(axes))
     states = np.tile(base, (len(combos), 1))

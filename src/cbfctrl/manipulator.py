@@ -15,6 +15,18 @@ torque-level map is a view of one per-state evaluation, torque_terms,
 which the torque-level system declares as its plant evaluation: a
 closed-loop run forms the dynamics, k0 and its Jacobians once per state.
 
+torque_terms forms every entry in Python floats, and writes each product
+of a 2x2 matrix or 2-vector with a 2-vector as a0*b0 + a1*b1, left to
+right; it builds arrays only for its outputs.  That rounds differently
+from numpy's @ on these shapes: OpenBLAS forms a length-2 dot product as
+fma(a1, b1, a0*b0), with one rounding fewer, and Python 3.11 has no
+math.fma to reproduce it.  Against the same formulas written with @ each
+entry agrees to within 1e-13 * max(1, |entry|) (8e-15 at most over 6000
+random states).  A 10 s run with a smooth k0 moves by under 1e-15; the
+min-norm run, which a one-ULP change of x0 moves as far, by about 6e-2
+(README, "Known deviations").  The velocity level forms k0 with no such
+sum, so its maps are the same either way.
+
 Time enters through the reference trajectory; both layers carry it as a
 trailing clock state with rate 1, which keeps every map a pure function
 of the state.
@@ -71,34 +83,55 @@ class ManipulatorParams:
             object.__setattr__(self, "lc2", self.l2)
 
 
+class _Arm:
+    """The arm's constant coefficients, and the entries of M(q), C(q, v) and
+    N(q) formed from them in floats.
+
+    Each entry is the textbook expression, with its constant factors
+    multiplied out once here in the order the expression reads.
+    """
+
+    __slots__ = ("m11_0", "m11_1", "m11_2", "m12_0", "m12_1", "m22", "i1", "i2", "m2", "hc", "n1", "n2")
+
+    def __init__(self, p: ManipulatorParams):
+        self.m11_0 = p.m1 * p.lc1**2
+        self.m11_1 = p.l1**2 + p.lc2**2
+        self.m11_2 = 2.0 * p.l1 * p.lc2
+        self.m12_0 = p.lc2**2
+        self.m12_1 = p.l1 * p.lc2
+        self.m22 = p.m2 * p.lc2**2 + p.i2
+        self.i1, self.i2, self.m2 = p.i1, p.i2, p.m2
+        self.hc = p.m2 * p.l1 * p.lc2
+        self.n1 = (p.m1 * p.lc1 + p.m2 * p.l1) * p.gravity
+        self.n2 = p.m2 * p.lc2 * p.gravity
+
+    def mass(self, c2: float) -> tuple[float, float, float]:
+        """(m11, m12, m22) at cos(q2) = c2; M is symmetric."""
+        m11 = self.m11_0 + self.m2 * (self.m11_1 + self.m11_2 * c2) + self.i1 + self.i2
+        return m11, self.m2 * (self.m12_0 + self.m12_1 * c2) + self.i2, self.m22
+
+    def coriolis(self, s2: float, v1: float, v2: float) -> tuple[float, float, float, float]:
+        """Entries of C, row by row, at sin(q2) = s2 and v = (v1, v2)."""
+        hc = self.hc * s2
+        return -hc * v2, -hc * (v1 + v2), hc * v1, 0.0
+
+    def gravity(self, c1: float, c12: float) -> tuple[float, float]:
+        """N at cos(q1) = c1 and cos(q1 + q2) = c12."""
+        return self.n1 * c1 + self.n2 * c12, self.n2 * c12
+
+
 def mass_matrix(p: ManipulatorParams, q: np.ndarray) -> np.ndarray:
-    c2 = math.cos(q[1])
-    m11 = (
-        p.m1 * p.lc1**2
-        + p.m2 * (p.l1**2 + p.lc2**2 + 2.0 * p.l1 * p.lc2 * c2)
-        + p.i1
-        + p.i2
-    )
-    m12 = p.m2 * (p.lc2**2 + p.l1 * p.lc2 * c2) + p.i2
-    m22 = p.m2 * p.lc2**2 + p.i2
+    m11, m12, m22 = _Arm(p).mass(math.cos(q[1]))
     return np.array([[m11, m12], [m12, m22]])
 
 
 def coriolis_matrix(p: ManipulatorParams, q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    hc = p.m2 * p.l1 * p.lc2 * math.sin(q[1])
-    return np.array([[-hc * v[1], -hc * (v[0] + v[1])], [hc * v[0], 0.0]])
+    c11, c12, c21, c22 = _Arm(p).coriolis(math.sin(q[1]), v[0], v[1])
+    return np.array([[c11, c12], [c21, c22]])
 
 
 def gravity_vector(p: ManipulatorParams, q: np.ndarray) -> np.ndarray:
-    g = p.gravity
-    c1 = math.cos(q[0])
-    c12 = math.cos(q[0] + q[1])
-    return np.array(
-        [
-            (p.m1 * p.lc1 + p.m2 * p.l1) * g * c1 + p.m2 * p.lc2 * g * c12,
-            p.m2 * p.lc2 * g * c12,
-        ]
-    )
+    return np.array(_Arm(p).gravity(math.cos(q[0]), math.cos(q[0] + q[1])))
 
 
 def _inverse_terms(a: float, b: float, c: float, d: float) -> tuple[float, float, float, float]:
@@ -118,31 +151,40 @@ def reference_rate(tau: float) -> np.ndarray:
 
 # --- velocity-level scenario ------------------------------------------------
 
+K0Floats = tuple[float, float, float, float, float, float, float, float]
+
+
 @dataclass(frozen=True)
 class VirtualController:
     """Velocity command k0(q, tau) together with its partial derivatives.
 
     jac_q is the 2x2 Jacobian in q and jac_tau the partial in the clock;
-    the total derivative along qdot = v is jac_q @ v + jac_tau.  terms
-    returns (value, jac_q, jac_tau) together from one pass, which is what
-    the torque level reads.
+    the total derivative along qdot = v is jac_q @ v + jac_tau.  floats
+    gives all three from one pass at (q1, q2, tau) as plain floats,
+    (k1, k2, J11, J12, J21, J22, t1, t2), which is what the torque level
+    reads; terms, value, jac_q and jac_tau are arrays of those floats.
     """
 
     value: Callable[[np.ndarray, float], np.ndarray]
     jac_q: Callable[[np.ndarray, float], np.ndarray]
     jac_tau: Callable[[np.ndarray, float], np.ndarray]
     terms: Callable[[np.ndarray, float], tuple[np.ndarray, np.ndarray, np.ndarray]]
+    floats: Callable[[float, float, float], K0Floats]
 
     @classmethod
-    def from_terms(
-        cls, terms: Callable[[np.ndarray, float], tuple[np.ndarray, np.ndarray, np.ndarray]]
-    ) -> "VirtualController":
-        """Controller whose three maps all read the fused terms(q, tau)."""
+    def from_floats(cls, floats: Callable[[float, float, float], K0Floats]) -> "VirtualController":
+        """Controller whose maps all read the one-pass floats(q1, q2, tau)."""
+
+        def terms(q: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            k1, k2, j11, j12, j21, j22, t1, t2 = floats(float(q[0]), float(q[1]), tau)
+            return np.array([k1, k2]), np.array([[j11, j12], [j21, j22]]), np.array([t1, t2])
+
         return cls(
             value=lambda q, tau: terms(q, tau)[0],
             jac_q=lambda q, tau: terms(q, tau)[1],
             jac_tau=lambda q, tau: terms(q, tau)[2],
             terms=terms,
+            floats=floats,
         )
 
 
@@ -151,7 +193,8 @@ class VelocityScenario:
     """Assembled velocity-level safe-tracking problem.
 
     The simulated state is [q1, q2, clock]; the input is the joint
-    velocity.  spec is a safety filter around the tracking command.
+    velocity.  spec is a safety filter around the tracking command, and
+    the barrier is h = q_bar - q2.
     """
 
     system: ControlAffineSystem
@@ -164,6 +207,7 @@ class VelocityScenario:
     eta: Optional[float]
     sigma: float
     gamma: Optional[float]
+    q_bar: float
 
 
 def velocity_level_scenario(
@@ -241,21 +285,20 @@ def velocity_level_scenario(
     d2 = float(d_vec @ d_vec)
     dc1, dc2 = (beta * np.array([0.0, -1.0]) + d_vec @ neg_kp_mat).tolist()
 
-    def k0_terms(q: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def k0_floats(q1: float, q2: float, tau: float) -> K0Floats:
         """k0 and its Jacobians in q and tau from one multiplier evaluation."""
-        q2 = float(q[1])
-        k1, k2, rate = tracking(float(q[0]), q2, tau)
+        k1, k2, rate = tracking(q1, q2, tau)
         lam, slope = lambda_and_slope(inner, beta * (q_bar - q2) - k2, d2)
         dk_dtau = kp_00 * rate + -2.0 * math.sin(tau)  # kp r' + r'', both entries
         s1, s2 = slope * dc1, slope * dc2
         s_tau = slope * -dk_dtau
         return (
-            np.array([k1 + lam * 0.0, k2 - lam]),  # k0d + lam d
-            np.array([[n00 + 0.0 * s1, n01 + 0.0 * s2], [n10 - s1, n11 - s2]]),  # -kp + d (slope dcbar/dq)
-            np.array([dk_dtau + 0.0 * s_tau, dk_dtau - s_tau]),  # dk0d/dtau + d slope (d.dk0d/dtau)
+            k1 + lam * 0.0, k2 - lam,  # k0d + lam d
+            n00 + 0.0 * s1, n01 + 0.0 * s2, n10 - s1, n11 - s2,  # -kp + d (slope dcbar/dq)
+            dk_dtau + 0.0 * s_tau, dk_dtau - s_tau,  # dk0d/dtau + d slope (d.dk0d/dtau)
         )
 
-    k0 = VirtualController.from_terms(k0_terms)
+    k0 = VirtualController.from_floats(k0_floats)
 
     return VelocityScenario(
         system=system,
@@ -268,6 +311,7 @@ def velocity_level_scenario(
         eta=eta if kind in ("tunable", "bounded_input") else None,
         sigma=sigma,
         gamma=gamma,
+        q_bar=q_bar,
     )
 
 
@@ -360,36 +404,47 @@ def torque_terms(
     Jacobians, and from them every field of TorqueTerms, in new arrays.
     It is the plant evaluation the torque-level system declares (see
     core.PlantEvaluation), so the closed loop calls it once per state.
+
+    Every entry is a Python float and every product of a 2x2 matrix or
+    2-vector with a 2-vector the sum a0*b0 + a1*b1, left to right; see the
+    module docstring for how that rounds against numpy's @.
     """
-    k0_terms = velocity.k0.terms
-    h_of = velocity.barrier.value
-    mu = cfg.mu
-    dh_dq1, dh_dq2 = 0.0, -1.0
+    arm = _Arm(p)
+    k0_floats = velocity.k0.floats
+    q_bar = velocity.q_bar  # h = q_bar - q2, so dh/dq = (0, -1)
+    mu, kp_bar = cfg.mu, cfg.kp_bar
+    two_mu = 2.0 * mu
+    g_zero = np.zeros((5, 2))
 
     def terms(x: np.ndarray) -> TorqueTerms:
-        # The elementwise terms in floats, every sum of products a numpy @.
-        x = np.asarray(x, dtype=float)
-        q1, q2, v1, v2, tau = x.tolist()
-        q, v = x[:2], x[2:4]
-        m = mass_matrix(p, (q1, q2))
-        (m11, m12), (m21, m22) = m.tolist()
-        i11, i12, i21, i22 = _inverse_terms(m11, m12, m21, m22)
-        cv = coriolis_matrix(p, (q1, q2), (v1, v2)) @ v
-        n = gravity_vector(p, (q1, q2))
-        k0, jac_q, jac_tau = k0_terms(q, tau)
-        e_v = v - k0
+        q1, q2, v1, v2, tau = np.asarray(x, dtype=float).tolist()
+        m11, m12, m22 = arm.mass(math.cos(q2))
+        i11, i12, i21, i22 = _inverse_terms(m11, m12, m12, m22)
+        c11, c12, c21, c22 = arm.coriolis(math.sin(q2), v1, v2)
+        cv1, cv2 = c11 * v1 + c12 * v2, c21 * v1 + c22 * v2
+        n1, n2 = arm.gravity(math.cos(q1), math.cos(q1 + q2))
+        k1, k2, j11, j12, j21, j22, t1, t2 = k0_floats(q1, q2, tau)
+        e1, e2 = v1 - k1, v2 - k2
 
-        phi1, phi2 = (np.array([[-i11, -i12], [-i21, -i22]]) @ (cv + n)).tolist()
-        f = np.array([v1, v2, phi1, phi2, 1.0])
-        g = np.array([[0.0, 0.0], [0.0, 0.0], [i11, i12], [i21, i22], [0.0, 0.0]])
-        h = h_of(np.array([q1, q2, tau]))
-        b = h - float(e_v @ e_v) / (2.0 * mu)
-        e1, e2 = e_v.tolist()
-        a1, a2 = (e_v @ jac_q).tolist()
-        grad_b = np.array([dh_dq1 + a1 / mu, dh_dq2 + a2 / mu, -e1 / mu, -e2 / mu, float(e_v @ jac_tau) / mu])
-        k0_dot = jac_q @ v + jac_tau
-        k_d = m @ (k0_dot - cfg.kp_bar * e_v) + cv + n
-        return TorqueTerms(f=f, g=g, b=b, grad_b=grad_b, k_d=k_d)
+        r1, r2 = cv1 + n1, cv2 + n2
+        f = np.array([v1, v2, -i11 * r1 + -i12 * r2, -i21 * r1 + -i22 * r2, 1.0])
+        g = g_zero.copy()  # rows 0, 1 and 4 stay zero
+        g[2, 0], g[2, 1], g[3, 0], g[3, 1] = i11, i12, i21, i22
+        b = (q_bar - q2) - (e1 * e1 + e2 * e2) / two_mu
+        grad_b = np.array(
+            [
+                0.0 + (e1 * j11 + e2 * j21) / mu,
+                -1.0 + (e1 * j12 + e2 * j22) / mu,
+                -e1 / mu,
+                -e2 / mu,
+                (e1 * t1 + e2 * t2) / mu,
+            ]
+        )
+        # M (k0dot - kp_bar e_v) + C v + N, with k0dot = J v + dk0/dtau
+        w1 = j11 * v1 + j12 * v2 + t1 - kp_bar * e1
+        w2 = j21 * v1 + j22 * v2 + t2 - kp_bar * e2
+        k_d = np.array([m11 * w1 + m12 * w2 + cv1 + n1, m12 * w1 + m22 * w2 + cv2 + n2])
+        return TorqueTerms(f, g, b, grad_b, k_d)
 
     return terms
 

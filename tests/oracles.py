@@ -3,8 +3,9 @@
 Each is written independently of the library's fused evaluation paths:
 forward dynamics and energies of the two-link arm, its reference
 trajectory and that trajectory's acceleration, central finite
-differences, and the bare ReLU multiplier; and a torque plant whose
-maps count their calls.
+differences, and the bare ReLU multiplier; products of 2-vectors in the
+float arithmetic of the torque level; and a torque plant whose maps
+count their calls.
 """
 
 import math
@@ -39,9 +40,24 @@ def fd_k0_jacobians(k0, q, tau):
     return jac_q, (k0(q, tau + step) - k0(q, tau - step)) / (2.0 * step)
 
 
-def total_derivative(k0, q, v, tau):
+def dot(a, b):
+    """a . b of two 2-vectors as the float sum a0*b0 + a1*b1, left to right."""
+    return float(a[0]) * float(b[0]) + float(a[1]) * float(b[1])
+
+
+def matvec(m, v):
+    """m v of a 2x2 matrix and a 2-vector, each entry a float sum (see dot)."""
+    return np.array([dot(m[0], v), dot(m[1], v)])
+
+
+def vecmat(v, m):
+    """v m of a 2-vector and a 2x2 matrix, each entry a float sum (see dot)."""
+    return np.array([dot(v, (m[0][0], m[1][0])), dot(v, (m[0][1], m[1][1]))])
+
+
+def total_derivative(k0, q, v, tau, matvec=matvec):
     """d/dt k0(q, tau) along qdot = v, from a VirtualController's Jacobians."""
-    return k0.jac_q(q, tau) @ v + k0.jac_tau(q, tau)
+    return matvec(k0.jac_q(q, tau), v) + k0.jac_tau(q, tau)
 
 
 def reference(tau):

@@ -579,6 +579,17 @@ def test_non_finite_config_numbers_are_config_errors(tmp_path, capsys, item, mes
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value, shown", [("5", "5"), ('""', "''"), ("null", "None"), ('["a.csv"]', "['a.csv']")])
+def test_output_trajectory_must_be_a_non_empty_string(tmp_path, capsys, value, shown):
+    # rejected with the config, before the run: no output directory is made
+    out = tmp_path / "out"
+    rc = main(["simulate", "--config", VELOCITY_CONFIG, "--set", "sim.horizon=0.01",
+               "--set", f"output.trajectory={value}", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"config error: config.output.trajectory must be a non-empty string, got {shown}\n"
+    assert not out.exists()
+
+
 # --- check and margin grids ------------------------------------------------------
 
 BOX_AXES = [
@@ -786,6 +797,24 @@ def test_bad_grid_axes_are_config_errors(tmp_path, capsys, command, axis, messag
     rc = main([command, "--config", VELOCITY_CONFIG, "--out", str(tmp_path)] + box([axis]))
     assert rc == 1
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("counts", [[10_000_000_000_000], [1001, 1000], [101, 100, 100]])
+@pytest.mark.parametrize("command", ["check", "margin"])
+def test_box_grid_over_the_state_bound_is_a_config_error(tmp_path, capsys, monkeypatch, command, counts):
+    # the product of the counts is checked before any grid array is formed
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid formed")
+
+    monkeypatch.setattr(cli.np, "linspace", no_grid)
+    monkeypatch.setattr(cli.np, "meshgrid", no_grid)
+    axes = [{"dim": i, "min": 0.0, "max": 1.0, "count": count} for i, count in enumerate(counts)]
+    rc = main([command, "--config", VELOCITY_CONFIG, "--out", str(tmp_path)] + box(axes))
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"config error: config.grid.axes hold {math.prod(counts)} states (the product of their counts), "
+        f"more than {cli.MAX_GRID_STATES}\n"
+    )
 
 
 def test_bad_subsample_is_a_config_error(tmp_path, capsys):

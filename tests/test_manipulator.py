@@ -33,14 +33,17 @@ from cbfctrl.manipulator import (
 from cbfctrl.simulate import SimConfig, run, step
 from oracles import (
     counted_plant,
+    dot,
     dynamics,
     fd_k0_jacobians,
     finite_difference_gradient,
     inverse_2x2,
+    matvec,
     reference,
     reference_accel,
     total_derivative,
     total_energy,
+    vecmat,
 )
 
 PARAMS = ManipulatorParams()
@@ -52,6 +55,10 @@ CFG_SHORT = SimConfig(dt=1e-3, horizon=4.0)
 # The library forms k0 with its Jacobians, and every torque-level map, in one
 # pass per state.  These are the same formulas written callable by callable,
 # each recomputing what it needs; the fused paths must match them bit for bit.
+# The torque maps take their 2-vector products as the library forms them,
+# plain float sums (oracles.dot, matvec, vecmat); numpy's @ rounds those with
+# a fused multiply-add, so BLAS_PRODUCTS gives the @ formulation, which agrees
+# to rounding only.
 
 def oracle_k0(eta=0.7, sigma=0.2, kind="tunable", q_bar=Q2_LIMIT, beta=1.5, kp=1.0):
     kp_mat = np.diag([kp, kp])
@@ -88,18 +95,26 @@ def oracle_k0(eta=0.7, sigma=0.2, kind="tunable", q_bar=Q2_LIMIT, beta=1.5, kp=1
         _, slope = lam_and_slope(cbar_at(q, tau))
         return dk0d_dtau + d_vec * (slope * float(d_vec @ dk0d_dtau))
 
-    return VirtualController.from_terms(
-        lambda q, tau: (value(q, tau), jac_q(q, tau), jac_tau(q, tau))
-    )
+    def floats(q1, q2, tau):
+        q = np.array([q1, q2])
+        (k1, k2), ((j11, j12), (j21, j22)), (t1, t2) = (
+            a.tolist() for a in (value(q, tau), jac_q(q, tau), jac_tau(q, tau))
+        )
+        return k1, k2, j11, j12, j21, j22, t1, t2
+
+    return VirtualController.from_floats(floats)
 
 
-def oracle_torque_maps(p, k0, cfg, q_bar=Q2_LIMIT):
+BLAS_PRODUCTS = dict(dot=np.matmul, matvec=np.matmul, vecmat=np.matmul)
+
+
+def oracle_torque_maps(p, k0, cfg, q_bar=Q2_LIMIT, dot=dot, matvec=matvec, vecmat=vecmat):
     """(drift, input_map, barrier value, barrier gradient, nominal torque)."""
 
     def drift(x):
         q, v = x[:2], x[2:4]
         m_inv = inverse_2x2(mass_matrix(p, q))
-        phi = -m_inv @ (coriolis_matrix(p, q, v) @ v + gravity_vector(p, q))
+        phi = matvec(-m_inv, matvec(coriolis_matrix(p, q, v), v) + gravity_vector(p, q))
         return np.array([v[0], v[1], phi[0], phi[1], 1.0])
 
     def input_map(x):
@@ -110,24 +125,24 @@ def oracle_torque_maps(p, k0, cfg, q_bar=Q2_LIMIT):
     def value(x):
         q, v, tau = x[:2], x[2:4], x[4]
         e_v = v - k0.value(q, tau)
-        return (q_bar - q[1]) - float(e_v @ e_v) / (2.0 * cfg.mu)
+        return (q_bar - q[1]) - float(dot(e_v, e_v)) / (2.0 * cfg.mu)
 
     def gradient(x):
         q, v, tau = x[:2], x[2:4], x[4]
         e_v = v - k0.value(q, tau)
         grad = np.empty(5)
-        grad[:2] = np.array([0.0, -1.0]) + (e_v @ k0.jac_q(q, tau)) / cfg.mu
+        grad[:2] = np.array([0.0, -1.0]) + vecmat(e_v, k0.jac_q(q, tau)) / cfg.mu
         grad[2:4] = -e_v / cfg.mu
-        grad[4] = float(e_v @ k0.jac_tau(q, tau)) / cfg.mu
+        grad[4] = float(dot(e_v, k0.jac_tau(q, tau))) / cfg.mu
         return grad
 
     def nominal(x):
         q, v, tau = x[:2], x[2:4], x[4]
         e_v = v - k0.value(q, tau)
-        k0_dot = total_derivative(k0, q, v, tau)
+        k0_dot = total_derivative(k0, q, v, tau, matvec)
         return (
-            mass_matrix(p, q) @ (k0_dot - cfg.kp_bar * e_v)
-            + coriolis_matrix(p, q, v) @ v
+            matvec(mass_matrix(p, q), k0_dot - cfg.kp_bar * e_v)
+            + matvec(coriolis_matrix(p, q, v), v)
             + gravity_vector(p, q)
         )
 
@@ -390,6 +405,21 @@ def test_torque_maps_match_oracle(kind):
         for j in range(len(got)):
             k = (i + j) % len(got)
             np.testing.assert_array_equal(got[k](x), ref[k](x))
+
+
+@pytest.mark.parametrize("kind", ["tunable", "sontag", "qp"])
+def test_torque_maps_match_the_matmul_formulation_to_rounding(kind):
+    # The same maps with every product a numpy @, which OpenBLAS rounds with
+    # a fused multiply-add: each entry agrees to 1e-13 * max(1, |entry|).
+    sc = torque_level_scenario(eta=0.7, kind=kind)
+    ref = oracle_torque_maps(PARAMS, oracle_k0(eta=0.7, kind=kind), sc.cfg, **BLAS_PRODUCTS)
+    rng = np.random.default_rng(70)
+    for _ in range(1000):
+        x = random_torque_state(rng)
+        for got, want in zip(_torque_maps(sc), ref):
+            got, want = np.asarray(got(x)), np.asarray(want(x))
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want))), (x, got, want)
 
 
 def test_torque_maps_return_fresh_arrays():
