@@ -45,7 +45,6 @@ from .core import (
     DomainError,
     Gamma,
     KappaRangeError,
-    evaluate_constraint,
 )
 from .formulas import (
     ControllerSpec,
@@ -364,28 +363,14 @@ def write_trajectory_csv(path: Path, traj: Trajectory, n: int, m: int) -> None:
         fh.write("".join([row % tuple(values) for values in table.tolist()]))
 
 
-def _point_evaluation(scenario: Scenario):
-    """The scenario's evaluation at one state x, (con, k_d): one plant
-    evaluation where the plant declares it (see simulate.point_evaluation),
-    else evaluate_constraint with k_d None (the nominal is called later)."""
-    at = point_evaluation(scenario.system, scenario.barrier, scenario.spec)
-    if at is None:
-        return lambda x: (evaluate_constraint(scenario.system, scenario.barrier, x), None)
-    return lambda x: at(x)[3:]
-
-
-def _strict_range_precheck(scenario: Scenario) -> None:
-    """Evaluate the controller once at x0 so range violations fail fast."""
-    con, kd = _point_evaluation(scenario)(scenario.x0)
-    evaluate_controller(scenario.spec, con, scenario.x0, kd)
-
-
 def cmd_simulate(args) -> int:
     config = load_config(args.config, args.set)
     scenario = build_scenario(config, zoh=args.zoh, seed=args.seed)
-    if args.strict_range:
+    if args.strict_range:  # evaluate the controller once at x0 so range violations fail fast
         try:
-            _strict_range_precheck(scenario)
+            at, _ = point_evaluation(scenario.system, scenario.barrier, scenario.spec)
+            _, _, _, con, kd = at(scenario.x0)
+            evaluate_controller(scenario.spec, con, scenario.x0, kd)
         except CBFControlError as exc:
             print(f"strict-range precheck failed at x0: {exc}", file=sys.stderr)
             return CONFIG_ERROR
@@ -433,7 +418,7 @@ def cmd_sweep(args) -> int:
         args.param, args.param
     )
     try:
-        values = [json.loads(v) for v in args.values.split(",") if v]
+        values = json.loads(f"[{args.values}]")  # the items of one JSON array, so a vector is one value
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"cannot parse --values: {exc}") from exc
     if not values:
@@ -473,6 +458,8 @@ def cmd_sweep(args) -> int:
     any_failed = False
     rows = []
     for value, scenario, traj in zip(values, scenarios, trajs):
+        if isinstance(value, list):  # a swept vector: its JSON, with no spaces
+            value = json.dumps(value, separators=(",", ":"))
         write_trajectory_csv(
             out_dir / f"{args.param}_{value}.csv",
             traj,
@@ -493,6 +480,8 @@ def cmd_sweep(args) -> int:
         fh.write(f"{args.param},min_h,max_input_norm,max_deriv_jump,margin_min,status\n")
         for value, min_h, max_input, max_jump, margin_min, status in rows:
             cell = _fmt(value) if isinstance(value, (int, float)) else str(value)  # e.g. a swept kind
+            if "," in cell or '"' in cell:  # e.g. a swept vector's JSON: one quoted field
+                cell = '"' + cell.replace('"', '""') + '"'
             fh.write(
                 f"{cell},{_fmt(min_h)},{_fmt(max_input)},"
                 f"{_fmt(max_jump)},{_fmt(margin_min)},{status}\n"
@@ -575,12 +564,12 @@ def _stacked_grid(scenario: Scenario, states: np.ndarray) -> tuple[FormulaBatch,
 
 def _check_state(scenario: Scenario, at, x: np.ndarray) -> tuple[float, float, float, bool]:
     """(c_eff, ||d||^2, kappa, range ok) at x, evaluated by at (see
-    _point_evaluation); kappa is NaN where there is none.
+    simulate.point_evaluation); kappa is NaN where there is none.
 
     A state where the controller is infeasible (||d||^2 <= EPS_D with
     c_eff <= 0) fails whatever the kind.
     """
-    con, kd = at(x)
+    _, _, _, con, kd = at(x)
     spec = scenario.spec
     c_eff, _ = filter_offset(spec, con, x, kd)
     d2 = con.d_norm_sq
@@ -619,7 +608,7 @@ def cmd_check(args) -> int:
         with np.errstate(all="ignore"):
             kappa, range_ok, decided = kernel.range_verdict(stage.c_bar, stage.d2, stage.kappa, stage.gam)
         c_eff, d2, kappa = np.array(np.broadcast_arrays(stage.c_bar, stage.d2, kappa))
-    at = _point_evaluation(scenario)
+    at, _ = point_evaluation(scenario.system, scenario.barrier, scenario.spec)
     # A decided state's values are the per-state body's, which raises at
     # none of them; the rest go through it in index order, so that the first
     # state to raise is the one a per-state loop meets.
@@ -680,10 +669,10 @@ def cmd_margin(args) -> int:
         _, stage, flagged = stacked
         with np.errstate(all="ignore"):
             values = margins(stage.c_bar, stage.kappa, stage.gam).tolist()
-    at = _point_evaluation(scenario)
+    at, _ = point_evaluation(scenario.system, scenario.barrier, scenario.spec)
     # In index order, so that the first state to raise is the one a per-state loop meets.
     for i in np.flatnonzero(flagged).tolist():
-        con, kd = at(states[i])
+        _, _, _, con, kd = at(states[i])
         values[i] = margin_of(evaluate_controller(scenario.spec, con, states[i], kd))
     finite = [m for m in values if math.isfinite(m)]
     if not finite:

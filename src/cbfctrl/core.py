@@ -140,8 +140,8 @@ class ControlAffineSystem:
     (B, n) or to one (n,) shared by the stack, input_map to one (n, m)
     shared by the stack; only then does a batched simulation call them on
     stacks.  evaluation declares a one-call evaluation of these maps with
-    a barrier and a nominal (see PlantEvaluation); the scalar simulation
-    loop uses it for runs on exactly that barrier and nominal.
+    a barrier and a nominal (see PlantEvaluation); a scalar run on others
+    calls each separate map once per state instead.
     """
 
     state_dim: int
@@ -184,7 +184,8 @@ class PlantEvaluation:
     input (m,), or None for no nominal, all float and each equal, bit for
     bit, to what the separate maps give at that state.  It holds for this
     barrier and this nominal only (compared by identity), and for the
-    drift and input map of the system that declares it.
+    drift and input map of the system that declares it; a run on any
+    other builds the tuple from the separate maps (simulate.point_evaluation).
     """
 
     fn: Callable[[np.ndarray], tuple]
@@ -280,8 +281,15 @@ def evaluate_constraint(
         raise ConfigurationError(
             f"barrier gradient has shape {grad.shape}, expected ({system.state_dim},)"
         )
-    h = float(barrier.value(x))
-    c = float(grad @ f) + barrier.classk(h)
+    return form_constraint(x, f, g, float(barrier.value(x)), grad, barrier.classk)
+
+
+def form_constraint(
+    x: np.ndarray, f: np.ndarray, g: np.ndarray, h: float, grad: np.ndarray, classk: ExtendedClassK
+) -> AffineConstraint:
+    """The pair c = grad . f + beta(h), d = grad . g from the maps' values at
+    state x; NumericsError, naming x, where it is not finite."""
+    c = float(grad @ f) + classk(h)
     d = grad @ g
     try:
         return AffineConstraint(c=c, d=d)

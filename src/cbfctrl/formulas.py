@@ -359,8 +359,8 @@ def evaluate_controller(
     pass: its inner formula runs at the shifted offset c + d k_d(x) (see
     filter_offset), which is checked for feasibility as c is, on the
     constraint's own d and ||d||^2.  kd is the filter's nominal at x where
-    the caller has it (see simulate.point_evaluation); any other kind
-    ignores it.
+    the caller has it, as the per-state evaluation of a run or of the CLI
+    gives it (see simulate.point_evaluation); any other kind ignores it.
     """
     c = con.c
     d = con.d

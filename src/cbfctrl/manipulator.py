@@ -135,9 +135,10 @@ def gravity_vector(p: ManipulatorParams, q: np.ndarray) -> np.ndarray:
 
 
 def _inverse_terms(a: float, b: float, c: float, d: float) -> tuple[float, float, float, float]:
-    """Entries, row by row, of the inverse of [[a, b], [c, d]]."""
+    """Entries, row by row, of the inverse of [[a, b], [c, d]]; NumericsError where
+    |det| <= 1e-12 (|a d| + |b c|), a bound relative to the entries' scale."""
     det = a * d - b * c
-    if abs(det) < 1e-12:
+    if abs(det) <= 1e-12 * (abs(a * d) + abs(b * c)):
         raise NumericsError(f"mass matrix is numerically singular, det={det}")
     return d / det, -b / det, -c / det, a / det
 

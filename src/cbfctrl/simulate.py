@@ -12,14 +12,15 @@ reason instead of raising.  An evaluation builds one AffineConstraint,
 which holds ||d||^2, and one ControllerOutput, a safety filter included;
 the record reads the correction norm from that ||d||^2.
 
-A plant may declare a one-call evaluation of its maps with the barrier
-and nominal built beside it (core.PlantEvaluation).  A scalar run on
-exactly that barrier and nominal calls it once per state: the constraint
+A scalar run's evaluation at a state is point_evaluation's, one of two:
+the plant's own one-call evaluation (core.PlantEvaluation) where the run
+is on exactly the barrier and nominal it was declared with, otherwise one
+built from the separate maps, which calls the drift, input map, barrier
+value and gradient and the nominal once per state.  The constraint
 (c, d), the filter's offset and k_d, the RK4 stage field f + g u and the
-recorded h all come from that one call, and the maps' shapes are checked
-once per run.  Any other run calls the separate maps (evaluate_constraint,
-the nominal, drift and input map in the stage field, the barrier value
-in the record).  Both give the same trajectory, bit for bit.
+recorded h all come from that one evaluation, and the maps' shapes are
+checked once per run.  Either evaluation gives the same trajectory, bit
+for bit.
 
 run also takes a sequence of specs over one plant and returns one
 trajectory per spec.  Members whose formulas vectorise (see
@@ -51,14 +52,13 @@ import numpy as np
 
 from .analysis import DisturbanceSpec, margin_of, margins
 from .core import (
-    AffineConstraint,
     BarrierFunction,
     BlowUpError,
     CBFControlError,
     ConfigurationError,
     ControlAffineSystem,
     NumericsError,
-    evaluate_constraint,
+    form_constraint,
 )
 from .formulas import ControllerOutput, ControllerSpec, FormulaBatch, evaluate_controller, vectorisable
 
@@ -161,7 +161,9 @@ def step(
     def f_cl(y: np.ndarray) -> np.ndarray:
         return system.drift(y) + system.input_map(y) @ controller(y)
 
-    return _advance(f_cl, x, dt, integrator)
+    if integrator not in ("euler", "rk4"):
+        raise ConfigurationError(f"unknown integrator {integrator!r}")
+    return _advance(f_cl, x, dt, integrator, f_cl(x))
 
 
 def _advance(
@@ -169,14 +171,9 @@ def _advance(
     x: np.ndarray,
     dt: float,
     integrator: str,
-    k1: Optional[np.ndarray] = None,
+    k1: np.ndarray,
 ) -> np.ndarray:
-    """One Euler or RK4 step of xdot = field(y) from x; k1 is field(x) where
-    the caller has it."""
-    if integrator not in ("euler", "rk4"):
-        raise ConfigurationError(f"unknown integrator {integrator!r}")
-    if k1 is None:
-        k1 = field(x)
+    """One Euler or RK4 step of xdot = field(y) from x, where k1 = field(x)."""
     if integrator == "euler":
         x_new = x + dt * k1
     else:
@@ -190,35 +187,48 @@ def _advance(
 
 
 def point_evaluation(system: ControlAffineSystem, barrier: BarrierFunction, spec: ControllerSpec):
-    """The evaluation at one state y from the plant's one-call evaluation,
-    or None where the system declares none for this barrier and the spec's
-    nominal (see core.PlantEvaluation).
+    """(at, maps): at(y) gives (f, g, h, con, k_d) at a state y, con the
+    pair (c, d) and k_d the spec's nominal (None for none); maps(y) gives
+    (f, g) alone, for the stages of a zero-order hold.
 
-    The evaluation gives (f, g, h, con, k_d), con the pair (c, d), equal
-    bit for bit to the separate maps, evaluate_constraint and the nominal
-    at y; it checks the maps' shapes at its first call.
+    at calls the system's plant evaluation once where it is declared for
+    this barrier and nominal (see core.PlantEvaluation), and otherwise
+    each separate map once, converted as evaluate_constraint converts it;
+    either equals evaluate_constraint and the maps at y, bit for bit.  It
+    checks the maps' shapes at its first call.
     """
     ev = system.evaluation
-    if ev is None or barrier is not ev.barrier or spec.nominal is not ev.nominal:
-        return None
-    terms = ev.fn
+    nominal = spec.nominal
+    if ev is not None and barrier is ev.barrier and nominal is ev.nominal:
+        terms = ev.fn
+
+        def maps(y: np.ndarray) -> tuple:
+            return terms(y)[:2]
+
+    else:
+        drift, input_map, gradient, value = system.drift, system.input_map, barrier.gradient, barrier.value
+
+        def maps(y: np.ndarray) -> tuple:
+            return np.asarray(drift(y), dtype=float), np.asarray(input_map(y), dtype=float)
+
+        def terms(y: np.ndarray) -> tuple:
+            f, g = maps(y)
+            grad = np.asarray(gradient(y), dtype=float)
+            kd = None if nominal is None else np.asarray(nominal(y), dtype=float)
+            return f, g, float(value(y)), grad, kd
+
     classk = barrier.classk
     checked = False
 
-    def evaluate(y: np.ndarray):
+    def at(y: np.ndarray) -> tuple:
         nonlocal checked
         f, g, h, grad, kd = terms(y)
         if not checked:
             _check_shapes(system, None, f, g, h, grad, kd)
             checked = True
-        c = float(grad @ f) + classk(h)
-        d = grad @ g
-        try:
-            return f, g, h, AffineConstraint(c=c, d=d), kd
-        except NumericsError as exc:
-            raise NumericsError(f"constraint evaluation not finite at x={y}: c={c}, d={d}") from exc
+        return f, g, h, form_constraint(y, f, g, h, grad, classk), kd
 
-    return evaluate
+    return at, maps
 
 
 def run(
@@ -300,39 +310,23 @@ def _run_scalar(
     rows = {name: list(prior[name]) if prior else [] for name in _ROWS}
     failure: Optional[str] = None
     failure_step: Optional[int] = None
-    at = point_evaluation(system, barrier, spec)
+    at, maps = point_evaluation(system, barrier, spec)
 
     def applied(out: ControllerOutput) -> np.ndarray:
         return out.u if w is None else out.u + w
 
-    # evaluate(y) gives (f, g, h, con, out) at y, with f, g and h None on
-    # the separate maps; field(y) is the closed-loop field at RK4 stages
-    # 2-4, where the controller is evaluated or, under the zero-order hold,
-    # held at u_k.
-    if at is None:
+    def evaluate(y: np.ndarray):
+        f, g, h, con, kd = at(y)
+        return f, g, h, con, evaluate_controller(spec, con, y, kd)
 
-        def evaluate(y: np.ndarray):
-            con = evaluate_constraint(system, barrier, y)
-            return None, None, None, con, evaluate_controller(spec, con, y)
-
-        def field(y: np.ndarray) -> np.ndarray:
-            if cfg.zoh:
-                return system.drift(y) + system.input_map(y) @ u_k
-            return system.drift(y) + system.input_map(y) @ applied(evaluate(y)[4])
-
-    else:
-        terms = system.evaluation.fn
-
-        def evaluate(y: np.ndarray):
-            f, g, h, con, kd = at(y)
-            return f, g, h, con, evaluate_controller(spec, con, y, kd)
-
-        def field(y: np.ndarray) -> np.ndarray:
-            if cfg.zoh:
-                f, g = terms(y)[:2]
-                return f + g @ u_k
-            f, g, _, _, out = evaluate(y)
-            return f + g @ applied(out)
+    # The closed-loop field at RK4 stages 2-4, where the controller is
+    # evaluated or, under the zero-order hold, held at u_k.
+    def field(y: np.ndarray) -> np.ndarray:
+        if cfg.zoh:
+            f, g = maps(y)
+            return f + g @ u_k
+        f, g, _, _, out = evaluate(y)
+        return f + g @ applied(out)
 
     x = x0.copy()
     k = start
@@ -345,7 +339,7 @@ def _run_scalar(
                 rows["times"].append(k * cfg.dt)
                 rows["states"].append(x.copy())
                 rows["inputs"].append(out_k.u)  # a new array at every evaluation
-                rows["h_values"].append(float(barrier.value(x) if h_k is None else h_k))
+                rows["h_values"].append(h_k)
                 rows["residuals"].append(con_k.c + float(con_k.d @ u_k))
                 rows["kappas"].append(out_k.kappa if out_k.kappa is not None else math.nan)
                 rows["margins"].append(margin_of(out_k))
@@ -354,11 +348,7 @@ def _run_scalar(
                 break
             try:
                 # RK4 stage 1 (the Euler stage) is the field at x_k under u_k.
-                if f_k is None:
-                    k1 = system.drift(x) + system.input_map(x) @ u_k
-                else:
-                    k1 = f_k + g_k @ u_k
-                x = _advance(field, x, cfg.dt, cfg.integrator, k1)
+                x = _advance(field, x, cfg.dt, cfg.integrator, f_k + g_k @ u_k)
             except NumericsError as exc:
                 raise BlowUpError(str(exc), step_index=k) from exc
             k += 1
@@ -370,6 +360,9 @@ def _run_scalar(
         failure_step = k
 
     arrays = {name: np.asarray(values) for name, values in rows.items()}
+    # A run that records no row keeps the width of its states and inputs.
+    arrays["states"] = arrays["states"].reshape(-1, system.state_dim)
+    arrays["inputs"] = arrays["inputs"].reshape(-1, m)
     return Trajectory(**arrays, failure=failure, failure_step=failure_step)
 
 

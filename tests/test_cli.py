@@ -1,3 +1,4 @@
+import csv
 import importlib.util
 import json
 import math
@@ -266,6 +267,23 @@ def test_sweep_over_a_string_value_writes_it_as_text(tmp_path):
     assert all(line.endswith(",ok") for line in lines[1:])
     for kind in ("qp", "sontag"):
         assert (out / f"controller.kind_{kind}.csv").exists()
+
+
+def test_sweep_over_vector_values_writes_each_as_one_field(tmp_path):
+    out = tmp_path / "sweep"
+    sets = ["--set", 'disturbance={"kind": "constant", "value": [0, 0]}', "--set", "sim.horizon=0.05"]
+    argv = ["sweep", "--config", str(CONFIG_DIR / "twolink_velocity.json"), "--param", "disturbance.value"]
+    assert main(argv + ["--values", "[0, 0.2],[0,0.5]", "--out", str(out)] + sets) == 0
+    rows = list(csv.reader((out / "summary.csv").read_text().splitlines()))
+    assert [row[0] for row in rows] == ["disturbance.value", "[0,0.2]", "[0,0.5]"]
+    assert all(len(row) == 6 and row[-1] == "ok" for row in rows[1:])
+    # each member is the run of its own value
+    for value in ([0, 0.2], [0, 0.5]):
+        alone = tmp_path / f"alone_{value[1]}"
+        one = ["--set", f'disturbance={{"kind": "constant", "value": {json.dumps(value)}}}', "--set", "sim.horizon=0.05"]
+        assert main(["simulate", "--config", str(CONFIG_DIR / "twolink_velocity.json"), "--out", str(alone)] + one) == 0
+        swept = (out / f"disturbance.value_[0,{value[1]}].csv").read_bytes()
+        assert swept == (alone / "twolink_velocity.csv").read_bytes()
 
 
 def test_sweep_unknown_parameter(tmp_path, capsys):
@@ -642,6 +660,24 @@ def counting(monkeypatch, name):
     return calls
 
 
+def counting_states(monkeypatch):
+    """The calls of the per-state evaluation the CLI makes (simulate.point_evaluation's at)."""
+    calls = []
+    build = cli.point_evaluation
+
+    def counted(*args):
+        at, maps = build(*args)
+
+        def counted_at(x):
+            calls.append(1)
+            return at(x)
+
+        return counted_at, maps
+
+    monkeypatch.setattr(cli, "point_evaluation", counted)
+    return calls
+
+
 GRID_CASES = {
     "tunable": box(BOX_AXES),
     "sontag": box(BOX_AXES) + ["--set", "controller.kind=sontag"],
@@ -663,7 +699,7 @@ def test_stacked_grid_matches_the_per_state_body(tmp_path, capsys, monkeypatch, 
     argv = [command, "--config", VELOCITY_CONFIG] + GRID_CASES[case]
     stacked = outcome(capsys, tmp_path / "out", argv)
     unstacked(monkeypatch)
-    per_state = counting(monkeypatch, "evaluate_constraint")
+    per_state = counting_states(monkeypatch)
     assert outcome(capsys, tmp_path / "out", argv) == stacked
     if case == "gamma_0" and command == "check":
         # check rejects the norm bound before it evaluates any state
@@ -724,9 +760,9 @@ def test_bounded_input_margin_stops_at_the_first_state_out_of_range(tmp_path, ca
         pytest.fail("no grid state is out of range")
 
 
-@pytest.mark.parametrize("command, counted", [("check", "evaluate_constraint"), ("margin", "evaluate_controller")])
+@pytest.mark.parametrize("command, counted", [("check", "point_evaluation"), ("margin", "evaluate_controller")])
 def test_unflagged_grid_makes_no_per_state_evaluation(tmp_path, monkeypatch, command, counted):
-    calls = counting(monkeypatch, counted)
+    calls = counting_states(monkeypatch) if counted == "point_evaluation" else counting(monkeypatch, counted)
     rc = main([command, "--config", VELOCITY_CONFIG, "--out", str(tmp_path)] + box(BOX_AXES))
     assert rc == (3 if command == "check" else 0)  # compatibility with gamma = 2.3 fails on part of the box
     assert calls == []

@@ -15,12 +15,13 @@ from cbfctrl import (
     lambda_sontag,
     lambda_tunable,
 )
-from cbfctrl.core import BarrierFunction, ControlAffineSystem, ExtendedClassK
+from cbfctrl.core import BarrierFunction, ControlAffineSystem, ExtendedClassK, NumericsError
 from cbfctrl.manipulator import (
     Q2_LIMIT,
     BacksteppingConfig,
     ManipulatorParams,
     VirtualController,
+    _inverse_terms,
     bounded_input_study,
     coriolis_matrix,
     gravity_vector,
@@ -502,19 +503,27 @@ def test_torque_run_evaluates_the_plant_once_per_state(monkeypatch, sim, evaluat
         assert getattr(traj, field).tobytes() == getattr(alone, field).tobytes(), field
 
 
-def test_torque_run_on_another_barrier_or_nominal_uses_the_separate_maps():
+@pytest.mark.parametrize("integrator, zoh", [("rk4", False), ("euler", False), ("rk4", True)], ids=["rk4", "euler", "zoh"])
+def test_torque_run_on_another_barrier_or_nominal_uses_the_separate_maps(integrator, zoh):
+    # the evaluation built from the separate maps calls each of them once
+    # per evaluated state (4n + 1 of them under RK4, n + 1 under Euler);
+    # under the zero-order hold RK4 stages 2-4 call the drift and input map
+    # alone, and the start check calls the barrier value once more
     sc = torque_level_scenario(eta=0.7)
     calls = {}
     system, barrier, spec = counted_plant(sc, calls)
-    cfg = SimConfig(dt=1e-3, horizon=0.01)
+    n = 10
+    cfg = SimConfig(dt=1e-3, horizon=n * 1e-3, integrator=integrator, zoh=zoh)
     other_barrier = replace(barrier)
     other_spec = ControllerSpec.safety_filter(ControllerSpec.qp(), lambda x: spec.nominal(x))
     want = run(sc.system, sc.spec, sc.barrier, sc.x0, cfg)
+    states = 4 * n + 1 if integrator == "rk4" and not zoh else n + 1
+    maps = 4 * n + 1 if integrator == "rk4" else n + 1
     for b, s in ((other_barrier, spec), (barrier, other_spec)):
         calls.clear()
         traj = run(system, s, b, sc.x0, cfg)
-        assert "evaluation" not in calls and calls["drift"] == calls["input_map"] == 4 * 10 + 1 + 4 * 10
-        assert calls["nominal"] == 4 * 10 + 1
+        assert traj.ok and len(traj) == n + 1
+        assert calls == {"drift": maps, "input_map": maps, "gradient": states, "value": states + 1, "nominal": states}
         for field in TORQUE_RECORDED:
             assert getattr(traj, field).tobytes() == getattr(want, field).tobytes(), field
 
@@ -571,3 +580,23 @@ def test_backstepping_config_validation():
         BacksteppingConfig(alpha_b=-1.0)
     with pytest.raises(Exception):
         ManipulatorParams(m1=-1.0)
+
+
+def test_a_light_arm_is_not_singular_and_a_rank_one_mass_matrix_is():
+    # scaling both masses scales M, C and N alike, so the light arm's
+    # accelerations are the unit arm's; its det (1e-14 at q2 = 0) is far
+    # below any absolute bound, and its condition number is the unit arm's
+    light = torque_level_scenario(params=ManipulatorParams(m1=1e-7, m2=1e-7))
+    unit = torque_level_scenario()
+    x = np.array([0.3, 0.2, 0.5, -0.4, 0.1])
+    np.testing.assert_allclose(light.system.drift(x), unit.system.drift(x), rtol=1e-12)
+    np.testing.assert_allclose(light.system.input_map(x), 1e7 * unit.system.input_map(x), rtol=1e-12)
+    traj = run_scenario(light, SimConfig(dt=1e-3, horizon=0.01))
+    assert traj.ok and len(traj) == 11
+    np.testing.assert_allclose(traj.states, run_scenario(unit, SimConfig(dt=1e-3, horizon=0.01)).states, rtol=1e-9)
+    # m1 = 1e-16 next to m2 = 1 makes M = [[4, 2], [2, 1]] at q2 = 0, rank 1 in floats
+    rank_one = torque_level_scenario(params=ManipulatorParams(m1=1e-16))
+    with pytest.raises(NumericsError, match="mass matrix is numerically singular"):
+        rank_one.system.drift(np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
+    with pytest.raises(NumericsError, match="numerically singular, det=0.0"):
+        _inverse_terms(1.0, 2.0, 2.0, 4.0)

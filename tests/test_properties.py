@@ -238,7 +238,7 @@ def test_batch_kernel_per_member_norms(c, d, sigma, gamma):
 def checked_point(spec, c, d):
     """(kappa, ok) of cli's per-state check body at the constraint (c, d)."""
     con = AffineConstraint(c, d)
-    _, _, kappa, ok = cli._check_state(SimpleNamespace(spec=spec), lambda x: (con, None), None)
+    _, _, kappa, ok = cli._check_state(SimpleNamespace(spec=spec), lambda x: (None, None, None, con, None), None)
     return kappa, ok
 
 

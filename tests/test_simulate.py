@@ -502,7 +502,7 @@ def test_list_run_failures_at_step_zero_and_run_scenario_equivalence():
         VELOCITY.system, velocity_specs(formulas), VELOCITY.barrier, VELOCITY.x0, cfg
     )
     assert [t.failure_step for t in trajs] == [0, 0, None]
-    assert trajs[0].states.shape == (0,) and trajs[1].inputs.shape == (0,)
+    assert trajs[0].states.shape == (0, 3) and trajs[1].inputs.shape == (0, 2)
     assert "KappaRangeError at step 0" in trajs[0].failure
     assert "IncompatibleInputError at step 0" in trajs[1].failure
     # run_formulas is the list run of the scenario's filter around each formula
@@ -513,6 +513,7 @@ def test_list_run_failures_at_step_zero_and_run_scenario_equivalence():
         ref = run(alone.system, alone.spec, alone.barrier, alone.x0, cfg)
         np.testing.assert_array_equal(traj.states, ref.states)
         assert traj.failure == ref.failure
+        assert (ref.states.shape[1:], ref.inputs.shape[1:]) == ((3,), (2,))  # zero rows keep their width alone too
 
 
 def stacked_line(drift, beta=1.5):
