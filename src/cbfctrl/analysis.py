@@ -1,9 +1,8 @@
 """Diagnostics on top of the controller formulas.
 
 Covers the gain-perturbation safety margin, compatibility of the
-constraint with a norm bound on the input, residuals under additive input
-disturbances, and a small numerical instrument that measures derivative
-jumps of a multiplier map across c = 0.
+constraint with a norm bound on the input, and residuals under additive
+input disturbances.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -100,26 +99,6 @@ def check_compatibility(con: AffineConstraint, gamma: float) -> CompatibilityRes
     if slack >= 0.0:
         return CompatibilityResult(compatible=True, deficit=0.0)
     return CompatibilityResult(compatible=False, deficit=-slack)
-
-
-def probe_derivative_jump(
-    lam: Callable[[float, float], float], d_fixed: float, step: float
-) -> float:
-    """Jump of d(lam)/dc across c = 0 at fixed d, by central differences.
-
-    Central slopes are taken at c = +step and c = -step; the returned value
-    is their absolute difference.  For the plain min-norm multiplier at
-    d = 1 this is 1.0 (slopes -1/d and 0); smooth multipliers give a value
-    on the order of step.
-    """
-    if not step > 0.0:
-        raise ConfigurationError(f"step must be positive, got {step}")
-    if not d_fixed > 0.0:
-        raise ConfigurationError(f"d_fixed must be positive, got {d_fixed}")
-    two_s = 2.0 * step
-    slope_above = (lam(two_s, d_fixed) - lam(0.0, d_fixed)) / two_s
-    slope_below = (lam(0.0, d_fixed) - lam(-two_s, d_fixed)) / two_s
-    return abs(slope_above - slope_below)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,8 @@ Subcommands:
   check      compatibility and tunable-range membership over a state grid
   margin     sample the safety margin over a state grid
 
-Configs are JSON with a versioned ``schema`` key; unknown keys are
-rejected.  CSV output is locale-independent, 17 significant digits, LF
+Configs are JSON with a versioned ``schema`` key; unknown keys, and keys
+that the configured scenario does not read, are rejected.  CSV output is locale-independent, 17 significant digits, LF
 line endings, so identical runs produce byte-identical files.
 
 check and margin evaluate a grid on a plant whose maps take stacks as one
@@ -68,11 +68,21 @@ _TOP_KEYS = {
     "schema", "seed", "system", "barrier", "controller", "sim",
     "x0", "nominal", "disturbance", "grid", "output",
 }
-_SYSTEM_KEYS = {
-    "name", "dim", "q_bar", "beta", "kp", "x0_q", "mu", "kp_bar", "alpha_b",
-    "m1", "m2", "l1", "l2", "gravity",
+# The system keys each system reads, grouped by the constructor that takes
+# them as keyword arguments (see build_scenario); a system key that the named
+# system does not read is a config error.
+_VELOCITY_ARGS = {"scenario": ("q_bar", "beta", "kp", "x0_q")}
+_SYSTEM_ARGS = {
+    "single_integrator": {"system": ("dim",)},
+    "double_integrator": {},
+    "two_link": _VELOCITY_ARGS,  # alias for the velocity-level scenario
+    "two_link_velocity": _VELOCITY_ARGS,
+    "two_link_torque": {"cfg": ("mu", "kp", "kp_bar", "alpha_b"), "params": ("m1", "m2", "l1", "l2", "gravity")},
 }
-_BARRIER_KEYS = {"kind", "normal", "offset", "beta"}
+# Every key some system reads, once each, in the table's order.
+_SYSTEM_ARG_KEYS = list(dict.fromkeys(key for args in _SYSTEM_ARGS.values() for keys in args.values() for key in keys))
+_SYSTEM_KEYS = {"name", *_SYSTEM_ARG_KEYS}
+_BARRIER_KEYS = {"kind", "normal", "offset", "beta"}  # the builtin barrier reads only its kind
 _CONTROLLER_KEYS = {"kind", "eta", "sigma", "gamma", "relu"}
 _SIM_KEYS = {"dt", "horizon", "integrator", "record_every", "zoh", "allow_unsafe_start"}
 _NOMINAL_KEYS = {"kind", "value"}
@@ -124,7 +134,7 @@ _SCALAR_TYPES = {
     "config": {"seed": _SEED},
     "config.system": {
         "dim": _INT,
-        **dict.fromkeys(("q_bar", "beta", "kp", "mu", "kp_bar", "alpha_b", "m1", "m2", "l1", "l2", "gravity"), _NUMBER),
+        **dict.fromkeys([key for key in _SYSTEM_ARG_KEYS if key not in ("dim", "x0_q")], _NUMBER),
     },
     "config.barrier": {"offset": _NUMBER, "beta": _NUMBER},
     "config.controller": {
@@ -188,13 +198,7 @@ def validate_config(config: dict) -> None:
     system = _object(_require(config, "system", "config"), "config.system", _SYSTEM_KEYS)
     _check_scalar_types(system, "config.system")
     name = _require(system, "name", "config.system")
-    if name not in (
-        "single_integrator",
-        "double_integrator",
-        "two_link",  # alias for the velocity-level scenario
-        "two_link_velocity",
-        "two_link_torque",
-    ):
+    if not (isinstance(name, str) and name in _SYSTEM_ARGS):
         raise ConfigurationError(f"unknown system name {name!r}")
     barrier = _object(_require(config, "barrier", "config"), "config.barrier", _BARRIER_KEYS)
     _check_scalar_types(barrier, "config.barrier")
@@ -243,6 +247,24 @@ def validate_config(config: dict) -> None:
         name = output.get("trajectory", "trajectory.csv")
         if not (isinstance(name, str) and name):
             raise ConfigurationError(f"config.output.trajectory must be a non-empty string, got {name!r}")
+    _reject_unread(config)
+
+
+def _reject_unread(config: dict) -> None:
+    """A config error at a key that the configured scenario would not read."""
+    name = config["system"]["name"]
+    read = {"name"}.union(*_SYSTEM_ARGS[name].values())
+    for key in config["system"]:
+        if key not in read:
+            raise ConfigurationError(f"system {name!r} does not read config.system.{key}")
+    if config["barrier"]["kind"] == "builtin":
+        for key in config["barrier"]:
+            if key != "kind":
+                raise ConfigurationError(f"the builtin barrier does not read config.barrier.{key}")
+    if name.startswith("two_link") and "nominal" in config:
+        raise ConfigurationError(f"system {name!r} does not read config.nominal: it tracks its own reference")
+    if name == "two_link_torque" and "relu" in config["controller"]:
+        raise ConfigurationError("system 'two_link_torque' does not read config.controller.relu")
 
 
 class Scenario:
@@ -258,6 +280,11 @@ class Scenario:
         self.config = config
 
 
+def _given(section: dict, keys) -> dict:
+    """The entries of section at those of keys that it holds."""
+    return {key: section[key] for key in keys if key in section}
+
+
 def build_scenario(config: dict, zoh: bool = False, seed: int | None = None) -> Scenario:
     """Assemble the runnable pieces from a validated config."""
     sysconf = config["system"]
@@ -268,52 +295,30 @@ def build_scenario(config: dict, zoh: bool = False, seed: int | None = None) -> 
         sim["zoh"] = True
     sim_cfg = SimConfig(**sim)
 
+    # Only the keys present are passed: every default is the constructor's.
+    args = {group: _given(sysconf, keys) for group, keys in _SYSTEM_ARGS[name].items()}
     if name in ("two_link", "two_link_velocity"):
-        x0_q = tuple(_config_array(sysconf["x0_q"], "system.x0_q", 2)) if "x0_q" in sysconf else (1.0, 0.0)
-        sc = manipulator.velocity_level_scenario(
-            eta=controller.get("eta", 0.7),
-            sigma=controller.get("sigma", 0.2),
-            kind=controller["kind"],
-            gamma=controller.get("gamma"),
-            relu=bool(controller.get("relu", False)),
-            q_bar=sysconf.get("q_bar", manipulator.Q2_LIMIT),
-            beta=sysconf.get("beta", 1.5),
-            kp=sysconf.get("kp", 1.0),
-            x0_q=x0_q,
-        )
+        if "x0_q" in args["scenario"]:
+            args["scenario"]["x0_q"] = tuple(_config_array(sysconf["x0_q"], "system.x0_q", 2))
+        sc = manipulator.velocity_level_scenario(**controller, **args["scenario"])
         system, barrier, spec, x0 = sc.system, sc.barrier, sc.spec, sc.x0
     elif name == "two_link_torque":
         if controller["kind"] == "bounded_input":
             raise ConfigurationError("two_link_torque supports qp, sontag, and tunable kinds")
-        params = manipulator.ManipulatorParams(
-            m1=sysconf.get("m1", 1.0),
-            m2=sysconf.get("m2", 1.0),
-            l1=sysconf.get("l1", 1.0),
-            l2=sysconf.get("l2", 1.0),
-            gravity=sysconf.get("gravity", 9.8),
-        )
-        bcfg = manipulator.BacksteppingConfig(
-            mu=sysconf.get("mu", 20.0),
-            kp=sysconf.get("kp", 1.0),
-            kp_bar=sysconf.get("kp_bar", 1.0),
-            alpha_b=sysconf.get("alpha_b", 1.5),
-        )
         sc = manipulator.torque_level_scenario(
-            params=params,
-            cfg=bcfg,
-            eta=controller.get("eta", 0.7),
-            sigma=controller.get("sigma", 0.2),
-            kind=controller["kind"],
+            params=manipulator.ManipulatorParams(**args["params"]),
+            cfg=manipulator.BacksteppingConfig(**args["cfg"]),
+            **_given(controller, ("kind", "eta", "sigma")),  # gamma is read by check alone
         )
         system, barrier, spec, x0 = sc.system, sc.barrier, sc.spec, sc.x0
     else:
         if name == "single_integrator":
-            system = systems.single_integrator(sysconf.get("dim", 1))
+            system = systems.single_integrator(**args["system"])
         else:
             system = systems.double_integrator()
         bar = config["barrier"]
         normal = _config_array(_require(bar, "normal", "config.barrier"), "barrier.normal", system.state_dim)
-        barrier = systems.linear_barrier(normal, _require(bar, "offset", "config.barrier"), bar.get("beta", 1.5))
+        barrier = systems.linear_barrier(normal, _require(bar, "offset", "config.barrier"), **_given(bar, ("beta",)))
         spec = controller_spec(**controller)
         if "nominal" in config:
             nom = config["nominal"]
@@ -458,7 +463,7 @@ def cmd_sweep(args) -> int:
     any_failed = False
     rows = []
     for value, scenario, traj in zip(values, scenarios, trajs):
-        if isinstance(value, list):  # a swept vector: its JSON, with no spaces
+        if isinstance(value, (list, bool)):  # a swept vector or boolean: its JSON, with no spaces
             value = json.dumps(value, separators=(",", ":"))
         write_trajectory_csv(
             out_dir / f"{args.param}_{value}.csv",

@@ -77,7 +77,7 @@ class BlowUpError(NumericsError):
 
 @dataclass(frozen=True)
 class ExtendedClassK:
-    """Strictly increasing scalar function with value 0 at 0.
+    """Strictly increasing scalar function fn with value 0 at 0.
 
     Use :meth:`linear` for ``beta(s) = alpha * s`` or :meth:`custom` for an
     arbitrary map (validated at 0 on construction; monotonicity is only
@@ -85,20 +85,18 @@ class ExtendedClassK:
     """
 
     fn: Callable[[float], float]
-    kind: str = "custom"
-    alpha: float | None = None
 
     @classmethod
     def linear(cls, alpha: float) -> "ExtendedClassK":
         if not alpha > 0.0:
             raise ConfigurationError(f"class-K slope must be positive, got {alpha}")
-        return cls(fn=lambda s: alpha * s, kind="linear", alpha=float(alpha))
+        return cls(fn=lambda s: alpha * s)
 
     @classmethod
     def custom(cls, fn: Callable[[float], float]) -> "ExtendedClassK":
         if fn(0.0) != 0.0:
             raise ConfigurationError("class-K function must map 0 to exactly 0")
-        return cls(fn=fn, kind="custom")
+        return cls(fn=fn)
 
     def __call__(self, s: float) -> float:
         return float(self.fn(s))

@@ -75,28 +75,9 @@ def lambda_min_norm(c: float, d: float) -> float:
     return _multiplier(c, d, 0.0, 0.0)
 
 
-def lambda_sontag(c: float, d: float, shaping: ShapingFunction) -> float:
-    """(-c + Gamma) / d; strictly positive for d > 0."""
-    return _multiplier(c, d, 1.0, Gamma(c, d, shaping))
-
-
-def lambda_tunable(c: float, d: float, kappa: float, shaping: ShapingFunction) -> float:
-    """Smooth form (-c + kappa*Gamma) / d, with kappa checked against its range."""
-    gam = Gamma(c, d, shaping)
-    check_kappa_range(kappa, c, d, gam)
-    return _multiplier(c, d, kappa, gam)
-
-
 def norm_bound_slack(c: float, d2: float, gamma_bound: float) -> float:
     """gamma*||d|| + c: nonnegative iff some ||u|| <= gamma meets c + d u >= 0."""
     return gamma_bound * math.sqrt(d2) + c
-
-
-def kappa_upper(c: float, d2: float, gam: float, gamma_bound: float | None) -> float:
-    """Right end of the kappa range: 1, or slack / Gamma under a norm bound gamma."""
-    if gamma_bound is None:
-        return 1.0
-    return norm_bound_slack(c, d2, gamma_bound) / gam
 
 
 def check_kappa_range(
@@ -108,7 +89,7 @@ def check_kappa_range(
     relu selects the ReLU form's lower bound, gamma_bound the bounded-input upper bound.
     """
     if d2 > EPS_D:
-        upper = kappa_upper(c, d2, gam, gamma_bound)
+        upper = 1.0 if gamma_bound is None else norm_bound_slack(c, d2, gamma_bound) / gam
         if not kappa <= upper:
             raise KappaRangeError(f"kappa={kappa} violates the upper bound kappa <= {upper}")
         if not relu:
@@ -124,19 +105,11 @@ def check_kappa_range(
 
 
 def _kappa_of_eta(c: float, d2: float, eta: float, gam: float) -> float:
+    """kappa = (1 - eta) c / Gamma + eta on the domain {c > 0 or d2 > EPS_D};
+    in the smooth range max(c / Gamma, 0) < kappa <= 1 for eta in [0.5, 1]."""
     if c <= 0.0 and d2 <= EPS_D:
         raise DomainError(f"(c={c}, d={d2}) has c <= 0 and d ~ 0: outside the domain of kappa")
     return (1.0 - eta) * (c / gam) + eta
-
-
-def kappa_from_eta(c: float, d: float, eta: float, shaping: ShapingFunction) -> float:
-    """Tunable term kappa = (1 - eta) * c / Gamma + eta.
-
-    Defined on the open domain {c > 0 or d > 0} where Gamma > 0.  For
-    constant eta in [0.5, 1] the result always satisfies the smooth-range
-    condition max(c/Gamma, 0) < kappa <= 1.
-    """
-    return _kappa_of_eta(c, d, eta, Gamma(c, d, shaping))
 
 
 def lin_sontag_eta(

@@ -163,13 +163,12 @@ class VirtualController:
     the total derivative along qdot = v is jac_q @ v + jac_tau.  floats
     gives all three from one pass at (q1, q2, tau) as plain floats,
     (k1, k2, J11, J12, J21, J22, t1, t2), which is what the torque level
-    reads; terms, value, jac_q and jac_tau are arrays of those floats.
+    reads; value, jac_q and jac_tau are arrays of those floats.
     """
 
     value: Callable[[np.ndarray, float], np.ndarray]
     jac_q: Callable[[np.ndarray, float], np.ndarray]
     jac_tau: Callable[[np.ndarray, float], np.ndarray]
-    terms: Callable[[np.ndarray, float], tuple[np.ndarray, np.ndarray, np.ndarray]]
     floats: Callable[[float, float, float], K0Floats]
 
     @classmethod
@@ -184,7 +183,6 @@ class VirtualController:
             value=lambda q, tau: terms(q, tau)[0],
             jac_q=lambda q, tau: terms(q, tau)[1],
             jac_tau=lambda q, tau: terms(q, tau)[2],
-            terms=terms,
             floats=floats,
         )
 
@@ -204,10 +202,6 @@ class VelocityScenario:
     nominal: Callable[[np.ndarray], np.ndarray]
     k0: VirtualController
     x0: np.ndarray
-    kind: str
-    eta: Optional[float]
-    sigma: float
-    gamma: Optional[float]
     q_bar: float
 
 
@@ -308,20 +302,7 @@ def velocity_level_scenario(
         nominal=nominal,
         k0=k0,
         x0=np.array([x0_q[0], x0_q[1], 0.0]),
-        kind=kind,
-        eta=eta if kind in ("tunable", "bounded_input") else None,
-        sigma=sigma,
-        gamma=gamma,
         q_bar=q_bar,
-    )
-
-
-def run_scenario(
-    scenario, cfg: Optional[SimConfig] = None, disturbance=None
-) -> Trajectory:
-    cfg = cfg or SimConfig()
-    return run(
-        scenario.system, scenario.spec, scenario.barrier, scenario.x0, cfg, disturbance
     )
 
 

@@ -3,9 +3,9 @@
 Each is written independently of the library's fused evaluation paths:
 forward dynamics and energies of the two-link arm, its reference
 trajectory and that trajectory's acceleration, central finite
-differences, and the bare ReLU multiplier; products of 2-vectors in the
-float arithmetic of the torque level; and a torque plant whose maps
-count their calls.
+differences (also of a multiplier's slope across c = 0), and the bare
+ReLU multiplier; products of 2-vectors in the float arithmetic of the
+torque level; and a torque plant whose maps count their calls.
 """
 
 import math
@@ -29,6 +29,21 @@ def finite_difference_gradient(fn, x, rel_step=1e-6):
         xm[i] -= step
         grad[i] = (fn(xp) - fn(xm)) / (2.0 * step)
     return grad
+
+
+def probe_derivative_jump(lam, d_fixed, step):
+    """Jump of d(lam)/dc across c = 0 at fixed ||d||^2 = d_fixed, by central differences.
+
+    lam maps (c, ||d||^2) to a multiplier.  Central slopes are taken at
+    c = +step and c = -step; the returned value is their absolute
+    difference.  For the plain min-norm multiplier at d_fixed = 1 this is
+    1.0 (slopes -1/d and 0); smooth multipliers give a value on the order
+    of step.
+    """
+    two_s = 2.0 * step
+    slope_above = (lam(two_s, d_fixed) - lam(0.0, d_fixed)) / two_s
+    slope_below = (lam(0.0, d_fixed) - lam(-two_s, d_fixed)) / two_s
+    return abs(slope_above - slope_below)
 
 
 def fd_k0_jacobians(k0, q, tau):

@@ -19,11 +19,7 @@ from cbfctrl import (
     ShapingFunction,
     TunableTermPolicy,
     evaluate_controller,
-    kappa_from_eta,
     lambda_min_norm,
-    lambda_sontag,
-    lambda_tunable,
-    probe_derivative_jump,
     safety_margin_at,
 )
 from cbfctrl.cli import main as cli_main
@@ -33,12 +29,11 @@ from cbfctrl.manipulator import (
     Q2_LIMIT,
     ManipulatorParams,
     run_formulas,
-    run_scenario,
     torque_level_scenario,
     velocity_level_scenario,
 )
-from cbfctrl.simulate import SimConfig, step
-from oracles import dynamics
+from cbfctrl.simulate import SimConfig, run, step
+from oracles import dynamics, probe_derivative_jump
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 ETAS = [0.5, 0.6, 0.7, 0.8, 0.9]
@@ -67,24 +62,27 @@ def velocity_runs():
 def test_c01_tightened_constraint_equality():
     rng = np.random.default_rng(101)
     shapings = [ShapingFunction.linear(0.2), ShapingFunction.linear(1.0)]
+    # one tunable spec per shaping, whose policy reads the eta of the current sample
+    eta_now = [0.0]
+    policy = TunableTermPolicy.eta_function(lambda c, d2: eta_now[0])
+    specs = [ControllerSpec.tunable(s, policy) for s in shapings]
     n = 100_000
     worst = 0.0
     start = time.perf_counter()
     for i in range(n):
         m = int(rng.integers(1, 4))
-        d_vec = rng.normal(size=m)
-        scale = rng.uniform(0.3, 3.0)
-        d2 = float(d_vec @ d_vec) * scale * scale
+        d_vec = rng.normal(size=m) * rng.uniform(0.3, 3.0)
+        d2 = float(d_vec @ d_vec)
         if d2 <= 1e-6:
             continue
         c = float(rng.normal(scale=2.0))
         eta = float(rng.uniform(0.5, 1.0))
         s = shapings[i % 2]
-        kappa = kappa_from_eta(c, d2, eta, s)
-        lam = lambda_tunable(c, d2, kappa, s)
+        eta_now[0] = eta
+        out = evaluate_controller(specs[i % 2], AffineConstraint(c, d_vec))
         gamma = math.sqrt(c * c + s(d2) * d2)
         # c + d.u with u = lam d^T contracts to c + lam ||d||^2
-        residual = c + lam * d2 - kappa * gamma
+        residual = c + out.lam * d2 - out.kappa * gamma
         worst = max(worst, abs(residual))
     elapsed = time.perf_counter() - start
     _report(
@@ -199,15 +197,12 @@ def test_c05_sontag_margin_bound():
 def test_c06_derivative_jump_probe():
     s = ShapingFunction.linear(SIGMA)
     jump_pmn = probe_derivative_jump(lambda_min_norm, d_fixed=1.0, step=1e-5)
-    jumps_smooth = [probe_derivative_jump(lambda c, d: lambda_sontag(c, d, s), 1.0, 1e-5)]
-    for eta in ETAS:
-        jumps_smooth.append(
-            probe_derivative_jump(
-                lambda c, d: lambda_tunable(c, d, kappa_from_eta(c, d, eta, s), s),
-                1.0,
-                1e-5,
-            )
-        )
+    smooth = [ControllerSpec.sontag(s)] + [ControllerSpec.tunable(s, TunableTermPolicy.eta_constant(eta)) for eta in ETAS]
+    # each multiplier at ||d||^2 = d2 = 1, on d = [1.0]
+    jumps_smooth = [
+        probe_derivative_jump(lambda c, d2: evaluate_controller(spec, AffineConstraint(c, [math.sqrt(d2)])).lam, 1.0, 1e-5)
+        for spec in smooth
+    ]
     _report(
         6,
         abs(jump_pmn - 1.0) <= 1e-3 and all(j <= 1e-4 for j in jumps_smooth),
@@ -287,7 +282,8 @@ def test_c09_backstepping_smooth_vs_min_norm():
     errs = {}
     min_h_smooth = None
     for kind in ["tunable", "qp"]:
-        traj = run_scenario(torque_level_scenario(eta=0.7, kind=kind), cfg)
+        sc = torque_level_scenario(eta=0.7, kind=kind)
+        traj = run(sc.system, sc.spec, sc.barrier, sc.x0, cfg)
         assert traj.ok, f"torque-level run ({kind}) failed: {traj.failure}"
         q = traj.states[:, :2]
         tau = traj.states[:, 4]

@@ -10,20 +10,18 @@ from cbfctrl import (
     DegenerateMarginError,
     DisturbanceSpec,
     IncompatibleInputError,
+    KappaRangeError,
     ShapingFunction,
     TunableTermPolicy,
     check_compatibility,
     disturbed_residual,
     evaluate_controller,
     gamma_sontag,
-    kappa_from_eta,
     lambda_min_norm,
-    lambda_sontag,
-    lambda_tunable,
-    probe_derivative_jump,
     safety_margin_at,
 )
-from cbfctrl.formulas import kappa_upper
+from cbfctrl.formulas import check_kappa_range
+from oracles import probe_derivative_jump
 
 S1 = ShapingFunction.linear(1.0)
 S02 = ShapingFunction.linear(0.2)
@@ -128,9 +126,12 @@ def test_compatibility_sign_agrees_with_sphere_oracle():
 
 
 def bi_upper(con, gamma, shaping):
-    """Right end of the bounded-input kappa range at a compatible con."""
+    """Right end of the bounded-input kappa range at a compatible con: the
+    bound that check_kappa_range names where it rejects kappa = inf."""
     assert check_compatibility(con, gamma)
-    return kappa_upper(con.c, con.d_norm_sq, gamma_sontag(con, shaping), gamma)
+    with pytest.raises(KappaRangeError, match="upper bound") as info:
+        check_kappa_range(math.inf, con.c, con.d_norm_sq, gamma_sontag(con, shaping), True, gamma)
+    return float(str(info.value).rsplit("<= ", 1)[1])
 
 
 def test_kappa_bi_upper_values():
@@ -154,13 +155,9 @@ def test_probe_min_norm_jump_is_one():
 
 
 def test_probe_smooth_multipliers_have_no_jump():
-    stg = lambda c, d: lambda_sontag(c, d, S02)
-    assert probe_derivative_jump(stg, d_fixed=1.0, step=1e-5) <= 1e-4
-
-    def tun(c, d):
-        return lambda_tunable(c, d, kappa_from_eta(c, d, 0.5, S02), S02)
-
-    assert probe_derivative_jump(tun, d_fixed=1.0, step=1e-5) <= 1e-4
+    for spec in (ControllerSpec.sontag(S02), ControllerSpec.tunable(S02, TunableTermPolicy.eta_constant(0.5))):
+        lam = lambda c, d2: evaluate_controller(spec, AffineConstraint(c, [math.sqrt(d2)])).lam
+        assert probe_derivative_jump(lam, d_fixed=1.0, step=1e-5) <= 1e-4
 
 
 # --- disturbance residuals ------------------------------------------------------
@@ -168,8 +165,7 @@ def test_probe_smooth_multipliers_have_no_jump():
 def test_disturbed_residual_zero_disturbance_equals_tightening():
     spec = ControllerSpec.tunable(S02, TunableTermPolicy.eta_constant(0.7))
     con = AffineConstraint(-1.0, [2.0, 0.5])
-    kappa = kappa_from_eta(con.c, con.d_norm_sq, 0.7, S02)
-    expected = kappa * gamma_sontag(con, S02)
+    expected = evaluate_controller(spec, con).kappa * gamma_sontag(con, S02)
     assert disturbed_residual(spec, con, None, None) == pytest.approx(expected, abs=1e-12)
 
 

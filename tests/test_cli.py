@@ -286,6 +286,49 @@ def test_sweep_over_vector_values_writes_each_as_one_field(tmp_path):
         assert swept == (alone / "twolink_velocity.csv").read_bytes()
 
 
+def test_sweep_over_booleans_labels_each_as_its_json(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--config", str(CONFIG_DIR / "twolink_velocity.json"), "--param", "controller.relu"]
+    sets = ["--set", "controller.relu=false", "--set", "sim.horizon=0.05"]
+    assert main(argv + ["--values", "true,false", "--out", str(out)] + sets) == 0
+    rows = list(csv.reader((out / "summary.csv").read_text().splitlines()))
+    assert [row[0] for row in rows] == ["controller.relu", "true", "false"]
+    assert sorted(p.name for p in out.iterdir()) == ["controller.relu_false.csv", "controller.relu_true.csv", "summary.csv"]
+    # each member is the run of its own value
+    for value in ("true", "false"):
+        alone = tmp_path / f"alone_{value}"
+        one = ["--set", f"controller.relu={value}", "--set", "sim.horizon=0.05"]
+        assert main(["simulate", "--config", str(CONFIG_DIR / "twolink_velocity.json"), "--out", str(alone)] + one) == 0
+        assert (out / f"controller.relu_{value}.csv").read_bytes() == (alone / "twolink_velocity.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "config, item, message",
+    [
+        ("twolink_torque", "system.q_bar=1.0", "system 'two_link_torque' does not read config.system.q_bar"),
+        ("twolink_torque", "system.x0_q=[1,0]", "system 'two_link_torque' does not read config.system.x0_q"),
+        ("twolink_torque", "system.dim=2", "system 'two_link_torque' does not read config.system.dim"),
+        ("twolink_torque", "controller.relu=true", "system 'two_link_torque' does not read config.controller.relu"),
+        ("twolink_velocity", "system.mu=20", "system 'two_link_velocity' does not read config.system.mu"),
+        ("twolink_velocity", "system.m1=2", "system 'two_link_velocity' does not read config.system.m1"),
+        ("twolink_velocity", "barrier.beta=5", "the builtin barrier does not read config.barrier.beta"),
+        ("twolink_velocity", "barrier.offset=1", "the builtin barrier does not read config.barrier.offset"),
+        (
+            "twolink_velocity",
+            "nominal.kind=zero",
+            "system 'two_link_velocity' does not read config.nominal: it tracks its own reference",
+        ),
+        ("single_integrator_qp", "system.mu=20", "system 'single_integrator' does not read config.system.mu"),
+    ],
+)
+def test_config_keys_the_scenario_does_not_read_are_config_errors(tmp_path, capsys, config, item, message):
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", str(CONFIG_DIR / f"{config}.json"), "--set", item, "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_sweep_unknown_parameter(tmp_path, capsys):
     cfg = write_config(tmp_path, "si.json", single_integrator_config())
     rc = main(

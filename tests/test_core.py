@@ -8,13 +8,14 @@ from cbfctrl import (
     BarrierFunction,
     ConfigurationError,
     ControlAffineSystem,
+    ControllerSpec,
     ExtendedClassK,
     NumericsError,
     ShapingFunction,
     TunableTermPolicy,
     evaluate_constraint,
+    evaluate_controller,
     gamma_sontag,
-    kappa_from_eta,
 )
 from cbfctrl.core import Gamma
 from cbfctrl.systems import linear_barrier, single_integrator
@@ -123,7 +124,8 @@ def test_gamma_takes_the_hypot_form_where_the_direct_sum_is_subnormal():
     s = ShapingFunction.linear(0.2)
     for c in (1e-160, -1e-160):
         assert Gamma(c, 0.0, s) == 1e-160
-    assert kappa_from_eta(1e-160, 0.0, 0.5, s) == 1.0
+    spec = ControllerSpec.tunable(s, TunableTermPolicy.eta_constant(0.5))
+    assert evaluate_controller(spec, AffineConstraint(1e-160, [0.0])).kappa == 1.0
 
 
 def test_gamma_not_finite_raises():

@@ -16,13 +16,11 @@ from cbfctrl import (
     TunableTermPolicy,
     evaluate_controller,
     gamma_sontag,
-    kappa_from_eta,
     lambda_min_norm,
-    lambda_sontag,
-    lambda_tunable,
     lin_sontag_eta,
 )
-from cbfctrl.formulas import check_kappa_range
+from cbfctrl.core import Gamma
+from cbfctrl.formulas import check_kappa_range, resolve_kappa
 from oracles import lambda_tunable_relu
 
 S1 = ShapingFunction.linear(1.0)
@@ -46,42 +44,50 @@ def test_lambda_min_norm_values():
     assert lambda_min_norm(-5.0, 0.0) == 0.0  # d = 0 branch of the bare formula
 
 
+def sontag_lam(c, d, shaping=S1):
+    """The sontag multiplier at (c, d), as evaluate_controller forms it."""
+    return evaluate_controller(ControllerSpec.sontag(shaping), AffineConstraint(c, d)).lam
+
+
+def eta_kappa(c, d, eta, shaping):
+    """kappa of the constant-eta tunable kind at (c, d), as evaluate_controller forms it."""
+    spec = ControllerSpec.tunable(shaping, TunableTermPolicy.eta_constant(eta))
+    return evaluate_controller(spec, AffineConstraint(c, d)).kappa
+
+
 def test_lambda_sontag_values():
-    # s(4)*4 = 16: (-3 + 5)/4
-    assert lambda_sontag(3.0, 4.0, S1) == pytest.approx(0.5)
-    assert lambda_sontag(0.0, 1.0, S1) == pytest.approx(1.0)
-    assert lambda_sontag(7.0, 0.0, S1) == 0.0
+    # ||d||^2 = 4, s(4)*4 = 16: (-3 + 5)/4
+    assert sontag_lam(3.0, [2.0]) == pytest.approx(0.5)
+    assert sontag_lam(0.0, [1.0]) == pytest.approx(1.0)
+    assert sontag_lam(7.0, [0.0]) == 0.0
 
 
 def test_lambda_sontag_positive_for_positive_d():
     rng = np.random.default_rng(5)
     for _ in range(1000):
         c = float(rng.normal(scale=5.0))
-        d = float(rng.uniform(1e-9, 10.0))
-        if d > 1e-12:
-            assert lambda_sontag(c, d, S02) > 0.0
+        d2 = float(rng.uniform(1e-9, 10.0))
+        assert sontag_lam(c, [math.sqrt(d2)], S02) > 0.0
 
 
-def relu_lam(c, d, kappa):
-    """The ReLU tunable multiplier at (c, d) with constant kappa, as evaluate_controller forms it."""
-    spec = ControllerSpec.tunable(S1, TunableTermPolicy.kappa_direct(lambda x: kappa), relu=True)
+def tunable_lam(c, d, kappa, shaping=S1, relu=False):
+    """The tunable multiplier at (c, d) with constant kappa, as evaluate_controller forms it."""
+    spec = ControllerSpec.tunable(shaping, TunableTermPolicy.kappa_direct(lambda x: kappa), relu)
     return evaluate_controller(spec, AffineConstraint(c, d), x=np.zeros(1)).lam
 
 
 def test_lambda_tunable_relu_values():
     # ||d||^2 = 4: the oracle at d2 = 4 and the library at d = [2]
-    assert lambda_tunable_relu(3.0, 4.0, 1.0, 1.0) == pytest.approx(
-        lambda_sontag(3.0, 4.0, S1)
-    )
-    assert relu_lam(3.0, [2.0], 1.0) == pytest.approx(lambda_tunable_relu(3.0, 4.0, 1.0, 1.0))
+    assert lambda_tunable_relu(3.0, 4.0, 1.0, 1.0) == pytest.approx(sontag_lam(3.0, [2.0]))
+    assert tunable_lam(3.0, [2.0], 1.0, relu=True) == pytest.approx(lambda_tunable_relu(3.0, 4.0, 1.0, 1.0))
     # (-3 + 0.5*5)/4 < 0 clips to 0
     assert lambda_tunable_relu(3.0, 4.0, 0.5, 1.0) == 0.0
-    assert relu_lam(3.0, [2.0], 0.5) == 0.0
+    assert tunable_lam(3.0, [2.0], 0.5, relu=True) == 0.0
     # kappa -> 0 recovers the min-norm multiplier for c < 0
     assert lambda_tunable_relu(-3.0, 4.0, 1e-12, 1.0) == pytest.approx(
         lambda_min_norm(-3.0, 4.0), abs=1e-11
     )
-    assert relu_lam(-3.0, [2.0], 1e-12) == pytest.approx(lambda_min_norm(-3.0, 4.0), abs=1e-11)
+    assert tunable_lam(-3.0, [2.0], 1e-12, relu=True) == pytest.approx(lambda_min_norm(-3.0, 4.0), abs=1e-11)
 
 
 def test_lambda_tunable_relu_safety_range_flag():
@@ -96,43 +102,47 @@ def test_lambda_tunable_relu_safety_range_flag():
 
 
 def test_lambda_tunable_smooth_values():
-    # Gamma = 5, lower bound 0.6 < 0.8: (-3 + 4)/4
-    assert lambda_tunable(3.0, 4.0, 0.8, S1) == pytest.approx(0.25)
-    assert lambda_tunable(3.0, 4.0, 1.0, S1) == pytest.approx(0.5)
+    # ||d||^2 = 4, Gamma = 5, lower bound 0.6 < 0.8: (-3 + 4)/4
+    assert tunable_lam(3.0, [2.0], 0.8) == pytest.approx(0.25)
+    assert tunable_lam(3.0, [2.0], 1.0) == pytest.approx(0.5)
     with pytest.raises(KappaRangeError, match="lower bound"):
-        lambda_tunable(3.0, 4.0, 0.5, S1)
+        tunable_lam(3.0, [2.0], 0.5)
     with pytest.raises(KappaRangeError, match="upper bound"):
-        lambda_tunable(3.0, 4.0, 1.1, S1)
+        tunable_lam(3.0, [2.0], 1.1)
     with pytest.raises(KappaRangeError, match="lower bound"):
-        lambda_tunable(-3.0, 4.0, -0.5, S1)
+        tunable_lam(-3.0, [2.0], -0.5)
 
 
 def test_lambda_tunable_exact_tie_returns_zero():
-    # c = 2, sigma = 3, d = 2: Gamma = sqrt(4 + 12) = 4 exactly, kappa = 0.5
+    # c = 2, sigma = 3, ||d||^2 = 2: Gamma = sqrt(4 + 12) = 4 exactly, kappa = 0.5
     s3 = ShapingFunction.linear(3.0)
-    assert lambda_tunable(2.0, 2.0, 0.5, s3) == 0.0
+    assert tunable_lam(2.0, [1.0, 1.0], 0.5, s3) == 0.0
 
 
 def test_kappa_from_eta_values():
-    # Gamma = 5: 0.5*0.6 + 0.5 = 0.8, the half-gain tunable term
-    k = kappa_from_eta(3.0, 4.0, 0.5, S1)
+    # ||d||^2 = 4, Gamma = 5: 0.5*0.6 + 0.5 = 0.8, the half-gain tunable term
+    k = eta_kappa(3.0, [2.0], 0.5, S1)
     assert k == pytest.approx(0.8)
     gamma = math.sqrt(3.0**2 + 16.0)
     assert k == pytest.approx((3.0 + gamma) / (2.0 * gamma))
-    assert kappa_from_eta(3.0, 4.0, 1.0, S1) == 1.0
-    assert kappa_from_eta(0.0, 1.0, 0.7, S02) == pytest.approx(0.7)
+    assert eta_kappa(3.0, [2.0], 1.0, S1) == 1.0
+    assert eta_kappa(0.0, [1.0], 0.7, S02) == pytest.approx(0.7)
+    # outside kappa's domain: evaluate_controller meets the infeasibility
+    # first, so the kind's kappa is resolved directly (as check resolves it)
+    spec = ControllerSpec.tunable(S1, TunableTermPolicy.eta_constant(0.7))
     with pytest.raises(DomainError):
-        kappa_from_eta(-1.0, 0.0, 0.7, S1)
+        resolve_kappa(spec, -1.0, 0.0, Gamma(-1.0, 0.0, S1))
 
 
 def test_kappa_from_eta_lands_in_smooth_range():
     rng = np.random.default_rng(9)
     for _ in range(2000):
         c = float(rng.normal(scale=4.0))
-        d = float(rng.uniform(1e-6, 9.0))
+        d = [math.sqrt(rng.uniform(1e-6, 9.0))]
         eta = float(rng.uniform(0.5, 1.0))
-        kappa = kappa_from_eta(c, d, eta, S02)
-        gamma = math.sqrt(c * c + 0.2 * d * d)
+        kappa = eta_kappa(c, d, eta, S02)
+        d2 = d[0] * d[0]
+        gamma = math.sqrt(c * c + 0.2 * d2 * d2)
         assert max(c / gamma, 0.0) < kappa <= 1.0
 
 
@@ -261,8 +271,7 @@ def test_eta_function_policy():
     )
     con = AffineConstraint(3.0, [2.0])
     out = evaluate_controller(spec, con)
-    kappa = kappa_from_eta(3.0, 4.0, 0.5 + 0.004, S1)
-    assert out.kappa == pytest.approx(kappa, rel=1e-14)
+    assert out.kappa == pytest.approx(eta_kappa(3.0, [2.0], 0.5 + 0.004, S1), rel=1e-14)
 
 
 def test_safety_filter_zero_nominal_is_plain():

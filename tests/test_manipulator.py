@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 
 from cbfctrl import (
+    AffineConstraint,
     ControllerSpec,
     DisturbanceSpec,
     ShapingFunction,
+    TunableTermPolicy,
     evaluate_constraint,
     evaluate_controller,
-    kappa_from_eta,
     lambda_min_norm,
-    lambda_sontag,
-    lambda_tunable,
 )
 from cbfctrl.core import BarrierFunction, ControlAffineSystem, ExtendedClassK, NumericsError
 from cbfctrl.manipulator import (
@@ -27,7 +26,6 @@ from cbfctrl.manipulator import (
     gravity_vector,
     mass_matrix,
     reference_rate,
-    run_scenario,
     torque_level_scenario,
     velocity_level_scenario,
 )
@@ -49,6 +47,11 @@ from oracles import (
 
 PARAMS = ManipulatorParams()
 CFG_SHORT = SimConfig(dt=1e-3, horizon=4.0)
+
+
+def scenario_run(sc, cfg):
+    """The closed-loop run of a velocity- or torque-level scenario."""
+    return run(sc.system, sc.spec, sc.barrier, sc.x0, cfg)
 
 
 # --- reference oracle: one expression per callable ------------------------------
@@ -78,9 +81,11 @@ def oracle_k0(eta=0.7, sigma=0.2, kind="tunable", q_bar=Q2_LIMIT, beta=1.5, kp=1
             return lambda_min_norm(cbar, d2), (-1.0 / d2 if cbar < 0.0 else 0.0)
         root = math.sqrt(cbar * cbar + sigma * d2 * d2)
         if kind == "sontag":
-            return lambda_sontag(cbar, d2, shaping), (-1.0 + cbar / root) / d2
-        kap = kappa_from_eta(cbar, d2, eta, shaping)
-        return lambda_tunable(cbar, d2, kap, shaping), eta * (-1.0 + cbar / root) / d2
+            spec, gain = ControllerSpec.sontag(shaping), 1.0
+        else:
+            spec, gain = ControllerSpec.tunable(shaping, TunableTermPolicy.eta_constant(eta)), eta
+        lam = evaluate_controller(spec, AffineConstraint(cbar, d_vec)).lam
+        return lam, gain * (-1.0 + cbar / root) / d2
 
     def value(q, tau):
         k0d = -kp_mat @ (q - reference(tau)) + reference_rate(tau)
@@ -254,7 +259,7 @@ def test_eta_grid_orders_peak_excursion():
     peaks = []
     trajs = []
     for eta in etas:
-        traj = run_scenario(velocity_level_scenario(eta=eta, sigma=0.2), CFG_SHORT)
+        traj = scenario_run(velocity_level_scenario(eta=eta, sigma=0.2), CFG_SHORT)
         assert traj.ok
         peaks.append(float(np.max(traj.states[:, 1])))
         trajs.append(traj)
@@ -270,8 +275,8 @@ def test_half_gain_tracks_min_norm_as_sigma_shrinks():
     # drops below 1e-2 rad by sigma = 0.02 on this scenario
     gaps = []
     for sigma in [0.2, 0.02, 0.002]:
-        t_half = run_scenario(velocity_level_scenario(eta=0.5, sigma=sigma), CFG_SHORT)
-        t_qp = run_scenario(velocity_level_scenario(kind="qp", sigma=sigma), CFG_SHORT)
+        t_half = scenario_run(velocity_level_scenario(eta=0.5, sigma=sigma), CFG_SHORT)
+        t_qp = scenario_run(velocity_level_scenario(kind="qp", sigma=sigma), CFG_SHORT)
         gaps.append(float(np.max(np.abs(t_half.states[:, :2] - t_qp.states[:, :2]))))
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[1] <= 1e-2
@@ -281,11 +286,11 @@ def test_half_gain_tracks_min_norm_as_sigma_shrinks():
 def test_input_kinks_min_norm_vs_smooth():
     # discrete second differences of the commanded joint-2 velocity:
     # the min-norm filter shows isolated spikes, the smooth ones do not
-    qp = run_scenario(velocity_level_scenario(kind="qp", sigma=0.2), CFG_SHORT)
+    qp = scenario_run(velocity_level_scenario(kind="qp", sigma=0.2), CFG_SHORT)
     d2 = np.abs(np.diff(qp.inputs[:, 1], n=2))
     assert np.max(d2) > 10.0 * np.median(d2)
     for kw in [dict(eta=0.5), dict(eta=0.9), dict(kind="sontag")]:
-        tr = run_scenario(velocity_level_scenario(sigma=0.2, **kw), CFG_SHORT)
+        tr = scenario_run(velocity_level_scenario(sigma=0.2, **kw), CFG_SHORT)
         d2 = np.abs(np.diff(tr.inputs[:, 1], n=2))
         assert np.max(d2) <= 50.0 * np.median(d2)
 
@@ -377,9 +382,11 @@ def test_k0_terms_match_oracle(kw):
         tau = float(rng.uniform(0.0, 6.0))
         want = (ref.value(q, tau), ref.jac_q(q, tau), ref.jac_tau(q, tau))
         got = (sc.k0.value(q, tau), sc.k0.jac_q(q, tau), sc.k0.jac_tau(q, tau))
-        for g, w, t in zip(got, want, sc.k0.terms(q, tau)):
+        (k1, k2, j11, j12, j21, j22, t1, t2) = sc.k0.floats(float(q[0]), float(q[1]), tau)
+        floats = (np.array([k1, k2]), np.array([[j11, j12], [j21, j22]]), np.array([t1, t2]))
+        for g, w, f in zip(got, want, floats):
             np.testing.assert_array_equal(g, w)
-            np.testing.assert_array_equal(t, w)
+            np.testing.assert_array_equal(f, w)
 
 
 def _torque_maps(sc):
@@ -530,7 +537,7 @@ def test_torque_run_on_another_barrier_or_nominal_uses_the_separate_maps(integra
 
 def test_backstepping_short_run_safe():
     sc = torque_level_scenario(eta=0.7)
-    traj = run_scenario(sc, SimConfig(dt=1e-3, horizon=2.0))
+    traj = scenario_run(sc, SimConfig(dt=1e-3, horizon=2.0))
     assert traj.ok
     h = Q2_LIMIT - traj.states[:, 1]
     assert float(np.min(h)) >= -1e-4
@@ -554,8 +561,8 @@ def test_bounded_input_study_flags_split():
 
 def test_bounded_input_vacuous_bound_matches_unbounded():
     cfg = SimConfig(dt=1e-3, horizon=2.0)
-    free = run_scenario(velocity_level_scenario(eta=0.7, sigma=0.2), cfg)
-    bi = run_scenario(
+    free = scenario_run(velocity_level_scenario(eta=0.7, sigma=0.2), cfg)
+    bi = scenario_run(
         velocity_level_scenario(eta=0.7, sigma=0.2, kind="bounded_input", gamma=1e6),
         cfg,
     )
@@ -566,7 +573,7 @@ def test_bounded_input_vacuous_bound_matches_unbounded():
 
 def test_bounded_input_tight_bound_flagged():
     # gamma below what even the min-norm filter needs: flagged mid-run
-    bi = run_scenario(
+    bi = scenario_run(
         velocity_level_scenario(eta=0.5, sigma=0.2, kind="bounded_input", gamma=0.1),
         SimConfig(dt=1e-3, horizon=2.0),
     )
@@ -591,9 +598,9 @@ def test_a_light_arm_is_not_singular_and_a_rank_one_mass_matrix_is():
     x = np.array([0.3, 0.2, 0.5, -0.4, 0.1])
     np.testing.assert_allclose(light.system.drift(x), unit.system.drift(x), rtol=1e-12)
     np.testing.assert_allclose(light.system.input_map(x), 1e7 * unit.system.input_map(x), rtol=1e-12)
-    traj = run_scenario(light, SimConfig(dt=1e-3, horizon=0.01))
+    traj = scenario_run(light, SimConfig(dt=1e-3, horizon=0.01))
     assert traj.ok and len(traj) == 11
-    np.testing.assert_allclose(traj.states, run_scenario(unit, SimConfig(dt=1e-3, horizon=0.01)).states, rtol=1e-9)
+    np.testing.assert_allclose(traj.states, scenario_run(unit, SimConfig(dt=1e-3, horizon=0.01)).states, rtol=1e-9)
     # m1 = 1e-16 next to m2 = 1 makes M = [[4, 2], [2, 1]] at q2 = 0, rank 1 in floats
     rank_one = torque_level_scenario(params=ManipulatorParams(m1=1e-16))
     with pytest.raises(NumericsError, match="mass matrix is numerically singular"):
