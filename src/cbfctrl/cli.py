@@ -10,8 +10,8 @@ Configs are JSON with a versioned ``schema`` key; unknown keys, and keys
 that the configured scenario does not read, are rejected.  CSV output is locale-independent, 17 significant digits, LF
 line endings, so identical runs produce byte-identical files.
 
-check and margin evaluate a grid on a plant whose maps take stacks as one
-stack (see simulate.evaluate_stack).  check takes each state's range
+check and margin evaluate a grid as one stack where the plant declares a
+stacked evaluation (see simulate.evaluate_stack).  check takes each state's range
 verdict from it (FormulaBatch.range_verdict) and evaluates per state only
 where Gamma leaves its direct form; margin evaluates per state every state
 that the formula kernel flags.  On other plants every state is evaluated
@@ -552,8 +552,8 @@ def _stacked_grid(scenario: Scenario, states: np.ndarray) -> tuple[FormulaBatch,
     """The grid's stacked evaluation: the formula kernel, its stage and the
     states that the kernel flags; None where the scenario does not stack.
 
-    Where the scenario's maps and formula stack (the sweep's rule, see
-    simulate.evaluate_stack), every state is evaluated in one pass and every
+    Where the scenario's plant and formula stack (the sweep's rule, see
+    simulate._batch_members), every state is evaluated in one pass and every
     unflagged state's values equal the per-state body's, bit for bit.
     """
     spec = scenario.spec

@@ -134,19 +134,15 @@ class ControlAffineSystem:
     """Control-affine dynamics ``xdot = drift(x) + input_map(x) u``.
 
     drift maps a state vector (n,) to (n,); input_map maps it to (n, m).
-    stacks declares that both also map a stack of states (B, n): drift to
-    (B, n) or to one (n,) shared by the stack, input_map to one (n, m)
-    shared by the stack; only then does a batched simulation call them on
-    stacks.  evaluation declares a one-call evaluation of these maps with
-    a barrier and a nominal (see PlantEvaluation); a scalar run on others
-    calls each separate map once per state instead.
+    evaluation declares how these maps are evaluated with a barrier and a
+    nominal, per state and over a stack of states (see PlantEvaluation);
+    a run on others calls each separate map once per state instead.
     """
 
     state_dim: int
     input_dim: int
     drift: Callable[[np.ndarray], np.ndarray]
     input_map: Callable[[np.ndarray], np.ndarray]
-    stacks: bool = False
     evaluation: "PlantEvaluation | None" = None
 
     def __post_init__(self):
@@ -162,33 +158,35 @@ class BarrierFunction:
 
     The safe set is {x : h(x) >= 0}; its boundary and interior are carried
     implicitly by the sign of h.  Gradients are supplied analytically.
-    stacks declares that value, gradient and classk.fn also map a stack
-    of states (B, n): value to (B,), gradient to one (n,) shared by the
-    stack.
     """
 
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     classk: ExtendedClassK
-    stacks: bool = False
 
 
 @dataclass(frozen=True)
 class PlantEvaluation:
-    """One call that forms a plant's maps with the barrier and nominal built beside it.
+    """How a plant's maps are formed with the barrier and nominal built beside it.
 
     fn maps a state (n,) to (f, g, h, grad_h, k_d): the drift (n,), the
     input map (n, m), the barrier value, its gradient (n,) and the nominal
     input (m,), or None for no nominal, all float and each equal, bit for
-    bit, to what the separate maps give at that state.  It holds for this
-    barrier and this nominal only (compared by identity), and for the
-    drift and input map of the system that declares it; a run on any
-    other builds the tuple from the separate maps (simulate.point_evaluation).
+    bit, to what the separate maps give at that state.  stack, where
+    declared, maps a stack of states (B, n) to the same tuple: f (B, n) or
+    one (n,) shared by the stack, g one (n, m) and grad_h one (n,) shared
+    by the stack, h (B,) and k_d (B, m), each row equal to fn's where the
+    maps are exact in numpy's order of operations; only such a plant runs
+    members together (simulate.run).  Both hold for this barrier and this
+    nominal only (compared by identity), and for the drift and input map
+    of the system that declares them; a run on any other builds the tuple
+    from the separate maps (simulate.point_evaluation).
     """
 
     fn: Callable[[np.ndarray], tuple]
     barrier: BarrierFunction
     nominal: Callable[[np.ndarray], np.ndarray] | None = None
+    stack: Callable[[np.ndarray], tuple] | None = None
 
 
 @dataclass(frozen=True)

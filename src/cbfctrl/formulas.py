@@ -162,8 +162,7 @@ class ControllerSpec:
     Kinds: ``qp`` (min-norm), ``sontag``, ``tunable`` (smooth by default,
     ReLU via flag), ``safety_filter`` (wraps one of the others around a
     nominal input), ``bounded_input`` (ReLU form restricted so that
-    ||u|| <= gamma).  nominal_stacks declares that the filter's nominal
-    also maps a stack of states (B, n) to (B, m).
+    ||u|| <= gamma).
     """
 
     kind: str
@@ -173,7 +172,6 @@ class ControllerSpec:
     gamma: float | None = None
     inner: "ControllerSpec | None" = None
     nominal: Callable[[np.ndarray], np.ndarray] | None = None
-    nominal_stacks: bool = False
 
     @classmethod
     def qp(cls) -> "ControllerSpec":
@@ -197,7 +195,6 @@ class ControllerSpec:
         cls,
         inner: "ControllerSpec",
         nominal: Callable[[np.ndarray], np.ndarray],
-        nominal_stacks: bool = False,
     ) -> "ControllerSpec":
         if inner.kind not in _FILTER_INNER_KINDS:
             raise ConfigurationError(
@@ -206,7 +203,7 @@ class ControllerSpec:
             )
         if not callable(nominal):  # a spec without a nominal is a bare one, see simulate._batch_members
             raise ConfigurationError(f"safety_filter needs a callable nominal, got {nominal!r}")
-        return cls(kind="safety_filter", inner=inner, nominal=nominal, nominal_stacks=nominal_stacks)
+        return cls(kind="safety_filter", inner=inner, nominal=nominal)
 
     @property
     def formula(self) -> "ControllerSpec":

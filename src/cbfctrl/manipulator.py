@@ -10,10 +10,11 @@ through the rigid-body dynamics using the composite barrier
 
 with a min-norm safety filter around the tracking torque.  Backstepping
 needs the total derivative of k0, so the velocity-level scenario carries
-analytic Jacobians built on the multiplier slope of its formula.  Every
-torque-level map is a view of one per-state evaluation, torque_terms,
-which the torque-level system declares as its plant evaluation: a
-closed-loop run forms the dynamics, k0 and its Jacobians once per state.
+analytic Jacobians built on the multiplier slope of its formula.  Both
+levels declare their plant evaluation (core.PlantEvaluation), the velocity
+level also over a stack of states, on which a sweep of its formulas
+advances.  Every torque-level map is a view of one per-state evaluation,
+torque_terms: a run forms the dynamics, k0 and its Jacobians once per state.
 
 torque_terms forms every entry in Python floats, and writes each product
 of a 2x2 matrix or 2-vector with a 2-vector as a0*b0 + a1*b1, left to
@@ -220,30 +221,22 @@ def velocity_level_scenario(
 
     kind selects the filter formula: "tunable" (constant eta, smooth
     unless relu), "sontag", "qp", or "bounded_input" (requires gamma).  The
-    constraint pair at the filter is c = beta*h, d = [0, -1].
+    constraint pair at the filter is c = beta*h, d = [0, -1].  The system
+    declares the plant evaluation of this barrier and tracking command.
     """
     inner = controller_spec(kind, sigma=sigma, eta=eta, gamma=gamma, relu=relu)
 
-    # Every map also takes a stack of states (B, 3): drift, input map and
-    # barrier gradient are constant, and the rest act row by row.
+    # Every separate map takes one state; point and stack form them all at a
+    # state and at a stack.  The drift, input map and gradient are constant.
     kp_mat = np.diag([kp, kp])
     neg_kp_mat = -kp_mat
     f_aug = np.array([0.0, 0.0, 1.0])
     g_aug = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    system = ControlAffineSystem(
-        state_dim=3,
-        input_dim=2,
-        drift=lambda x: f_aug,
-        input_map=lambda x: g_aug,
-        stacks=True,
-    )
-
     grad_h = np.array([0.0, -1.0, 0.0])
     barrier = BarrierFunction(
-        value=lambda x: q_bar - x.T[1],
+        value=lambda x: q_bar - x[1],
         gradient=lambda x: grad_h,
         classk=ExtendedClassK.linear(beta),
-        stacks=True,
     )
 
     neg_kp_t = neg_kp_mat.T
@@ -261,18 +254,28 @@ def velocity_level_scenario(
         rate = 2.0 * math.cos(tau)
         return n00 * (q1 - (ref + 1.0)) + rate, n11 * (q2 - ref) + rate, rate
 
-    def nominal(x: np.ndarray) -> np.ndarray:
-        if x.ndim == 2:
-            # r and r' at every row; -kp_mat is diagonal, so each product
-            # has the scalar path's one term.
-            tau = x[:, 2]
-            ref = (2.0 * np.sin(tau))[:, None] + ref_offset
-            return (x[:, :2] - ref) @ neg_kp_t + (2.0 * np.cos(tau))[:, None]
+    def point(x: np.ndarray) -> tuple:
         q1, q2, tau = x.tolist()
         k1, k2, _ = tracking(q1, q2, tau)
-        return np.array([k1, k2])
+        return f_aug, g_aug, q_bar - q2, grad_h, np.array([k1, k2])
 
-    spec = ControllerSpec.safety_filter(inner, nominal, nominal_stacks=True)
+    def stack(xs: np.ndarray) -> tuple:
+        # r and r' at every row; -kp_mat is diagonal, so each product has
+        # the scalar path's one term.
+        tau = xs[:, 2]
+        ref = (2.0 * np.sin(tau))[:, None] + ref_offset
+        k_d = (xs[:, :2] - ref) @ neg_kp_t + (2.0 * np.cos(tau))[:, None]
+        return f_aug, g_aug, q_bar - xs[:, 1], grad_h, k_d
+
+    nominal = lambda x: point(x)[4]
+    system = ControlAffineSystem(
+        state_dim=3,
+        input_dim=2,
+        drift=lambda x: f_aug,
+        input_map=lambda x: g_aug,
+        evaluation=PlantEvaluation(point, barrier, nominal, stack),
+    )
+    spec = ControllerSpec.safety_filter(inner, nominal)
 
     # Constraint geometry at the filter: constant direction d = [0, -1],
     # c = beta * h, so d.k0d = -k0d[1] and dcbar/dq = beta dh/dq + d (-kp).
@@ -315,10 +318,7 @@ def run_formulas(
     safety filter, so member i is the run of velocity_level_scenario with
     that formula.
     """
-    specs = [
-        ControllerSpec.safety_filter(f, scenario.nominal, scenario.spec.nominal_stacks)
-        for f in formulas
-    ]
+    specs = [ControllerSpec.safety_filter(f, scenario.nominal) for f in formulas]
     return run(scenario.system, specs, scenario.barrier, scenario.x0, cfg or SimConfig(), disturbance)
 
 

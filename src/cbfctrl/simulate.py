@@ -24,14 +24,15 @@ for bit.
 
 run also takes a sequence of specs over one plant and returns one
 trajectory per spec.  Members whose formulas vectorise (see
-formulas.FormulaBatch) and that share one nominal, or have none, advance
-together on a plant whose maps declare that they take stacks of states:
-one RK4 loop over the (B, n) stack of their states, with one numpy call
-per operation for all of them; every other member runs the scalar loop.
-Such a plant's input map and barrier gradient are shared by the stack, so
-d and ||d||^2 are too.  The scalar loop is the reference, and
-the batch reproduces it bit for bit on the velocity-level manipulator,
-whose maps are exact in the batch's order of operations.  A member that
+formulas.FormulaBatch) and that share one nominal, the declared one or
+none, advance together on a plant that declares its stacked evaluation
+(core.PlantEvaluation.stack) for the run's barrier: one RK4 loop over the
+(B, n) stack of their states, with one stack call and one numpy call per
+operation for all of them; every other member runs the scalar loop.  The
+stack shares the input map and barrier gradient among its rows, so d and
+||d||^2 are shared too.  The scalar loop is the reference, and the batch
+reproduces it bit for bit on the velocity-level manipulator, whose maps
+are exact in the batch's order of operations.  A member that
 the formula kernel flags at step k (at x_k or in RK4 stages 2-4), or whose
 new state is not finite, leaves the batch: the scalar loop finishes it
 from its state x_k at step k, after the rows the batch recorded for the
@@ -52,6 +53,7 @@ import numpy as np
 
 from .analysis import DisturbanceSpec, margin_of, margins
 from .core import (
+    EPS_D,
     BarrierFunction,
     BlowUpError,
     CBFControlError,
@@ -163,7 +165,7 @@ def step(
 
     if integrator not in ("euler", "rk4"):
         raise ConfigurationError(f"unknown integrator {integrator!r}")
-    return _advance(f_cl, x, dt, integrator, f_cl(x))
+    return _finite(_advance(f_cl, x, dt, integrator, f_cl(x)), x)
 
 
 def _advance(
@@ -173,14 +175,18 @@ def _advance(
     integrator: str,
     k1: np.ndarray,
 ) -> np.ndarray:
-    """One Euler or RK4 step of xdot = field(y) from x, where k1 = field(x)."""
+    """One Euler or RK4 step of xdot = field(y) from a state or a stack of
+    states x, where k1 = field(x); the new state is not checked."""
     if integrator == "euler":
-        x_new = x + dt * k1
-    else:
-        k2 = field(x + (0.5 * dt) * k1)
-        k3 = field(x + (0.5 * dt) * k2)
-        k4 = field(x + dt * k3)
-        x_new = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return x + dt * k1
+    k2 = field(x + (0.5 * dt) * k1)
+    k3 = field(x + (0.5 * dt) * k2)
+    k4 = field(x + dt * k3)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _finite(x_new: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x_new, the step from x; NumericsError where it is not finite."""
     if not np.isfinite(x_new).all():
         raise NumericsError(f"state became non-finite after one step from x={x}")
     return x_new
@@ -348,7 +354,7 @@ def _run_scalar(
                 break
             try:
                 # RK4 stage 1 (the Euler stage) is the field at x_k under u_k.
-                x = _advance(field, x, cfg.dt, cfg.integrator, f_k + g_k @ u_k)
+                x = _finite(_advance(field, x, cfg.dt, cfg.integrator, f_k + g_k @ u_k), x)
             except NumericsError as exc:
                 raise BlowUpError(str(exc), step_index=k) from exc
             k += 1
@@ -371,16 +377,19 @@ def _run_scalar(
 
 def _batch_members(system, barrier, specs: list[ControllerSpec]) -> list[int]:
     """Indices of the specs that advance together: every vectorisable one
-    around the nominal of the first (one object that takes stacks, or none)."""
-    if not (system.stacks and barrier.stacks):
+    around the nominal of the first, where the system declares a stacked
+    evaluation (core.PlantEvaluation.stack) for this barrier and that
+    nominal or none."""
+    ev = system.evaluation
+    if ev is None or ev.stack is None or barrier is not ev.barrier:
         return []
     fits = [i for i, s in enumerate(specs) if vectorisable(s.formula)]
     if not fits:
         return []
-    first = specs[fits[0]]
-    if first.nominal is not None and not first.nominal_stacks:
+    nominal = specs[fits[0]].nominal
+    if nominal is not None and nominal is not ev.nominal:
         return []
-    return [i for i in fits if specs[i].nominal is first.nominal]
+    return [i for i in fits if specs[i].nominal is nominal]
 
 
 class Stage(NamedTuple):
@@ -406,19 +415,17 @@ def evaluate_stack(
     """The stage at the stack of states ys (B, n), around the nominal (None
     for none), and the rows that the kernel flags.
 
-    system, barrier and nominal must take stacks (see _batch_members): the
-    input map (n, m) and the barrier gradient (n,) are shared by the rows,
-    the drift is (B, n) or shared, and the value and the nominal act row by
-    row.  The kernel's members are the rows, or one spec broadcast over them.  Each
-    value equals evaluate_constraint's and evaluate_controller's at the row,
-    bit for bit, where the maps are exact in this order of operations.
-    check_shapes checks the maps' output shapes, once per caller.
+    The maps come from one call of the system's stacked evaluation (see
+    core.PlantEvaluation and _batch_members).  The kernel's members are the
+    rows, or one spec broadcast over them.  Each value equals
+    evaluate_constraint's and evaluate_controller's at the row, bit for bit,
+    where the maps are exact in this order of operations; a row where the
+    filter's unshifted c is infeasible is flagged too.  check_shapes checks
+    the maps' output shapes, once per caller.
     """
-    h = barrier.value(ys)
-    grad = barrier.gradient(ys)
-    f = system.drift(ys)
-    g = system.input_map(ys)
-    kd = None if nominal is None else nominal(ys)
+    f, g, h, grad, kd = system.evaluation.stack(ys)
+    if nominal is None:
+        kd = None  # bare members run around no nominal, whatever the declaration's
     if check_shapes:
         _check_shapes(system, len(ys), f, g, h, grad, kd)
     c = f @ grad + barrier.classk.fn(h)
@@ -429,6 +436,8 @@ def evaluate_stack(
     u = lam[:, None] * d
     if kd is not None:
         u = u + kd
+        if d2 <= EPS_D:  # evaluate_controller tests the unshifted c before c_bar
+            flagged = flagged | (c <= 0.0)
     return Stage(f, g, h, c, d, d2, c_bar, lam, kappa, gam, u), flagged
 
 
@@ -522,23 +531,19 @@ class _Batch:
     def step(self, xs, stage: Stage, u_k, w, kernel, cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
         """One RK4 (or Euler) step of every member from xs, and the members
         flagged in stages 2-4 or whose new state is not finite."""
-        dt = cfg.dt
-        k1 = stage.f + u_k @ stage.g.T
-        if cfg.integrator == "euler":
-            x_new = xs + dt * k1
-            return x_new, ~np.isfinite(x_new).all(axis=1)
+        flagged = np.zeros(len(xs), dtype=bool)
 
-        def f_cl(ys):
+        def field(ys):
+            nonlocal flagged
             if cfg.zoh:
-                return self.system.drift(ys) + u_k @ self.system.input_map(ys).T, False
-            st, flagged = self.evaluate(ys, kernel)
-            return st.f + (st.u if w is None else st.u + w) @ st.g.T, flagged
+                f, g = self.system.evaluation.stack(ys)[:2]
+                return f + u_k @ g.T
+            st, out = self.evaluate(ys, kernel)
+            flagged = flagged | out
+            return st.f + (st.u if w is None else st.u + w) @ st.g.T
 
-        k2, flagged2 = f_cl(xs + (0.5 * dt) * k1)
-        k3, flagged3 = f_cl(xs + (0.5 * dt) * k2)
-        k4, flagged4 = f_cl(xs + dt * k3)
-        x_new = xs + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return x_new, flagged2 | flagged3 | flagged4 | ~np.isfinite(x_new).all(axis=1)
+        x_new = _advance(field, xs, cfg.dt, cfg.integrator, stage.f + u_k @ stage.g.T)
+        return x_new, flagged | ~np.isfinite(x_new).all(axis=1)
 
 
 class _Record:

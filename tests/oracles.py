@@ -117,9 +117,10 @@ def lambda_tunable_relu(c, d2, kappa, sigma):
 
 
 def counted_plant(sc, calls):
-    """The torque-level scenario's (system, barrier, spec), with its plant
-    evaluation counted under calls["evaluation"] and each separate map
-    counted under its own name."""
+    """A manipulator scenario's (system, barrier, spec), with its plant
+    evaluation counted under calls["evaluation"], its stacked evaluation,
+    where declared, under calls["stack"] and each separate map under its
+    own name."""
 
     def counted(name, fn):
         def wrapped(x):
@@ -130,10 +131,12 @@ def counted_plant(sc, calls):
 
     barrier = replace(sc.barrier, value=counted("value", sc.barrier.value), gradient=counted("gradient", sc.barrier.gradient))
     nominal = counted("nominal", sc.spec.nominal)
+    ev = sc.system.evaluation
+    stack = None if ev.stack is None else counted("stack", ev.stack)
     system = replace(
         sc.system,
         drift=counted("drift", sc.system.drift),
         input_map=counted("input_map", sc.system.input_map),
-        evaluation=PlantEvaluation(counted("evaluation", sc.system.evaluation.fn), barrier, nominal),
+        evaluation=PlantEvaluation(counted("evaluation", ev.fn), barrier, nominal, stack),
     )
     return system, barrier, replace(sc.spec, nominal=nominal)

@@ -678,14 +678,13 @@ def outcome(capsys, out_dir, argv):
 
 
 def unstacked(monkeypatch):
-    """Make build_scenario declare no stacking maps, so that every grid state
-    goes through the per-state body."""
+    """Make build_scenario declare no stacked evaluation, so that every grid
+    state goes through the per-state body."""
     build = cli.build_scenario
 
     def build_scenario(*args, **kwargs):
         sc = build(*args, **kwargs)
-        sc.system = replace(sc.system, stacks=False)
-        sc.barrier = replace(sc.barrier, stacks=False)
+        sc.system = replace(sc.system, evaluation=replace(sc.system.evaluation, stack=None))
         return sc
 
     monkeypatch.setattr(cli, "build_scenario", build_scenario)
@@ -752,26 +751,23 @@ def test_stacked_grid_matches_the_per_state_body(tmp_path, capsys, monkeypatch, 
         assert per_state
 
 
-def per_row(fn):
-    """fn with its shared array repeated for every state of a stack."""
-
-    def mapped(x):
-        out = fn(x)
-        return np.broadcast_to(out, (len(x),) + out.shape) if x.ndim == 2 else out
-
-    return mapped
-
-
 def break_stacking(sc, name):
-    """Make the scenario's map called name break the stacking contract: a
-    per-row input map or barrier gradient, or a nominal of the wrong shape."""
-    if name == "input_map":
-        sc.system = replace(sc.system, input_map=per_row(sc.system.input_map))
-    elif name == "barrier gradient":
-        sc.barrier = replace(sc.barrier, gradient=per_row(sc.barrier.gradient))
-    else:
-        nominal = sc.spec.nominal
-        sc.spec = replace(sc.spec, nominal=lambda x: nominal(x)[..., :1])
+    """Make the scenario's stacked evaluation break its contract in the map
+    called name: a per-row input map or barrier gradient, or a nominal of
+    the wrong shape."""
+    ev = sc.system.evaluation
+
+    def stack(xs):
+        f, g, h, grad, kd = ev.stack(xs)
+        if name == "input_map":
+            g = np.broadcast_to(g, (len(xs),) + g.shape)
+        elif name == "barrier gradient":
+            grad = np.broadcast_to(grad, (len(xs),) + grad.shape)
+        else:
+            kd = kd[:, :1]
+        return f, g, h, grad, kd
+
+    sc.system = replace(sc.system, evaluation=replace(ev, stack=stack))
     return sc
 
 

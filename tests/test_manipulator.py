@@ -329,6 +329,27 @@ def test_k0_jacobians_min_norm_away_from_kink():
     assert checked > 30
 
 
+@pytest.mark.parametrize("kp", [1.0, 2.5])
+def test_velocity_plant_evaluation_equals_the_separate_maps(kp):
+    # point at a state and each row of stack at a stack of states give, bit
+    # for bit, what the separate maps give at that state
+    sc = velocity_level_scenario(eta=0.7, kp=kp)
+    ev = sc.system.evaluation
+    assert ev.barrier is sc.barrier and ev.nominal is sc.nominal is sc.spec.nominal
+    rng = np.random.default_rng(71)
+    xs = np.column_stack([rng.uniform(-2.0, 4.0, 300), rng.uniform(-1.5, 3.0, 300), rng.uniform(0.0, 7.0, 300)])
+    f, g, h, grad, kd = ev.stack(xs)
+    assert (f.shape, g.shape, h.shape, grad.shape, kd.shape) == ((3,), (3, 2), (300,), (3,), (300, 2))
+    for x, h_row, kd_row in zip(xs, h, kd):
+        want = [sc.system.drift(x), sc.system.input_map(x), float(sc.barrier.value(x)), sc.barrier.gradient(x), sc.nominal(x)]
+        point = ev.fn(x)
+        assert type(point[2]) is float
+        for got in (point, (f, g, h_row, grad, kd_row)):
+            for a, b in zip(got, want):
+                a, b = np.asarray(a), np.asarray(b)
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), (x, a, b)
+
+
 # --- torque level ----------------------------------------------------------------
 
 def test_manifold_identity():
@@ -480,15 +501,24 @@ def test_torque_run_matches_oracle_scenario_held_and_disturbed():
         np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
 
 
+RUNS = {
+    "rk4": ({}, 4, 4),
+    "euler": ({"integrator": "euler"}, 1, 1),
+    "zoh": ({"zoh": True}, 4, 1),
+    "zoh-euler": ({"zoh": True, "integrator": "euler"}, 1, 1),
+}
+
+
 @pytest.mark.parametrize(
-    "sim, evaluations, formulas",
-    [({}, 4, 4), ({"integrator": "euler"}, 1, 1), ({"zoh": True}, 4, 1), ({"zoh": True, "integrator": "euler"}, 1, 1)],
-    ids=["rk4", "euler", "zoh", "zoh-euler"],
+    "scenario, sim, evaluations, formulas",
+    [pytest.param(torque_level_scenario, *args, id=name) for name, args in RUNS.items()]
+    + [pytest.param(velocity_level_scenario, *args, id=f"velocity-{name}") for name, args in RUNS.items()],
 )
-def test_torque_run_evaluates_the_plant_once_per_state(monkeypatch, sim, evaluations, formulas):
+def test_torque_run_evaluates_the_plant_once_per_state(monkeypatch, scenario, sim, evaluations, formulas):
     # RK4 evaluates the plant at 4 states a step; the zero-order hold still
-    # needs f and g at stages 2-4, but runs the formula only at x_k
-    sc = torque_level_scenario(eta=0.7)
+    # needs f and g at stages 2-4, but runs the formula only at x_k.  The
+    # velocity level's scalar run, declared alike, calls its stack nowhere.
+    sc = scenario(eta=0.7)
     calls = {}
     system, barrier, spec = counted_plant(sc, calls)
     n_formulas = []

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from cbfctrl import (
     DisturbanceSpec,
     ExtendedClassK,
     NumericsError,
+    PlantEvaluation,
     ShapingFunction,
     SimConfig,
     TunableTermPolicy,
@@ -420,7 +422,7 @@ def assert_list_run_matches(system, specs, barrier, x0, cfg, disturbance=None):
 
 
 def velocity_specs(formulas):
-    return [ControllerSpec.safety_filter(f, VELOCITY.nominal, nominal_stacks=True) for f in formulas]
+    return [ControllerSpec.safety_filter(f, VELOCITY.nominal) for f in formulas]
 
 
 KINDS = [
@@ -516,18 +518,31 @@ def test_list_run_failures_at_step_zero_and_run_scenario_equivalence():
         assert (ref.states.shape[1:], ref.inputs.shape[1:]) == ((3,), (2,))  # zero rows keep their width alone too
 
 
-def stacked_line(drift, beta=1.5):
-    """xdot = drift(x) + u on the line, h = 1 + x, maps that take stacks."""
-    system = ControlAffineSystem(
-        state_dim=1, input_dim=1, drift=drift, input_map=lambda x: np.ones((1, 1)), stacks=True
-    )
+def declaring_stacks(system, barrier, nominal=None):
+    """system declaring the evaluation of barrier and nominal, per state and
+    over a stack, from maps that take either."""
+
+    def fn(x):
+        kd = None if nominal is None else np.asarray(nominal(x), dtype=float)
+        return system.drift(x), system.input_map(x), float(barrier.value(x)), barrier.gradient(x), kd
+
+    def stack(xs):
+        kd = None if nominal is None else nominal(xs)
+        return system.drift(xs), system.input_map(xs), barrier.value(xs), barrier.gradient(xs), kd
+
+    return replace(system, evaluation=PlantEvaluation(fn, barrier, nominal, stack))
+
+
+def stacked_line(drift, beta=1.5, slope=1.0, offset=1.0, nominal=None):
+    """xdot = drift(x) + u on the line, h = offset + slope x, with its
+    evaluation declared over stacks for that barrier and nominal."""
+    system = ControlAffineSystem(state_dim=1, input_dim=1, drift=drift, input_map=lambda x: np.ones((1, 1)))
     barrier = BarrierFunction(
-        value=lambda x: 1.0 + x[..., 0],
-        gradient=lambda x: np.ones(1),
+        value=lambda x: offset + slope * x[..., 0],
+        gradient=lambda x: np.full(1, slope),
         classk=ExtendedClassK.linear(beta),
-        stacks=True,
     )
-    return system, barrier
+    return declaring_stacks(system, barrier, nominal), barrier
 
 
 def test_list_run_blow_ups_match_scalar():
@@ -545,19 +560,30 @@ def test_list_run_blow_ups_match_scalar():
     # a finite field whose RK4 sum overflows: only the new state is non-finite
     huge = np.array([1e308, 0.0])
     system = ControlAffineSystem(
-        state_dim=2, input_dim=1, drift=lambda x: huge, input_map=lambda x: np.array([[0.0], [1.0]]),
-        stacks=True,
+        state_dim=2, input_dim=1, drift=lambda x: huge, input_map=lambda x: np.array([[0.0], [1.0]])
     )
     barrier = BarrierFunction(
         value=lambda x: 1.0 - x[..., 1],
         gradient=lambda x: np.array([0.0, -1.0]),
         classk=ExtendedClassK.linear(1.5),
-        stacks=True,
     )
+    system = declaring_stacks(system, barrier)
     with np.errstate(all="ignore"):
         trajs = assert_list_run_matches(system, specs, barrier, np.zeros(2), cfg)
     assert all(t.failure.startswith("blow-up at step 0: state became non-finite") for t in trajs)
     assert all(len(t) == 1 for t in trajs)
+
+
+def test_list_run_hands_off_a_filter_whose_unshifted_constraint_is_infeasible():
+    # h = 1e-7 x: ||d||^2 = 1e-14 <= EPS_D, c = -1.5e-9 <= 0 < c + d.k_d; the
+    # scalar filter raises on the unshifted c before it shifts by the nominal
+    push = lambda x: np.ones_like(x)
+    system, barrier = stacked_line(lambda x: np.zeros_like(x), slope=1e-7, offset=0.0, nominal=push)
+    specs = [ControllerSpec.safety_filter(f, push) for f in (ControllerSpec.sontag(S02), ControllerSpec.qp())]
+    assert _batch_members(system, barrier, specs) == [0, 1]
+    cfg = SimConfig(dt=1e-3, horizon=0.01, allow_unsafe_start=True)
+    trajs = assert_list_run_matches(system, specs, barrier, np.array([-0.01]), cfg)
+    assert all(t.failure.startswith("InfeasibleConstraintError at step 0") and len(t) == 0 for t in trajs)
 
 
 def test_list_run_mixed_with_per_member_specs():
@@ -572,7 +598,7 @@ def test_list_run_mixed_with_per_member_specs():
     ]
     specs = velocity_specs(formulas)
     other_nominal = ControllerSpec.safety_filter(controller_spec("qp"), VELOCITY.nominal)
-    specs.append(other_nominal)  # the same nominal, not declared to take stacks: still together
+    specs.append(other_nominal)  # the declared nominal in another filter spec: still together
     specs.append(ControllerSpec.safety_filter(controller_spec("qp"), lambda x: VELOCITY.nominal(x)))
     assert _batch_members(VELOCITY.system, VELOCITY.barrier, specs) == [0, 4, 5]
     trajs = assert_list_run_matches(
