@@ -133,6 +133,8 @@ class DisturbanceSpec:
     def bounded_random(cls, magnitude: float, seed: int) -> "DisturbanceSpec":
         if not math.isfinite(magnitude):
             raise ConfigurationError("disturbance magnitude must be finite")
+        if magnitude < 0.0:
+            raise ConfigurationError(f"disturbance magnitude must be nonnegative, got {magnitude}")
         return cls(kind="bounded_random", magnitude=float(magnitude), seed=int(seed))
 
     def at(self, t: float, input_dim: int) -> np.ndarray:

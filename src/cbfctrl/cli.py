@@ -31,7 +31,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -63,11 +63,6 @@ CHECK_ERROR = 3
 
 _SCHEMA_VERSION = 1
 
-# Allowed keys per config section; validation rejects anything else.
-_TOP_KEYS = {
-    "schema", "seed", "system", "barrier", "controller", "sim",
-    "x0", "nominal", "disturbance", "grid", "output",
-}
 # The system keys each system reads, grouped by the constructor that takes
 # them as keyword arguments (see build_scenario); a system key that the named
 # system does not read is a config error.
@@ -79,23 +74,12 @@ _SYSTEM_ARGS = {
     "two_link_velocity": _VELOCITY_ARGS,
     "two_link_torque": {"cfg": ("mu", "kp", "kp_bar", "alpha_b"), "params": ("m1", "m2", "l1", "l2", "gravity")},
 }
-# Every key some system reads, once each, in the table's order.
-_SYSTEM_ARG_KEYS = list(dict.fromkeys(key for args in _SYSTEM_ARGS.values() for keys in args.values() for key in keys))
-_SYSTEM_KEYS = {"name", *_SYSTEM_ARG_KEYS}
-_BARRIER_KEYS = {"kind", "normal", "offset", "beta"}  # the builtin barrier reads only its kind
-_CONTROLLER_KEYS = {"kind", "eta", "sigma", "gamma", "relu"}
-_SIM_KEYS = {"dt", "horizon", "integrator", "record_every", "zoh", "allow_unsafe_start"}
-_NOMINAL_KEYS = {"kind", "value"}
-_DISTURBANCE_KEYS = {"kind", "value", "amplitude", "freq", "magnitude", "seed"}
-_GRID_KEYS = {"kind", "base", "axes", "subsample"}
-_AXIS_KEYS = {"dim", "min", "max", "count"}
-_OUTPUT_KEYS = {"trajectory"}
 # The most states a box grid may hold (the product of its axis counts);
 # a larger grid is a config error, raised before any state is formed.
 MAX_GRID_STATES = 10**6
 
 
-def _reject_unknown(section: dict, allowed: set, path: str) -> None:
+def _reject_unknown(section: dict, allowed: dict, path: str) -> None:
     for key in section:
         if key not in allowed:
             raise ConfigurationError(f"unknown config key {path}.{key}")
@@ -107,7 +91,7 @@ def _require(section: dict, key: str, path: str):
     return section[key]
 
 
-def _object(value, path: str, allowed: set) -> dict:
+def _object(value, path: str, allowed: dict) -> dict:
     """The config section value at path, an object with keys in allowed; a config error otherwise."""
     if not isinstance(value, dict):
         raise ConfigurationError(f"{path} must be an object, got {value!r}")
@@ -129,25 +113,40 @@ def _is_number(value) -> bool:
 _NUMBER = (_is_number, "a number")
 _INT = (_is_int, "an integer")
 _SEED = (lambda v: _is_int(v) and v >= 0, "a nonnegative integer")  # numpy seeds are nonnegative
-# The type of each typed scalar key per config section; validation rejects a value of another type.
-_SCALAR_TYPES = {
-    "config": {"seed": _SEED},
-    "config.system": {
-        "dim": _INT,
-        **dict.fromkeys([key for key in _SYSTEM_ARG_KEYS if key not in ("dim", "x0_q")], _NUMBER),
-    },
-    "config.barrier": {"offset": _NUMBER, "beta": _NUMBER},
-    "config.controller": {
-        "eta": _NUMBER, "sigma": _NUMBER, "gamma": _NUMBER, "relu": (lambda v: isinstance(v, bool), "true or false"),
-    },
-    "config.disturbance": {"freq": _NUMBER, "magnitude": _NUMBER, "seed": _SEED},
+# Each config section's keys, each mapped to its type check, or to None
+# where the key's reader checks it; validation rejects any other key.
+_TOP_KEYS = {
+    "schema": None, "seed": _SEED, "system": None, "barrier": None, "controller": None, "sim": None,
+    "x0": None, "nominal": None, "disturbance": None, "grid": None, "output": None,
 }
+_SYSTEM_KEYS = {
+    "name": None,
+    **dict.fromkeys((key for args in _SYSTEM_ARGS.values() for keys in args.values() for key in keys), _NUMBER),
+    "dim": _INT,
+    "x0_q": None,
+}
+_BARRIER_KEYS = {"kind": None, "normal": None, "offset": _NUMBER, "beta": _NUMBER}  # builtin reads only its kind
+_CONTROLLER_KEYS = {
+    "kind": None, "eta": _NUMBER, "sigma": _NUMBER, "gamma": _NUMBER,
+    "relu": (lambda v: isinstance(v, bool), "true or false"),
+}
+_SIM_KEYS = dict.fromkeys(field.name for field in fields(SimConfig))  # SimConfig checks each
+_NOMINAL_KEYS = dict.fromkeys(("kind", "value"))
+_DISTURBANCE_KEYS = {
+    "kind": None, "value": None, "amplitude": None, "freq": _NUMBER, "magnitude": _NUMBER, "seed": _SEED,
+}
+_GRID_KEYS = dict.fromkeys(("kind", "base", "axes", "subsample"))
+_AXIS_KEYS = dict.fromkeys(("dim", "min", "max", "count"))
+_OUTPUT_KEYS = dict.fromkeys(("trajectory",))
 
 
-def _check_scalar_types(section: dict, path: str) -> None:
-    for key, (is_type, kind) in _SCALAR_TYPES[path].items():
-        if key in section and not is_type(section[key]):
-            raise ConfigurationError(f"{path}.{key} must be {kind}, got {section[key]!r}")
+def _check_scalar_types(section: dict, keys: dict, path: str) -> None:
+    """A config error at the first key of keys, in their order, whose value in section fails its type check."""
+    for key, check in keys.items():
+        if check is not None and key in section:
+            is_type, kind = check
+            if not is_type(section[key]):
+                raise ConfigurationError(f"{path}.{key} must be {kind}, got {section[key]!r}")
 
 
 def _config_array(value, key: str, length: int) -> np.ndarray:
@@ -194,14 +193,14 @@ def validate_config(config: dict) -> None:
         raise ConfigurationError(
             f"unsupported schema version {config['schema']!r}, expected {_SCHEMA_VERSION}"
         )
-    _check_scalar_types(config, "config")
+    _check_scalar_types(config, _TOP_KEYS, "config")
     system = _object(_require(config, "system", "config"), "config.system", _SYSTEM_KEYS)
-    _check_scalar_types(system, "config.system")
+    _check_scalar_types(system, _SYSTEM_KEYS, "config.system")
     name = _require(system, "name", "config.system")
     if not (isinstance(name, str) and name in _SYSTEM_ARGS):
         raise ConfigurationError(f"unknown system name {name!r}")
     barrier = _object(_require(config, "barrier", "config"), "config.barrier", _BARRIER_KEYS)
-    _check_scalar_types(barrier, "config.barrier")
+    _check_scalar_types(barrier, _BARRIER_KEYS, "config.barrier")
     kind = _require(barrier, "kind", "config.barrier")
     if kind not in ("linear", "builtin"):
         raise ConfigurationError(f"unknown barrier kind {kind!r}")
@@ -216,7 +215,7 @@ def validate_config(config: dict) -> None:
         raise ConfigurationError(f"config.controller.kind must be a string, got {ckind!r}")
     if ckind not in ("qp", "sontag", "tunable", "bounded_input"):
         raise ConfigurationError(f"unknown controller kind {ckind!r}")
-    _check_scalar_types(controller, "config.controller")
+    _check_scalar_types(controller, _CONTROLLER_KEYS, "config.controller")
     if ckind in ("tunable", "bounded_input") and "eta" not in controller:
         raise ConfigurationError("missing config key config.controller.eta")
     if ckind != "qp" and "sigma" not in controller:
@@ -232,7 +231,7 @@ def validate_config(config: dict) -> None:
         dist = _object(config["disturbance"], "config.disturbance", _DISTURBANCE_KEYS)
         if dist.get("kind") not in ("constant", "sinusoidal", "bounded_random"):
             raise ConfigurationError("unknown disturbance kind")
-        _check_scalar_types(dist, "config.disturbance")
+        _check_scalar_types(dist, _DISTURBANCE_KEYS, "config.disturbance")
     if "grid" in config:
         grid = _object(config["grid"], "config.grid", _GRID_KEYS)
         if grid.get("kind") not in ("box", "trajectory"):
@@ -473,7 +472,7 @@ def cmd_sweep(args) -> int:
         )
         dt_record = scenario.sim_cfg.dt * scenario.sim_cfg.record_every
         max_input, max_jump, margin_min = _summary_stats(traj, dt_record)
-        min_h = traj.min_h() if len(traj) else math.nan
+        min_h = traj.min_h()
         status = "ok" if traj.ok else f"failed step {traj.failure_step}"
         if not traj.ok:
             any_failed = True
@@ -559,7 +558,7 @@ def _stacked_grid(scenario: Scenario, states: np.ndarray) -> tuple[FormulaBatch,
     spec = scenario.spec
     if not _batch_members(scenario.system, scenario.barrier, [spec]):
         return None
-    kernel = FormulaBatch([spec.formula])
+    kernel = FormulaBatch([spec])
     with np.errstate(all="ignore"):
         stage, flagged = evaluate_stack(
             scenario.system, scenario.barrier, spec.nominal, states, kernel, check_shapes=True
@@ -580,12 +579,11 @@ def _check_state(scenario: Scenario, at, x: np.ndarray) -> tuple[float, float, f
     d2 = con.d_norm_sq
     kappa = math.nan
     range_ok = d2 > EPS_D or c_eff > 0.0
-    formula = spec.formula
-    if formula.kind != "qp":
-        gam = Gamma(c_eff, d2, formula.shaping)
+    if spec.kind != "qp":
+        gam = Gamma(c_eff, d2, spec.shaping)
         try:
-            kappa = resolve_kappa(formula, c_eff, d2, gam, x)
-            check_kappa_range(kappa, c_eff, d2, gam, formula.relu, formula.gamma)
+            kappa = resolve_kappa(spec, c_eff, d2, gam, x)
+            check_kappa_range(kappa, c_eff, d2, gam, spec.relu, spec.gamma)
         except (DomainError, KappaRangeError):
             range_ok = False
     return c_eff, d2, kappa, range_ok
@@ -654,8 +652,8 @@ def cmd_check(args) -> int:
 def cmd_margin(args) -> int:
     config = load_config(args.config, args.set)
     scenario = build_scenario(config, seed=args.seed)
-    formula = scenario.spec.formula
-    if formula.kind == "qp":
+    kind = scenario.spec.kind
+    if kind == "qp":
         print(
             "margin needs a tunable, sontag, or bounded_input controller; "
             "this scenario's filter is min-norm (qp)",
@@ -686,7 +684,7 @@ def cmd_margin(args) -> int:
     print(f"margin over {len(states)} grid states (sample-based estimate, not a global supremum):")
     print(f"  min M = {_fmt(min(finite))}")
     print(f"  max M (xi_bar estimate) = {_fmt(max(finite))}")
-    if formula.kind == "bounded_input":
+    if kind == "bounded_input":
         print("  note: the bounded-input range yields margin interval [0, inf) by construction")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

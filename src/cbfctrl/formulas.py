@@ -22,18 +22,19 @@ kappa > 0 is required.
 The scalar functions live in (c, ||d||^2) space: their d or d2 argument is
 always the squared norm of the constraint direction, which
 :class:`AffineConstraint` forms once and evaluate_controller reads from it.
-A safety filter is one pass over the same pair: c is shifted to
-c + d k_d(x) (:func:`filter_offset`), checked as c is, and the inner
-formula runs there, with no second constraint and one output.  :class:`FormulaBatch`
-evaluates the same formulas for a batch of specs, each at its own point,
-with one numpy call per operation.
+A spec with a nominal k_d is a safety filter, evaluated in one pass over
+the same pair: c is shifted to c + d k_d(x) (:func:`filter_offset`),
+checked as c is, and the spec's formula runs there, with no second
+constraint and one output.  :class:`FormulaBatch` evaluates the same
+formulas for a batch of specs, each at its own point, with one numpy call
+per operation.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -135,12 +136,12 @@ def lin_sontag_eta(
 class ControllerOutput:
     """Result of one controller evaluation.
 
-    u is the full input (nominal included for the filter kind); lam is the
+    u is the full input (nominal included for a filter); lam is the
     formula multiplier so that the formula part of u equals lam * d^T.
     residual is c + d.u minus the right-hand side the formula was required
     to meet (0 for min-norm, kappa*Gamma for tunable kinds).  c_eff and
     gamma_eff are the constraint offset and tightening actually used
-    (shifted by the nominal for the filter kind); gamma_eff is NaN for the
+    (shifted by the nominal for a filter); gamma_eff is NaN for the
     min-norm kind, which has no tightening.
     """
 
@@ -152,17 +153,14 @@ class ControllerOutput:
     gamma_eff: float
 
 
-_FILTER_INNER_KINDS = ("qp", "sontag", "tunable", "bounded_input")
-
-
 @dataclass(frozen=True)
 class ControllerSpec:
     """Declarative description of which formula to evaluate.
 
     Kinds: ``qp`` (min-norm), ``sontag``, ``tunable`` (smooth by default,
-    ReLU via flag), ``safety_filter`` (wraps one of the others around a
-    nominal input), ``bounded_input`` (ReLU form restricted so that
-    ||u|| <= gamma).
+    ReLU via flag), ``bounded_input`` (ReLU form restricted so that
+    ||u|| <= gamma).  A spec with a nominal input k_d(x) is a safety filter
+    of its kind around that nominal.
     """
 
     kind: str
@@ -170,7 +168,6 @@ class ControllerSpec:
     policy: TunableTermPolicy | None = None
     relu: bool = False
     gamma: float | None = None
-    inner: "ControllerSpec | None" = None
     nominal: Callable[[np.ndarray], np.ndarray] | None = None
 
     @classmethod
@@ -196,19 +193,12 @@ class ControllerSpec:
         inner: "ControllerSpec",
         nominal: Callable[[np.ndarray], np.ndarray],
     ) -> "ControllerSpec":
-        if inner.kind not in _FILTER_INNER_KINDS:
-            raise ConfigurationError(
-                f"safety_filter cannot wrap kind {inner.kind!r}; "
-                f"allowed: {_FILTER_INNER_KINDS}"
-            )
+        """The spec inner as a safety filter around nominal."""
+        if inner.nominal is not None:
+            raise ConfigurationError(f"safety_filter cannot wrap a {inner.kind!r} spec that has a nominal")
         if not callable(nominal):  # a spec without a nominal is a bare one, see simulate._batch_members
             raise ConfigurationError(f"safety_filter needs a callable nominal, got {nominal!r}")
-        return cls(kind="safety_filter", inner=inner, nominal=nominal)
-
-    @property
-    def formula(self) -> "ControllerSpec":
-        """The formula the spec evaluates: the filter's inner spec, or the spec itself."""
-        return self.inner if self.kind == "safety_filter" else self
+        return replace(inner, nominal=nominal)
 
     @classmethod
     def bounded_input(
@@ -295,12 +285,12 @@ def filter_offset(
     spec: ControllerSpec, con: AffineConstraint, x: np.ndarray | None, kd: np.ndarray | None = None
 ) -> tuple[float, np.ndarray | None]:
     """(c_eff, k_d): a safety filter's offset c + d k_d(x) and its nominal,
-    or (c, None) for any other kind.  kd is the nominal at x where the
-    caller has it; without it the nominal is called.
+    or (c, None) for a spec without a nominal.  kd is the nominal at x where
+    the caller has it; without it the nominal is called.
 
     Raises NumericsError where the shifted offset is not finite.
     """
-    if spec.kind != "safety_filter":
+    if spec.nominal is None:
         return con.c, None
     kd = np.asarray(spec.nominal(x) if kd is None else kd, dtype=float)
     c = con.c + float(con.d @ kd)
@@ -325,23 +315,23 @@ def evaluate_controller(
     convention makes that a hard error, never a silent zero input),
     KappaRangeError when the resolved tunable term leaves its validity
     range, and IncompatibleInputError when the bounded-input kind cannot
-    meet the constraint within its norm bound.  A safety filter is one
-    pass: its inner formula runs at the shifted offset c + d k_d(x) (see
-    filter_offset), which is checked for feasibility as c is, on the
-    constraint's own d and ||d||^2.  kd is the filter's nominal at x where
+    meet the constraint within its norm bound.  A spec with a nominal (a
+    safety filter) is one pass: its formula runs at the shifted offset
+    c + d k_d(x) (see filter_offset), which is checked for feasibility as c
+    is, on the constraint's own d and ||d||^2.  kd is the nominal at x where
     the caller has it, as the per-state evaluation of a run or of the CLI
-    gives it (see simulate.point_evaluation); any other kind ignores it.
+    gives it (see simulate.point_evaluation); a spec without a nominal
+    ignores it.
     """
     c = con.c
     d = con.d
     d2 = con.d_norm_sq
     if d2 <= EPS_D and c <= 0.0:
         raise _infeasible(c, d2, x)
-    if spec.kind == "safety_filter":
+    if spec.nominal is not None:
         c, kd = filter_offset(spec, con, x, kd)
         if d2 <= EPS_D and c <= 0.0:
             raise _infeasible(c, d2, x)
-        spec = spec.inner
     else:
         kd = None
 

@@ -126,15 +126,6 @@ def mass_matrix(p: ManipulatorParams, q: np.ndarray) -> np.ndarray:
     return np.array([[m11, m12], [m12, m22]])
 
 
-def coriolis_matrix(p: ManipulatorParams, q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    c11, c12, c21, c22 = _Arm(p).coriolis(math.sin(q[1]), v[0], v[1])
-    return np.array([[c11, c12], [c21, c22]])
-
-
-def gravity_vector(p: ManipulatorParams, q: np.ndarray) -> np.ndarray:
-    return np.array(_Arm(p).gravity(math.cos(q[0]), math.cos(q[0] + q[1])))
-
-
 def _inverse_terms(a: float, b: float, c: float, d: float) -> tuple[float, float, float, float]:
     """Entries, row by row, of the inverse of [[a, b], [c, d]]; NumericsError where
     |det| <= 1e-12 (|a d| + |b c|), a bound relative to the entries' scale."""
@@ -200,7 +191,6 @@ class VelocityScenario:
     system: ControlAffineSystem
     barrier: BarrierFunction
     spec: ControllerSpec
-    nominal: Callable[[np.ndarray], np.ndarray]
     k0: VirtualController
     x0: np.ndarray
     q_bar: float
@@ -302,7 +292,6 @@ def velocity_level_scenario(
         system=system,
         barrier=barrier,
         spec=spec,
-        nominal=nominal,
         k0=k0,
         x0=np.array([x0_q[0], x0_q[1], 0.0]),
         q_bar=q_bar,
@@ -318,7 +307,7 @@ def run_formulas(
     safety filter, so member i is the run of velocity_level_scenario with
     that formula.
     """
-    specs = [ControllerSpec.safety_filter(f, scenario.nominal) for f in formulas]
+    specs = [ControllerSpec.safety_filter(f, scenario.spec.nominal) for f in formulas]
     return run(scenario.system, specs, scenario.barrier, scenario.x0, cfg or SimConfig(), disturbance)
 
 
@@ -354,7 +343,6 @@ class TorqueScenario:
     system: ControlAffineSystem
     barrier: BarrierFunction
     spec: ControllerSpec
-    nominal: Callable[[np.ndarray], np.ndarray]
     x0: np.ndarray
     velocity: VelocityScenario
     params: ManipulatorParams
@@ -469,7 +457,6 @@ def torque_level_scenario(
         system=system,
         barrier=barrier,
         spec=spec,
-        nominal=nominal,
         x0=x0,
         velocity=velocity,
         params=params,

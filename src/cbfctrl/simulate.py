@@ -9,8 +9,9 @@ Disturbances are evaluated at the pre-step time and held across stages.
 Runs that hit an infeasible constraint, a tunable range violation, or a
 numerical blow-up return a truncated trajectory carrying the failure
 reason instead of raising.  An evaluation builds one AffineConstraint,
-which holds ||d||^2, and one ControllerOutput, a safety filter included;
-the record reads the correction norm from that ||d||^2.
+which holds ||d||^2, and one ControllerOutput, a safety filter (a spec
+with a nominal) included; the record reads the correction norm from that
+||d||^2.
 
 A scalar run's evaluation at a state is point_evaluation's, one of two:
 the plant's own one-call evaluation (core.PlantEvaluation) where the run
@@ -118,7 +119,7 @@ class Trajectory:
     All arrays share the same leading length; times are uniformly spaced by
     dt * record_every.  kappas and margins are NaN where the controller
     kind defines no tunable term.  correction_norms holds the norm of the
-    formula part of the input (u minus the nominal for filter kinds), the
+    formula part of the input (u minus the nominal for a filter), the
     quantity the norm-bound studies constrain.  failure is None for a clean
     run, otherwise a reason string with failure_step the step index at
     which integration stopped.
@@ -143,7 +144,8 @@ class Trajectory:
         return self.failure is None
 
     def min_h(self) -> float:
-        return float(np.min(self.h_values))
+        """The least recorded h; NaN for a trajectory with no rows."""
+        return float(np.min(self.h_values)) if len(self) else math.nan
 
 
 def step(
@@ -377,13 +379,13 @@ def _run_scalar(
 
 def _batch_members(system, barrier, specs: list[ControllerSpec]) -> list[int]:
     """Indices of the specs that advance together: every vectorisable one
-    around the nominal of the first, where the system declares a stacked
-    evaluation (core.PlantEvaluation.stack) for this barrier and that
-    nominal or none."""
+    whose nominal (None for a bare spec) is the first one's, where the
+    system declares a stacked evaluation (core.PlantEvaluation.stack) for
+    this barrier and that nominal or none."""
     ev = system.evaluation
     if ev is None or ev.stack is None or barrier is not ev.barrier:
         return []
-    fits = [i for i, s in enumerate(specs) if vectorisable(s.formula)]
+    fits = [i for i, s in enumerate(specs) if vectorisable(s)]
     if not fits:
         return []
     nominal = specs[fits[0]].nominal
@@ -481,7 +483,7 @@ class _Batch:
         m = self.system.input_dim
         rec = _Record(np.arange(0, n_steps + 1, every) * cfg.dt, n_members, self.system.state_dim, m)
         trajs: list[Optional[Trajectory]] = [None] * n_members
-        kernel = FormulaBatch([s.formula for s in self.specs])
+        kernel = FormulaBatch(self.specs)
         members = np.arange(n_members)  # the member of each row of xs
         xs = np.tile(x0, (n_members, 1))
         outer_err = np.geterr()  # a handed-off member runs as it would alone

@@ -14,7 +14,16 @@ from dataclasses import replace
 import numpy as np
 
 from cbfctrl import PlantEvaluation
-from cbfctrl.manipulator import ManipulatorParams, coriolis_matrix, gravity_vector, mass_matrix
+from cbfctrl.manipulator import ManipulatorParams, _Arm, mass_matrix
+
+
+def coriolis_matrix(p: ManipulatorParams, q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    c11, c12, c21, c22 = _Arm(p).coriolis(math.sin(q[1]), v[0], v[1])
+    return np.array([[c11, c12], [c21, c22]])
+
+
+def gravity_vector(p: ManipulatorParams, q: np.ndarray) -> np.ndarray:
+    return np.array(_Arm(p).gravity(math.cos(q[0]), math.cos(q[0] + q[1])))
 
 
 def finite_difference_gradient(fn, x, rel_step=1e-6):

@@ -19,12 +19,11 @@ from cbfctrl import (
     ShapingFunction,
     TunableTermPolicy,
     evaluate_controller,
-    lambda_min_norm,
     safety_margin_at,
 )
 from cbfctrl.cli import main as cli_main
 from cbfctrl.core import ControlAffineSystem
-from cbfctrl.formulas import controller_spec
+from cbfctrl.formulas import controller_spec, lambda_min_norm
 from cbfctrl.manipulator import (
     Q2_LIMIT,
     ManipulatorParams,

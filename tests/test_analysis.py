@@ -17,10 +17,9 @@ from cbfctrl import (
     disturbed_residual,
     evaluate_controller,
     gamma_sontag,
-    lambda_min_norm,
     safety_margin_at,
 )
-from cbfctrl.formulas import check_kappa_range
+from cbfctrl.formulas import check_kappa_range, lambda_min_norm
 from oracles import probe_derivative_jump
 
 S1 = ShapingFunction.linear(1.0)
@@ -201,6 +200,12 @@ def test_disturbed_residual_monotone_in_kappa():
         spec = ControllerSpec.tunable(S02, TunableTermPolicy.eta_constant(eta))
         vals.append(disturbed_residual(spec, con, None, dist))
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+def test_bounded_random_disturbance_rejects_a_negative_magnitude():
+    with pytest.raises(ConfigurationError, match="magnitude must be nonnegative, got -0.5"):
+        DisturbanceSpec.bounded_random(-0.5, seed=1)
+    np.testing.assert_array_equal(DisturbanceSpec.bounded_random(0, seed=1).at(0.3, 2), [0.0, 0.0])
 
 
 def test_sinusoidal_disturbance():

@@ -629,6 +629,10 @@ def test_config_sections_that_are_not_objects_are_config_errors(tmp_path, capsys
         ("system.kp=-1e400", "config.system.kp must be a number, got -inf"),
         ("controller.eta=NaN", "config.controller.eta must be a number, got nan"),
         ("system.beta=1" + "0" * 400, "config.system.beta must be a number, got 1" + "0" * 400),
+        (
+            'disturbance={"kind":"bounded_random","magnitude":-0.5}',
+            "disturbance magnitude must be nonnegative, got -0.5",
+        ),
     ],
 )
 def test_non_finite_config_numbers_are_config_errors(tmp_path, capsys, item, message):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,11 +17,10 @@ from cbfctrl import (
     TunableTermPolicy,
     evaluate_controller,
     gamma_sontag,
-    lambda_min_norm,
     lin_sontag_eta,
 )
 from cbfctrl.core import Gamma
-from cbfctrl.formulas import check_kappa_range, resolve_kappa
+from cbfctrl.formulas import check_kappa_range, lambda_min_norm, resolve_kappa
 from oracles import lambda_tunable_relu
 
 S1 = ShapingFunction.linear(1.0)
@@ -326,6 +326,13 @@ def test_huge_c_gives_finite_output(c, kind):
     assert gam == abs(c)
     assert np.isfinite(out.u).all() and math.isfinite(out.residual)
     assert abs(c + float(con.d @ out.u) - out.kappa * gam) <= 1e-12 * abs(c)
+
+
+def test_safety_filter_is_its_formula_with_a_nominal():
+    inner = ControllerSpec.tunable(S02, TunableTermPolicy.eta_constant(0.7))
+    nominal = lambda x: np.zeros(1)
+    assert ControllerSpec.safety_filter(inner, nominal) == replace(inner, nominal=nominal)
+    assert [f.name for f in fields(ControllerSpec)] == ["kind", "shaping", "policy", "relu", "gamma", "nominal"]
 
 
 def test_safety_filter_rejects_filter_inner():

@@ -12,9 +12,9 @@ from cbfctrl import (
     TunableTermPolicy,
     evaluate_constraint,
     evaluate_controller,
-    lambda_min_norm,
 )
 from cbfctrl.core import BarrierFunction, ControlAffineSystem, ExtendedClassK, NumericsError
+from cbfctrl.formulas import lambda_min_norm
 from cbfctrl.manipulator import (
     Q2_LIMIT,
     BacksteppingConfig,
@@ -22,8 +22,6 @@ from cbfctrl.manipulator import (
     VirtualController,
     _inverse_terms,
     bounded_input_study,
-    coriolis_matrix,
-    gravity_vector,
     mass_matrix,
     reference_rate,
     torque_level_scenario,
@@ -31,11 +29,13 @@ from cbfctrl.manipulator import (
 )
 from cbfctrl.simulate import SimConfig, run, step
 from oracles import (
+    coriolis_matrix,
     counted_plant,
     dot,
     dynamics,
     fd_k0_jacobians,
     finite_difference_gradient,
+    gravity_vector,
     inverse_2x2,
     matvec,
     reference,
@@ -335,13 +335,13 @@ def test_velocity_plant_evaluation_equals_the_separate_maps(kp):
     # for bit, what the separate maps give at that state
     sc = velocity_level_scenario(eta=0.7, kp=kp)
     ev = sc.system.evaluation
-    assert ev.barrier is sc.barrier and ev.nominal is sc.nominal is sc.spec.nominal
+    assert ev.barrier is sc.barrier and ev.nominal is sc.spec.nominal
     rng = np.random.default_rng(71)
     xs = np.column_stack([rng.uniform(-2.0, 4.0, 300), rng.uniform(-1.5, 3.0, 300), rng.uniform(0.0, 7.0, 300)])
     f, g, h, grad, kd = ev.stack(xs)
     assert (f.shape, g.shape, h.shape, grad.shape, kd.shape) == ((3,), (3, 2), (300,), (3,), (300, 2))
     for x, h_row, kd_row in zip(xs, h, kd):
-        want = [sc.system.drift(x), sc.system.input_map(x), float(sc.barrier.value(x)), sc.barrier.gradient(x), sc.nominal(x)]
+        want = [sc.system.drift(x), sc.system.input_map(x), float(sc.barrier.value(x)), sc.barrier.gradient(x), sc.spec.nominal(x)]
         point = ev.fn(x)
         assert type(point[2]) is float
         for got in (point, (f, g, h_row, grad, kd_row)):
@@ -364,7 +364,7 @@ def test_manifold_identity():
         x = np.array([q[0], q[1], v[0], v[1], tau])
         b = sc.barrier.value(x)
         assert b == pytest.approx(Q2_LIMIT - q[1], abs=1e-12)
-        u_nom = sc.nominal(x)
+        u_nom = sc.spec.nominal(x)
         m_inv = np.linalg.inv(mass_matrix(PARAMS, q))
         vdot = m_inv @ (u_nom - coriolis_matrix(PARAMS, q, v) @ v - gravity_vector(PARAMS, q))
         k0dot = total_derivative(sc.velocity.k0, q, v, tau)
@@ -416,7 +416,7 @@ def _torque_maps(sc):
         sc.system.input_map,
         sc.barrier.value,
         sc.barrier.gradient,
-        sc.nominal,
+        sc.spec.nominal,
     )
 
 

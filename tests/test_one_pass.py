@@ -1,14 +1,15 @@
 """The safety filter in one pass, and ||d||^2 formed once on the constraint.
 
-evaluate_controller evaluates a filter by shifting c by d.k_d and running
-its inner formula on the constraint's own d and ||d||^2.  The oracle below
-is the nested evaluation it replaced (the inner formula on a new
-AffineConstraint(c + d.k_d, d), by a recursive call); over drawn (c, d, k_d)
-both give the same output bit for bit, or the same exception.
+evaluate_controller evaluates a filter (a spec with a nominal k_d) by
+shifting c by d.k_d and running its formula on the constraint's own d and
+||d||^2.  The oracle below is the nested evaluation it replaced (the spec
+without its nominal on a new AffineConstraint(c + d.k_d, d), by a recursive
+call); over drawn (c, d, k_d) both give the same output bit for bit, or the
+same exception.
 """
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -46,16 +47,10 @@ def nested_oracle(spec, con, x=None):
             + (f" at x={x}" if x is not None else "")
         )
 
-    if spec.kind == "qp":
-        lam = lambda_min_norm(c, d2)
-        return ControllerOutput(
-            u=lam * d, lam=lam, kappa=None, residual=c + lam * d2, c_eff=c, gamma_eff=math.nan
-        )
-
-    if spec.kind == "safety_filter":
+    if spec.nominal is not None:
         kd = np.asarray(spec.nominal(x), dtype=float)
         c_bar = c + float(d @ kd)
-        inner_out = nested_oracle(spec.inner, AffineConstraint(c_bar, d), x)
+        inner_out = nested_oracle(replace(spec, nominal=None), AffineConstraint(c_bar, d), x)
         return ControllerOutput(
             u=inner_out.u + kd,
             lam=inner_out.lam,
@@ -63,6 +58,12 @@ def nested_oracle(spec, con, x=None):
             residual=inner_out.residual,
             c_eff=inner_out.c_eff,
             gamma_eff=inner_out.gamma_eff,
+        )
+
+    if spec.kind == "qp":
+        lam = lambda_min_norm(c, d2)
+        return ControllerOutput(
+            u=lam * d, lam=lam, kappa=None, residual=c + lam * d2, c_eff=c, gamma_eff=math.nan
         )
 
     if spec.kind not in ("sontag", "tunable", "bounded_input"):

@@ -21,11 +21,10 @@ from cbfctrl import (
     TunableTermPolicy,
     evaluate_controller,
     gamma_sontag,
-    lambda_min_norm,
     margin_of,
 )
 from cbfctrl import cli
-from cbfctrl.formulas import FormulaBatch, controller_spec, lambda_and_slope, vectorisable
+from cbfctrl.formulas import FormulaBatch, controller_spec, lambda_and_slope, lambda_min_norm, vectorisable
 
 cs = st.floats(-50.0, 50.0, allow_nan=False)
 ds = st.lists(st.floats(-10.0, 10.0, allow_nan=False), min_size=1, max_size=3)

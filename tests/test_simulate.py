@@ -177,6 +177,14 @@ def test_run_truncates_on_infeasibility():
     assert len(traj) == traj.failure_step + 1
 
 
+def test_run_failing_at_step_zero_records_no_row_and_min_h_is_nan():
+    spec = ControllerSpec.safety_filter(ControllerSpec.qp(), lambda x: np.array([math.nan]))
+    traj = run(single_integrator(1), spec, linear_barrier([1.0], 1.0), np.array([0.0]), SimConfig(horizon=0.01))
+    assert (len(traj), traj.failure_step) == (0, 0)
+    assert traj.failure.startswith("NumericsError at step 0")
+    assert math.isnan(traj.min_h())
+
+
 def test_run_truncates_on_blow_up():
     # xdot = x^2 from x = 2 escapes at t = 0.5
     system = ControlAffineSystem(
@@ -422,7 +430,7 @@ def assert_list_run_matches(system, specs, barrier, x0, cfg, disturbance=None):
 
 
 def velocity_specs(formulas):
-    return [ControllerSpec.safety_filter(f, VELOCITY.nominal) for f in formulas]
+    return [ControllerSpec.safety_filter(f, VELOCITY.spec.nominal) for f in formulas]
 
 
 KINDS = [
@@ -597,9 +605,9 @@ def test_list_run_mixed_with_per_member_specs():
         controller_spec("sontag", sigma=0.2),
     ]
     specs = velocity_specs(formulas)
-    other_nominal = ControllerSpec.safety_filter(controller_spec("qp"), VELOCITY.nominal)
+    other_nominal = ControllerSpec.safety_filter(controller_spec("qp"), VELOCITY.spec.nominal)
     specs.append(other_nominal)  # the declared nominal in another filter spec: still together
-    specs.append(ControllerSpec.safety_filter(controller_spec("qp"), lambda x: VELOCITY.nominal(x)))
+    specs.append(ControllerSpec.safety_filter(controller_spec("qp"), lambda x: VELOCITY.spec.nominal(x)))
     assert _batch_members(VELOCITY.system, VELOCITY.barrier, specs) == [0, 4, 5]
     trajs = assert_list_run_matches(
         VELOCITY.system, specs, VELOCITY.barrier, VELOCITY.x0, SimConfig(dt=1e-3, horizon=0.3)
