@@ -62,41 +62,9 @@ RUN_ERROR = 2
 CHECK_ERROR = 3
 
 _SCHEMA_VERSION = 1
-
-# The system keys each system reads, grouped by the constructor that takes
-# them as keyword arguments (see build_scenario); a system key that the named
-# system does not read is a config error.
-_VELOCITY_ARGS = {"scenario": ("q_bar", "beta", "kp", "x0_q")}
-_SYSTEM_ARGS = {
-    "single_integrator": {"system": ("dim",)},
-    "double_integrator": {},
-    "two_link": _VELOCITY_ARGS,  # alias for the velocity-level scenario
-    "two_link_velocity": _VELOCITY_ARGS,
-    "two_link_torque": {"cfg": ("mu", "kp", "kp_bar", "alpha_b"), "params": ("m1", "m2", "l1", "l2", "gravity")},
-}
 # The most states a box grid may hold (the product of its axis counts);
 # a larger grid is a config error, raised before any state is formed.
 MAX_GRID_STATES = 10**6
-
-
-def _reject_unknown(section: dict, allowed: dict, path: str) -> None:
-    for key in section:
-        if key not in allowed:
-            raise ConfigurationError(f"unknown config key {path}.{key}")
-
-
-def _require(section: dict, key: str, path: str):
-    if key not in section:
-        raise ConfigurationError(f"missing config key {path}.{key}")
-    return section[key]
-
-
-def _object(value, path: str, allowed: dict) -> dict:
-    """The config section value at path, an object with keys in allowed; a config error otherwise."""
-    if not isinstance(value, dict):
-        raise ConfigurationError(f"{path} must be an object, got {value!r}")
-    _reject_unknown(value, allowed, path)
-    return value
 
 
 def _is_int(value) -> bool:
@@ -110,43 +78,167 @@ def _is_number(value) -> bool:
     return isinstance(value, float) and math.isfinite(value)
 
 
-_NUMBER = (_is_number, "a number")
-_INT = (_is_int, "an integer")
-_SEED = (lambda v: _is_int(v) and v >= 0, "a nonnegative integer")  # numpy seeds are nonnegative
-# Each config section's keys, each mapped to its type check, or to None
-# where the key's reader checks it; validation rejects any other key.
-_TOP_KEYS = {
-    "schema": None, "seed": _SEED, "system": None, "barrier": None, "controller": None, "sim": None,
-    "x0": None, "nominal": None, "disturbance": None, "grid": None, "output": None,
-}
-_SYSTEM_KEYS = {
-    "name": None,
-    **dict.fromkeys((key for args in _SYSTEM_ARGS.values() for keys in args.values() for key in keys), _NUMBER),
-    "dim": _INT,
-    "x0_q": None,
-}
-_BARRIER_KEYS = {"kind": None, "normal": None, "offset": _NUMBER, "beta": _NUMBER}  # builtin reads only its kind
-_CONTROLLER_KEYS = {
-    "kind": None, "eta": _NUMBER, "sigma": _NUMBER, "gamma": _NUMBER,
-    "relu": (lambda v: isinstance(v, bool), "true or false"),
-}
-_SIM_KEYS = dict.fromkeys(field.name for field in fields(SimConfig))  # SimConfig checks each
-_NOMINAL_KEYS = dict.fromkeys(("kind", "value"))
-_DISTURBANCE_KEYS = {
-    "kind": None, "value": None, "amplitude": None, "freq": _NUMBER, "magnitude": _NUMBER, "seed": _SEED,
-}
-_GRID_KEYS = dict.fromkeys(("kind", "base", "axes", "subsample"))
-_AXIS_KEYS = dict.fromkeys(("dim", "min", "max", "count"))
-_OUTPUT_KEYS = dict.fromkeys(("trajectory",))
+# A key's scalar checks, each (test, what a value that passes it is), in
+# the order they apply; none where the key's reader checks it (an array's
+# length needs the built system, a section is walked as its own table).
+_NUMBER = ((_is_number, "a number"),)
+_POSITIVE = _NUMBER + ((lambda v: v > 0.0, "positive"),)
+_INT = ((_is_int, "an integer"),)
+_POSITIVE_INT = ((lambda v: _is_int(v) and v > 0, "a positive integer"),)
+_SEED = ((lambda v: _is_int(v) and v >= 0, "a nonnegative integer"),)  # numpy seeds are nonnegative
+_BOOL = ((lambda v: isinstance(v, bool), "true or false"),)
+_FILE_NAME = (  # a name in the --out directory, on every platform: no / or \ separator
+    (lambda v: isinstance(v, str) and v != "", "a non-empty string"),
+    (lambda v: v not in (".", "..") and "/" not in v and "\\" not in v, "a bare file name"),
+)
 
 
-def _check_scalar_types(section: dict, keys: dict, path: str) -> None:
-    """A config error at the first key of keys, in their order, whose value in section fails its type check."""
-    for key, check in keys.items():
-        if check is not None and key in section:
-            is_type, kind = check
-            if not is_type(section[key]):
-                raise ConfigurationError(f"{path}.{key} must be {kind}, got {section[key]!r}")
+class _Row:
+    """What one selection of a config section reads: keys maps each key it
+    reads to the key's scalar checks, and needs names the keys it cannot do
+    without.
+
+    A system's row also says what it takes of the other sections: kinds,
+    for a section of which it takes only some kinds, those kinds; skips,
+    for a section of which it reads some keys not, each such key (None for
+    the whole section) mapped to why; and config_needs, the top-level keys
+    it needs.
+    """
+
+    __slots__ = ("keys", "needs", "kinds", "skips", "config_needs")
+
+    def __init__(self, keys: dict, needs: tuple = (), kinds=None, skips=None, config_needs: tuple = ()):
+        self.keys, self.needs, self.config_needs = keys, needs, config_needs
+        self.kinds, self.skips = kinds or {}, skips or {}
+
+
+# One table per config section: (its selector key, how messages name a
+# selection, {each value of the selector: its row}).  The top level, sim,
+# output and each grid.axes entry have one row, which stands for the table.
+_TOP = _Row(
+    {
+        "schema": ((lambda v: v == _SCHEMA_VERSION, f"{_SCHEMA_VERSION}"),),
+        "seed": _SEED,
+        **dict.fromkeys(("system", "barrier", "controller", "sim", "x0", "nominal", "disturbance", "grid", "output"), ()),
+    },
+    needs=("schema", "system", "barrier", "controller", "sim"),
+)
+_ARM_KEYS = ("m1", "m2", "l1", "l2", "gravity")  # ManipulatorParams'; the torque level's others are BacksteppingConfig's
+_OWN_REFERENCE = {None: ": it tracks its own reference"}
+_SYSTEMS = ("name", "system {!r}", {
+    "single_integrator": _Row({"dim": _INT}, kinds={"barrier": ("linear",)}, config_needs=("x0",)),
+    "double_integrator": _Row({}, kinds={"barrier": ("linear",)}, config_needs=("x0",)),
+    "two_link_velocity": _Row(
+        dict.fromkeys(("q_bar", "beta", "kp"), _NUMBER), kinds={"barrier": ("builtin",)}, skips={"nominal": _OWN_REFERENCE}
+    ),
+    "two_link_torque": _Row(
+        dict.fromkeys(_ARM_KEYS + ("mu", "kp", "kp_bar", "alpha_b"), _NUMBER),
+        kinds={"barrier": ("builtin",), "controller": ("qp", "sontag", "tunable")},
+        skips={"nominal": _OWN_REFERENCE, "controller": {"relu": ""}},
+    ),
+})
+_BARRIERS = ("kind", "the {} barrier", {
+    "linear": _Row({"normal": (), "offset": _NUMBER, "beta": _NUMBER}, needs=("normal", "offset")),
+    "builtin": _Row({}),
+})
+# Every kind reads every controller key, so that a kind set over a config
+# (a sweep over controller.kind, --set controller.kind=...) keeps its keys.
+_CONTROLLER_KEYS = {"eta": _NUMBER, "sigma": _NUMBER, "gamma": _POSITIVE, "relu": _BOOL}
+_CONTROLLERS = ("kind", "the {} controller", {
+    "qp": _Row(_CONTROLLER_KEYS),
+    "sontag": _Row(_CONTROLLER_KEYS, needs=("sigma",)),
+    "tunable": _Row(_CONTROLLER_KEYS, needs=("eta", "sigma")),
+    "bounded_input": _Row(_CONTROLLER_KEYS, needs=("eta", "sigma", "gamma")),
+})
+_SIM = _Row(dict.fromkeys((field.name for field in fields(SimConfig)), ()))  # SimConfig checks each
+_NOMINALS = ("kind", "the {} nominal", {"zero": _Row({}), "constant": _Row({"value": ()}, needs=("value",))})
+_DISTURBANCES = ("kind", "the {} disturbance", {
+    "constant": _Row({"value": ()}, needs=("value",)),
+    "sinusoidal": _Row({"amplitude": (), "freq": _NUMBER}, needs=("amplitude", "freq")),
+    "bounded_random": _Row({"magnitude": _NUMBER, "seed": _SEED}, needs=("magnitude",)),
+})
+# Both kinds read every grid key, so that a box set over a trajectory grid keeps its subsample.
+_GRID_KEYS = {"base": (), "axes": ((lambda v: isinstance(v, list), "a list"),), "subsample": _POSITIVE_INT}
+_GRIDS = ("kind", "the {} grid", {"box": _Row(_GRID_KEYS), "trajectory": _Row(_GRID_KEYS)})
+_AXIS = _Row({"dim": (), "min": _NUMBER, "max": _NUMBER, "count": _POSITIVE_INT}, needs=("dim", "count", "min", "max"))
+_OUTPUT = _Row({"trajectory": _FILE_NAME})
+# The sections after system, in the order they are walked.
+_SECTIONS = {
+    "barrier": _BARRIERS, "controller": _CONTROLLERS, "sim": _SIM, "nominal": _NOMINALS,
+    "disturbance": _DISTURBANCES, "grid": _GRIDS, "output": _OUTPUT,
+}
+
+
+def _walk(section, path: str, table, system: tuple[str, _Row] = ("", _Row({}))) -> _Row:
+    """The row of table that the config section at path selects (table
+    itself where it is one row), once the section is found to hold no key
+    that the row does not read or reads as the wrong type, and every key
+    that the row needs; a config error otherwise.
+
+    A key that only another row reads is checked as that row checks it,
+    and then rejected.  system, the configured system's (name, row), adds
+    its rules for this section.
+    """
+    if not isinstance(section, dict):
+        raise ConfigurationError(f"{path} must be an object, got {section!r}")
+    name = path.rpartition(".")[2]
+    owner, rules = system
+    skipped = rules.skips.get(name, {})
+    if None in skipped:
+        raise ConfigurationError(f"system {owner!r} does not read {path}{skipped[None]}")
+    if isinstance(table, _Row):
+        selector, row, rows = None, table, ()
+    else:
+        selector, subject, rows = table
+        if selector not in section:
+            raise ConfigurationError(f"missing config key {path}.{selector}")
+        choice = section[selector]
+        if not isinstance(choice, str):
+            raise ConfigurationError(f"{path}.{selector} must be a string, got {choice!r}")
+        row, rows = rows.get(choice), rows.values()
+        if row is None:
+            raise ConfigurationError(f"unknown {name} {selector} {choice!r}")
+        if choice not in rules.kinds.get(name, (choice,)):
+            raise ConfigurationError(f"system {owner!r} takes no {choice} {name}")
+    for key, value in section.items():
+        checks = row.keys.get(key)
+        reader = None
+        if checks is None:
+            if key == selector:
+                continue
+            checks = next((other.keys[key] for other in rows if key in other.keys), None)
+            if checks is None:
+                raise ConfigurationError(f"unknown config key {path}.{key}")
+            reader = subject.format(choice)
+        elif key in skipped:
+            reader = f"system {owner!r}"
+        for test, what in checks:
+            if not test(value):
+                raise ConfigurationError(f"{path}.{key} must be {what}, got {value!r}")
+        if reader is not None:
+            raise ConfigurationError(f"{reader} does not read {path}.{key}{skipped.get(key, '')}")
+    for key in row.needs:
+        if key not in section:
+            raise ConfigurationError(f"missing config key {path}.{key}")
+    return row
+
+
+def validate_config(config: dict) -> None:
+    """A config error at the first key that the configured scenario does
+    not read or reads as the wrong type, and at the first key that it
+    needs and lacks; see the tables above.  build_scenario and _grid_states
+    check what needs the built system."""
+    _walk(config, "config", _TOP)
+    system = _walk(config["system"], "config.system", _SYSTEMS)
+    for key in system.config_needs:
+        if key not in config:
+            raise ConfigurationError(f"missing config key config.{key}")
+    owner = (config["system"]["name"], system)
+    for name, table in _SECTIONS.items():
+        if name in config:
+            _walk(config[name], f"config.{name}", table, owner)
+    for i, axis in enumerate(config.get("grid", {}).get("axes", ())):
+        _walk(axis, f"config.grid.axes[{i}]", _AXIS)
 
 
 def _config_array(value, key: str, length: int) -> np.ndarray:
@@ -185,165 +277,84 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> dict:
     return config
 
 
-def validate_config(config: dict) -> None:
-    if not isinstance(config, dict):
-        raise ConfigurationError("config root must be an object")
-    _reject_unknown(config, _TOP_KEYS, "config")
-    if _require(config, "schema", "config") != _SCHEMA_VERSION:
-        raise ConfigurationError(
-            f"unsupported schema version {config['schema']!r}, expected {_SCHEMA_VERSION}"
-        )
-    _check_scalar_types(config, _TOP_KEYS, "config")
-    system = _object(_require(config, "system", "config"), "config.system", _SYSTEM_KEYS)
-    _check_scalar_types(system, _SYSTEM_KEYS, "config.system")
-    name = _require(system, "name", "config.system")
-    if not (isinstance(name, str) and name in _SYSTEM_ARGS):
-        raise ConfigurationError(f"unknown system name {name!r}")
-    barrier = _object(_require(config, "barrier", "config"), "config.barrier", _BARRIER_KEYS)
-    _check_scalar_types(barrier, _BARRIER_KEYS, "config.barrier")
-    kind = _require(barrier, "kind", "config.barrier")
-    if kind not in ("linear", "builtin"):
-        raise ConfigurationError(f"unknown barrier kind {kind!r}")
-    if name.startswith("two_link"):
-        if kind != "builtin":
-            raise ConfigurationError("two_link scenarios define their own barrier; use kind 'builtin'")
-    elif kind != "linear":
-        raise ConfigurationError(f"system {name!r} needs a linear barrier section")
-    controller = _object(_require(config, "controller", "config"), "config.controller", _CONTROLLER_KEYS)
-    ckind = _require(controller, "kind", "config.controller")
-    if not isinstance(ckind, str):
-        raise ConfigurationError(f"config.controller.kind must be a string, got {ckind!r}")
-    if ckind not in ("qp", "sontag", "tunable", "bounded_input"):
-        raise ConfigurationError(f"unknown controller kind {ckind!r}")
-    _check_scalar_types(controller, _CONTROLLER_KEYS, "config.controller")
-    if ckind in ("tunable", "bounded_input") and "eta" not in controller:
-        raise ConfigurationError("missing config key config.controller.eta")
-    if ckind != "qp" and "sigma" not in controller:
-        raise ConfigurationError("missing config key config.controller.sigma")
-    if ckind == "bounded_input" and "gamma" not in controller:
-        raise ConfigurationError("missing config key config.controller.gamma")
-    _object(_require(config, "sim", "config"), "config.sim", _SIM_KEYS)
-    if "nominal" in config:
-        nominal = _object(config["nominal"], "config.nominal", _NOMINAL_KEYS)
-        if nominal.get("kind") not in ("zero", "constant"):
-            raise ConfigurationError("config.nominal.kind must be 'zero' or 'constant'")
-    if "disturbance" in config:
-        dist = _object(config["disturbance"], "config.disturbance", _DISTURBANCE_KEYS)
-        if dist.get("kind") not in ("constant", "sinusoidal", "bounded_random"):
-            raise ConfigurationError("unknown disturbance kind")
-        _check_scalar_types(dist, _DISTURBANCE_KEYS, "config.disturbance")
-    if "grid" in config:
-        grid = _object(config["grid"], "config.grid", _GRID_KEYS)
-        if grid.get("kind") not in ("box", "trajectory"):
-            raise ConfigurationError("config.grid.kind must be 'box' or 'trajectory'")
-        axes = grid.get("axes", [])
-        if not isinstance(axes, list):
-            raise ConfigurationError(f"config.grid.axes must be a list, got {axes!r}")
-        for i, axis in enumerate(axes):
-            _object(axis, f"config.grid.axes[{i}]", _AXIS_KEYS)
-    if "output" in config:
-        output = _object(config["output"], "config.output", _OUTPUT_KEYS)
-        name = output.get("trajectory", "trajectory.csv")
-        if not (isinstance(name, str) and name):
-            raise ConfigurationError(f"config.output.trajectory must be a non-empty string, got {name!r}")
-    _reject_unread(config)
-
-
-def _reject_unread(config: dict) -> None:
-    """A config error at a key that the configured scenario would not read."""
-    name = config["system"]["name"]
-    read = {"name"}.union(*_SYSTEM_ARGS[name].values())
-    for key in config["system"]:
-        if key not in read:
-            raise ConfigurationError(f"system {name!r} does not read config.system.{key}")
-    if config["barrier"]["kind"] == "builtin":
-        for key in config["barrier"]:
-            if key != "kind":
-                raise ConfigurationError(f"the builtin barrier does not read config.barrier.{key}")
-    if name.startswith("two_link") and "nominal" in config:
-        raise ConfigurationError(f"system {name!r} does not read config.nominal: it tracks its own reference")
-    if name == "two_link_torque" and "relu" in config["controller"]:
-        raise ConfigurationError("system 'two_link_torque' does not read config.controller.relu")
-
-
 class Scenario:
     """Everything needed to run and inspect one configured closed loop."""
 
-    def __init__(self, system, barrier, spec, x0, sim_cfg, disturbance, config):
+    def __init__(self, system, barrier, spec, x0, sim_cfg, disturbance):
         self.system = system
         self.barrier = barrier
         self.spec = spec
         self.x0 = x0
         self.sim_cfg = sim_cfg
         self.disturbance = disturbance
-        self.config = config
-
-
-def _given(section: dict, keys) -> dict:
-    """The entries of section at those of keys that it holds."""
-    return {key: section[key] for key in keys if key in section}
 
 
 def build_scenario(config: dict, zoh: bool = False, seed: int | None = None) -> Scenario:
-    """Assemble the runnable pieces from a validated config."""
-    sysconf = config["system"]
-    name = sysconf["name"]
+    """Assemble the runnable pieces from a validated config.
+
+    Only the keys given are passed on, so every default is the
+    constructor's.  The checks left here need the built system: each
+    config array's length.
+    """
+    name = config["system"]["name"]
+    args = {key: value for key, value in config["system"].items() if key != "name"}
     controller = config["controller"]
     sim = dict(config["sim"])
     if zoh:
         sim["zoh"] = True
     sim_cfg = SimConfig(**sim)
 
-    # Only the keys present are passed: every default is the constructor's.
-    args = {group: _given(sysconf, keys) for group, keys in _SYSTEM_ARGS[name].items()}
-    if name in ("two_link", "two_link_velocity"):
-        if "x0_q" in args["scenario"]:
-            args["scenario"]["x0_q"] = tuple(_config_array(sysconf["x0_q"], "system.x0_q", 2))
-        sc = manipulator.velocity_level_scenario(**controller, **args["scenario"])
+    if name == "two_link_velocity":
+        sc = manipulator.velocity_level_scenario(**controller, **args)
         system, barrier, spec, x0 = sc.system, sc.barrier, sc.spec, sc.x0
     elif name == "two_link_torque":
-        if controller["kind"] == "bounded_input":
-            raise ConfigurationError("two_link_torque supports qp, sontag, and tunable kinds")
+        params = {key: args.pop(key) for key in _ARM_KEYS if key in args}
         sc = manipulator.torque_level_scenario(
-            params=manipulator.ManipulatorParams(**args["params"]),
-            cfg=manipulator.BacksteppingConfig(**args["cfg"]),
-            **_given(controller, ("kind", "eta", "sigma")),  # gamma is read by check alone
+            params=manipulator.ManipulatorParams(**params),
+            cfg=manipulator.BacksteppingConfig(**args),
+            **{key: value for key, value in controller.items() if key != "gamma"},  # gamma is read by check alone
         )
         system, barrier, spec, x0 = sc.system, sc.barrier, sc.spec, sc.x0
     else:
-        if name == "single_integrator":
-            system = systems.single_integrator(**args["system"])
-        else:
-            system = systems.double_integrator()
-        bar = config["barrier"]
-        normal = _config_array(_require(bar, "normal", "config.barrier"), "barrier.normal", system.state_dim)
-        barrier = systems.linear_barrier(normal, _require(bar, "offset", "config.barrier"), **_given(bar, ("beta",)))
+        system = systems.single_integrator(**args) if name == "single_integrator" else systems.double_integrator()
+        bar = {key: value for key, value in config["barrier"].items() if key != "kind"}
+        bar["normal"] = _config_array(bar["normal"], "barrier.normal", system.state_dim)
+        barrier = systems.linear_barrier(**bar)
         spec = controller_spec(**controller)
-        if "nominal" in config:
-            nom = config["nominal"]
+        nom = config.get("nominal")
+        if nom is not None:
             if nom["kind"] == "zero":
                 kd = np.zeros(system.input_dim)
             else:
-                kd = _config_array(_require(nom, "value", "config.nominal"), "nominal.value", system.input_dim)
+                kd = _config_array(nom["value"], "nominal.value", system.input_dim)
             spec = ControllerSpec.safety_filter(spec, lambda x, kd=kd: kd)
-        x0 = _require(config, "x0", "config")  # read below
-    if "x0" in config:
+    if "x0" in config:  # a two-link scenario's own x0 otherwise
         x0 = _config_array(config["x0"], "x0", system.state_dim)
 
     disturbance = None
-    if "disturbance" in config:
-        dist = config["disturbance"]
-        path = "config.disturbance"
+    dist = config.get("disturbance")
+    if dist is not None:
         if dist["kind"] == "constant":
-            value = _config_array(_require(dist, "value", path), "disturbance.value", system.input_dim)
+            value = _config_array(dist["value"], "disturbance.value", system.input_dim)
             disturbance = DisturbanceSpec.constant(value)
         elif dist["kind"] == "sinusoidal":
-            amplitude = _config_array(_require(dist, "amplitude", path), "disturbance.amplitude", system.input_dim)
-            disturbance = DisturbanceSpec.sinusoidal(amplitude, _require(dist, "freq", path))
+            amplitude = _config_array(dist["amplitude"], "disturbance.amplitude", system.input_dim)
+            disturbance = DisturbanceSpec.sinusoidal(amplitude, dist["freq"])
         else:
             seed = config.get("seed", 0) if seed is None else seed
-            disturbance = DisturbanceSpec.bounded_random(_require(dist, "magnitude", path), dist.get("seed", seed))
-    return Scenario(system, barrier, spec, x0, sim_cfg, disturbance, config)
+            disturbance = DisturbanceSpec.bounded_random(dist["magnitude"], dist.get("seed", seed))
+    return Scenario(system, barrier, spec, x0, sim_cfg, disturbance)
+
+
+def _out_dir(path: str) -> Path:
+    """The --out directory at path, made with its parents where missing; a
+    config error where it cannot be made."""
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot make the --out directory {path}: {exc.strerror}") from exc
+    return out_dir
 
 
 def _fmt(value: float) -> str:
@@ -386,8 +397,7 @@ def cmd_simulate(args) -> int:
         scenario.sim_cfg,
         scenario.disturbance,
     )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     out_name = config.get("output", {}).get("trajectory", "trajectory.csv")
     out_path = out_dir / out_name
     write_trajectory_csv(
@@ -436,8 +446,7 @@ def cmd_sweep(args) -> int:
     if leaf not in node:
         raise ConfigurationError(f"swept parameter {args.param!r} does not exist in config")
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
 
     scenarios = []
     for value in values:
@@ -501,9 +510,6 @@ def _grid_states(config: dict, scenario: Scenario, seed: int | None) -> np.ndarr
         raise ConfigurationError("missing config key config.grid")
     n = scenario.system.state_dim
     if grid["kind"] == "trajectory":
-        sub = grid.get("subsample", 1)
-        if not (_is_int(sub) and sub > 0):
-            raise ConfigurationError(f"config.grid.subsample must be a positive integer, got {sub!r}")
         # Probe along the closed loop of the unconstrained analog so a
         # bounded-input range violation cannot abort the grid itself.
         probe_config = json.loads(json.dumps(config))
@@ -518,20 +524,13 @@ def _grid_states(config: dict, scenario: Scenario, seed: int | None) -> np.ndarr
             raise CBFControlError(
                 f"trajectory probe failed after recording {len(traj)} states: {traj.failure}"
             )
-        return traj.states[::sub]
+        return traj.states[:: grid.get("subsample", 1)]
     base = _config_array(grid["base"], "grid.base", n) if "base" in grid else scenario.x0
     axes = grid.get("axes", [])
     for i, axis in enumerate(axes):
-        path = f"config.grid.axes[{i}]"
-        dim = _require(axis, "dim", path)
+        dim = axis["dim"]
         if not (_is_int(dim) and 0 <= dim < n):
-            raise ConfigurationError(f"{path}.dim must be an integer in [0, {n}), got {dim!r}")
-        count = _require(axis, "count", path)
-        if not (_is_int(count) and count > 0):
-            raise ConfigurationError(f"{path}.count must be a positive integer, got {count!r}")
-        for key in ("min", "max"):
-            if not _is_number(_require(axis, key, path)):
-                raise ConfigurationError(f"{path}.{key} must be a number, got {axis[key]!r}")
+            raise ConfigurationError(f"config.grid.axes[{i}].dim must be an integer in [0, {n}), got {dim!r}")
     if not axes:
         return np.empty((0, n))
     total = math.prod(axis["count"] for axis in axes)
@@ -598,8 +597,6 @@ def cmd_check(args) -> int:
         print("check grid is empty", file=sys.stderr)
         return CONFIG_ERROR
     gamma = config["controller"].get("gamma")
-    if gamma is not None and not gamma > 0.0:
-        raise ConfigurationError(f"gamma must be positive, got {gamma}")
 
     stacked = _stacked_grid(scenario, states)
     if stacked is None:
@@ -686,9 +683,7 @@ def cmd_margin(args) -> int:
     print(f"  max M (xi_bar estimate) = {_fmt(max(finite))}")
     if kind == "bounded_input":
         print("  note: the bounded-input range yields margin interval [0, inf) by construction")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "margins.csv"
+    out_path = _out_dir(args.out) / "margins.csv"
     with open(out_path, "w", newline="\n") as fh:
         fh.write("idx,margin\n")
         # One format per row, each value as _fmt writes it.
@@ -731,7 +726,7 @@ def main(argv=None) -> int:
     # Looked up at each call, so that a rebound cmd_<name> is the one that runs.
     command = globals()[f"cmd_{args.command}"]
     try:
-        is_seed, kind = _SEED
+        (is_seed, kind), = _SEED
         if args.seed is not None and not is_seed(args.seed):
             raise ConfigurationError(f"--seed must be {kind}, got {args.seed}")
         return command(args)

@@ -57,31 +57,19 @@ Q2_LIMIT = math.pi / 3.0
 
 @dataclass(frozen=True)
 class ManipulatorParams:
-    """Planar two-link arm with point masses at the link ends by default.
-
-    lc1/lc2 are the center-of-mass offsets along each link (default: the
-    link length, i.e. point masses at the tips) and i1/i2 the rotational
-    inertias about the centers (default 0).
-    """
+    """Planar two-link arm: point masses m1 and m2 at the ends of links of
+    lengths l1 and l2, under gravity."""
 
     m1: float = 1.0
     m2: float = 1.0
     l1: float = 1.0
     l2: float = 1.0
     gravity: float = 9.8
-    lc1: Optional[float] = None
-    lc2: Optional[float] = None
-    i1: float = 0.0
-    i2: float = 0.0
 
     def __post_init__(self):
         for name in ("m1", "m2", "l1", "l2", "gravity"):
             if not getattr(self, name) > 0.0:
                 raise ConfigurationError(f"{name} must be positive")
-        if self.lc1 is None:
-            object.__setattr__(self, "lc1", self.l1)
-        if self.lc2 is None:
-            object.__setattr__(self, "lc2", self.l2)
 
 
 class _Arm:
@@ -92,24 +80,24 @@ class _Arm:
     multiplied out once here in the order the expression reads.
     """
 
-    __slots__ = ("m11_0", "m11_1", "m11_2", "m12_0", "m12_1", "m22", "i1", "i2", "m2", "hc", "n1", "n2")
+    __slots__ = ("m11_0", "m11_1", "m11_2", "m12_0", "m12_1", "m22", "m2", "hc", "n1", "n2")
 
     def __init__(self, p: ManipulatorParams):
-        self.m11_0 = p.m1 * p.lc1**2
-        self.m11_1 = p.l1**2 + p.lc2**2
-        self.m11_2 = 2.0 * p.l1 * p.lc2
-        self.m12_0 = p.lc2**2
-        self.m12_1 = p.l1 * p.lc2
-        self.m22 = p.m2 * p.lc2**2 + p.i2
-        self.i1, self.i2, self.m2 = p.i1, p.i2, p.m2
-        self.hc = p.m2 * p.l1 * p.lc2
-        self.n1 = (p.m1 * p.lc1 + p.m2 * p.l1) * p.gravity
-        self.n2 = p.m2 * p.lc2 * p.gravity
+        self.m11_0 = p.m1 * p.l1**2
+        self.m11_1 = p.l1**2 + p.l2**2
+        self.m11_2 = 2.0 * p.l1 * p.l2
+        self.m12_0 = p.l2**2
+        self.m12_1 = p.l1 * p.l2
+        self.m22 = p.m2 * p.l2**2
+        self.m2 = p.m2
+        self.hc = p.m2 * p.l1 * p.l2
+        self.n1 = (p.m1 * p.l1 + p.m2 * p.l1) * p.gravity
+        self.n2 = p.m2 * p.l2 * p.gravity
 
     def mass(self, c2: float) -> tuple[float, float, float]:
         """(m11, m12, m22) at cos(q2) = c2; M is symmetric."""
-        m11 = self.m11_0 + self.m2 * (self.m11_1 + self.m11_2 * c2) + self.i1 + self.i2
-        return m11, self.m2 * (self.m12_0 + self.m12_1 * c2) + self.i2, self.m22
+        m11 = self.m11_0 + self.m2 * (self.m11_1 + self.m11_2 * c2)
+        return m11, self.m2 * (self.m12_0 + self.m12_1 * c2), self.m22
 
     def coriolis(self, s2: float, v1: float, v2: float) -> tuple[float, float, float, float]:
         """Entries of C, row by row, at sin(q2) = s2 and v = (v1, v2)."""
@@ -205,7 +193,6 @@ def velocity_level_scenario(
     q_bar: float = Q2_LIMIT,
     beta: float = 1.5,
     kp: float = 1.0,
-    x0_q: tuple[float, float] = (1.0, 0.0),
 ) -> VelocityScenario:
     """Safe tracking of the sinusoidal reference under h = q_bar - q2.
 
@@ -293,7 +280,7 @@ def velocity_level_scenario(
         barrier=barrier,
         spec=spec,
         k0=k0,
-        x0=np.array([x0_q[0], x0_q[1], 0.0]),
+        x0=np.array([1.0, 0.0, 0.0]),
         q_bar=q_bar,
     )
 

@@ -113,7 +113,7 @@ def total_energy(p: ManipulatorParams, q, v):
     """Kinetic plus potential energy of the arm."""
     g = p.gravity
     potential = (
-        (p.m1 * p.lc1 + p.m2 * p.l1) * g * math.sin(q[0]) + p.m2 * p.lc2 * g * math.sin(q[0] + q[1])
+        (p.m1 * p.l1 + p.m2 * p.l1) * g * math.sin(q[0]) + p.m2 * p.l2 * g * math.sin(q[0] + q[1])
     )
     return 0.5 * float(v @ mass_matrix(p, q) @ v) + potential
 

@@ -306,7 +306,7 @@ def test_sweep_over_booleans_labels_each_as_its_json(tmp_path, capsys):
     "config, item, message",
     [
         ("twolink_torque", "system.q_bar=1.0", "system 'two_link_torque' does not read config.system.q_bar"),
-        ("twolink_torque", "system.x0_q=[1,0]", "system 'two_link_torque' does not read config.system.x0_q"),
+        ("twolink_torque", "system.x0_q=[1,0]", "unknown config key config.system.x0_q"),
         ("twolink_torque", "system.dim=2", "system 'two_link_torque' does not read config.system.dim"),
         ("twolink_torque", "controller.relu=true", "system 'two_link_torque' does not read config.controller.relu"),
         ("twolink_velocity", "system.mu=20", "system 'two_link_velocity' does not read config.system.mu"),
@@ -319,6 +319,22 @@ def test_sweep_over_booleans_labels_each_as_its_json(tmp_path, capsys):
             "system 'two_link_velocity' does not read config.nominal: it tracks its own reference",
         ),
         ("single_integrator_qp", "system.mu=20", "system 'single_integrator' does not read config.system.mu"),
+        *(
+            (
+                "single_integrator_qp",
+                'disturbance={"kind":"constant","value":[0.1],"%s":%s}' % (key, value),
+                f"the constant disturbance does not read config.disturbance.{key}",
+            )
+            for key, value in (("freq", "3"), ("amplitude", "[1]"), ("magnitude", "2"))
+        ),
+        (
+            "single_integrator_qp",
+            'disturbance={"kind":"sinusoidal","amplitude":[1],"freq":3,"value":[0.1]}',
+            "the sinusoidal disturbance does not read config.disturbance.value",
+        ),
+        ("single_integrator_qp", 'nominal={"kind":"zero","value":[3]}', "the zero nominal does not read config.nominal.value"),
+        ("twolink_velocity", "system.name=two_link", "unknown system name 'two_link'"),
+        ("twolink_velocity", "controller.gamma=-1", "config.controller.gamma must be positive, got -1"),
     ],
 )
 def test_config_keys_the_scenario_does_not_read_are_config_errors(tmp_path, capsys, config, item, message):
@@ -433,7 +449,7 @@ LINE = 'barrier={"kind":"linear","normal":[1],"offset":1}'
         ("simulate", ['x0=["1","0","0"]'], "config.x0 must be a list of 3 numbers, got ['1', '0', '0']"),
         ("simulate", ["x0=[true,0,0]"], "config.x0 must be a list of 3 numbers, got [True, 0, 0]"),
         ("simulate", ["x0=[1,0]"], "config.x0 must be a list of 3 numbers, got [1, 0]"),
-        ("simulate", ['system.x0_q=["a",0]'], "config.system.x0_q must be a list of 2 numbers, got ['a', 0]"),
+        ("simulate", ['system.x0_q=["a",0]'], "unknown config key config.system.x0_q"),
         (
             "simulate",
             ['disturbance={"kind":"sinusoidal","amplitude":["a",0],"freq":1}'],
@@ -655,6 +671,36 @@ def test_output_trajectory_must_be_a_non_empty_string(tmp_path, capsys, value, s
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["sub/x.csv", ".", "..", "absolute"])
+def test_output_trajectory_must_be_a_bare_file_name(tmp_path, capsys, name):
+    out = tmp_path / "out"
+    if name == "absolute":  # a path outside --out
+        name = str(tmp_path / "x.csv")
+    rc = main(["simulate", "--config", VELOCITY_CONFIG, "--set", "sim.horizon=0.01",
+               "--set", f"output.trajectory={name}", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"config error: config.output.trajectory must be a bare file name, got {name!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--set", "sim.horizon=0.01"],
+        ["sweep", "--param", "eta", "--values", "0.7", "--set", "sim.horizon=0.01"],
+        ["margin", "--set", "grid.subsample=100", "--set", "sim.horizon=0.1"],
+    ],
+)
+def test_out_naming_a_file_is_a_config_error(tmp_path, capsys, argv):
+    out = tmp_path / "taken"
+    out.write_text("keep")
+    rc = main(argv[:1] + ["--config", VELOCITY_CONFIG] + argv[1:] + ["--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: cannot make the --out directory {out}: File exists\n"
+    assert out.read_text() == "keep"
+
+
 # --- check and margin grids ------------------------------------------------------
 
 BOX_AXES = [
@@ -747,10 +793,9 @@ def test_stacked_grid_matches_the_per_state_body(tmp_path, capsys, monkeypatch, 
     unstacked(monkeypatch)
     per_state = counting_states(monkeypatch)
     assert outcome(capsys, tmp_path / "out", argv) == stacked
-    if case == "gamma_0" and command == "check":
-        # check rejects the norm bound before it evaluates any state
-        assert stacked[0] == 1
-        assert stacked[2] == "config error: gamma must be positive, got 0\n"
+    if case == "gamma_0":
+        # the norm bound is rejected with the config, before any state is evaluated
+        assert stacked == (1, "", "config error: config.controller.gamma must be positive, got 0\n", {})
     elif (command, case) != ("margin", "qp"):  # margin rejects the min-norm filter up front
         assert per_state
 

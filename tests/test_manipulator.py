@@ -216,7 +216,7 @@ def test_coriolis_skew_symmetry():
         q = rng.uniform(-math.pi, math.pi, size=2)
         v = rng.normal(size=2)
         c2 = math.cos(q[1])
-        hc = PARAMS.m2 * PARAMS.l1 * PARAMS.lc2
+        hc = PARAMS.m2 * PARAMS.l1 * PARAMS.l2
         dm11 = -2.0 * hc * math.sin(q[1]) * v[1]
         dm12 = -hc * math.sin(q[1]) * v[1]
         m_dot = np.array([[dm11, dm12], [dm12, 0.0]])
