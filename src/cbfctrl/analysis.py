@@ -43,7 +43,7 @@ def _margin(c: float, kappa: float, gamma: float) -> float:
 
 
 def margins(c: np.ndarray, kappa: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """The margin M at arrays of (c, kappa, Gamma), NaN where margin_of gives NaN
+    """The margin M at arrays of (c, kappa, Gamma), NaN where margin gives NaN
     for a finite Gamma: a NaN kappa or a numerically zero denominator."""
     den = c - kappa * gamma
     m = -1.0 + c / den
@@ -66,18 +66,23 @@ def safety_margin_at(
     return _margin(con.c, kappa, gamma_sontag(con, shaping))
 
 
-def margin_of(out: ControllerOutput) -> float:
-    """Margin M at the constraint and tightening one evaluation used.
+def margin(c: float, kappa: float | None, gamma: float) -> float:
+    """Margin M at the offset c, tunable term kappa and tightening Gamma of one evaluation.
 
     NaN where M is undefined: the kind has no tunable term (kappa is
     None), Gamma is not finite, or the denominator is numerically zero.
     """
-    if out.kappa is None or not math.isfinite(out.gamma_eff):
+    if kappa is None or not math.isfinite(gamma):
         return math.nan
     try:
-        return _margin(out.c_eff, out.kappa, out.gamma_eff)
+        return _margin(c, kappa, gamma)
     except DegenerateMarginError:
         return math.nan
+
+
+def margin_of(out: ControllerOutput) -> float:
+    """margin at the constraint and tightening that out used."""
+    return margin(out.c_eff, out.kappa, out.gamma_eff)
 
 
 @dataclass(frozen=True)

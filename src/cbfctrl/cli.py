@@ -53,6 +53,7 @@ from .formulas import (
     controller_spec,
     evaluate_controller,
     filter_offset,
+    offset_not_finite,
     resolve_kappa,
 )
 from .simulate import SimConfig, Stage, Trajectory, _batch_members, evaluate_stack, point_evaluation, run
@@ -117,7 +118,7 @@ class _Row:
 # output and each grid.axes entry have one row, which stands for the table.
 _TOP = _Row(
     {
-        "schema": ((lambda v: v == _SCHEMA_VERSION, f"{_SCHEMA_VERSION}"),),
+        "schema": ((lambda v: _is_int(v) and v == _SCHEMA_VERSION, f"{_SCHEMA_VERSION}"),),  # not true, not 1.0
         "seed": _SEED,
         **dict.fromkeys(("system", "barrier", "controller", "sim", "x0", "nominal", "disturbance", "grid", "output"), ()),
     },
@@ -446,8 +447,6 @@ def cmd_sweep(args) -> int:
     if leaf not in node:
         raise ConfigurationError(f"swept parameter {args.param!r} does not exist in config")
 
-    out_dir = _out_dir(args.out)
-
     scenarios = []
     for value in values:
         node[leaf] = value
@@ -468,6 +467,7 @@ def cmd_sweep(args) -> int:
             for sc in scenarios
         ]
 
+    out_dir = _out_dir(args.out)  # once every value is built and run
     any_failed = False
     rows = []
     for value, scenario, traj in zip(values, scenarios, trajs):
@@ -575,6 +575,8 @@ def _check_state(scenario: Scenario, at, x: np.ndarray) -> tuple[float, float, f
     _, _, _, con, kd = at(x)
     spec = scenario.spec
     c_eff, _ = filter_offset(spec, con, x, kd)
+    if not math.isfinite(c_eff):
+        raise offset_not_finite(c_eff, con.d)
     d2 = con.d_norm_sq
     kappa = math.nan
     range_ok = d2 > EPS_D or c_eff > 0.0

@@ -169,13 +169,15 @@ class BarrierFunction:
 class PlantEvaluation:
     """How a plant's maps are formed with the barrier and nominal built beside it.
 
-    fn maps a state (n,) to (f, g, h, grad_h, k_d): the drift (n,), the
-    input map (n, m), the barrier value, its gradient (n,) and the nominal
-    input (m,), or None for no nominal, all float and each equal, bit for
-    bit, to what the separate maps give at that state.  stack, where
+    floats maps a state, a tuple of n floats, to (f, g, h, grad_h, k_d) in
+    Python floats: the drift (n floats), the input map (n rows of m floats),
+    the barrier value (a float), its gradient (n floats) and the nominal
+    input (m floats), or None for no nominal, each equal, bit for bit, to
+    what the separate maps give at that state.  arrays gives the same tuple
+    at a state array, with f, g, grad_h and k_d as new arrays.  stack, where
     declared, maps a stack of states (B, n) to the same tuple: f (B, n) or
     one (n,) shared by the stack, g one (n, m) and grad_h one (n,) shared
-    by the stack, h (B,) and k_d (B, m), each row equal to fn's where the
+    by the stack, h (B,) and k_d (B, m), each row equal to arrays' where the
     maps are exact in numpy's order of operations; only such a plant runs
     members together (simulate.run).  Both hold for this barrier and this
     nominal only (compared by identity), and for the drift and input map
@@ -183,10 +185,16 @@ class PlantEvaluation:
     from the separate maps (simulate.point_evaluation).
     """
 
-    fn: Callable[[np.ndarray], tuple]
+    floats: Callable[[tuple], tuple]
     barrier: BarrierFunction
     nominal: Callable[[np.ndarray], np.ndarray] | None = None
     stack: Callable[[np.ndarray], tuple] | None = None
+
+    def arrays(self, x: np.ndarray) -> tuple:
+        """(f, g, h, grad_h, k_d) at the state array x, from floats."""
+        f, g, h, grad, kd = self.floats(tuple(np.asarray(x, dtype=float).tolist()))
+        kd = None if kd is None else np.array(kd, dtype=float)
+        return np.array(f, dtype=float), np.array(g, dtype=float), h, np.array(grad, dtype=float), kd
 
 
 @dataclass(frozen=True)

@@ -286,24 +286,71 @@ def filter_offset(
 ) -> tuple[float, np.ndarray | None]:
     """(c_eff, k_d): a safety filter's offset c + d k_d(x) and its nominal,
     or (c, None) for a spec without a nominal.  kd is the nominal at x where
-    the caller has it; without it the nominal is called.
-
-    Raises NumericsError where the shifted offset is not finite.
+    the caller has it; without it the nominal is called.  The offset may be
+    non-finite (see offset_not_finite).
     """
     if spec.nominal is None:
         return con.c, None
     kd = np.asarray(spec.nominal(x) if kd is None else kd, dtype=float)
-    c = con.c + float(con.d @ kd)
-    if not math.isfinite(c):
-        raise NumericsError(f"constraint pair is not finite: c={c}, d={con.d}")
-    return c, kd
+    return con.c + float(con.d @ kd), kd
 
 
-def _infeasible(c: float, d2: float, x: np.ndarray | None) -> InfeasibleConstraintError:
+def _shown(v):
+    """v as a message prints it: a tuple of floats, a state or direction of
+    the float loop (see simulate), as the array it stands for."""
+    return np.asarray(v) if type(v) is tuple else v
+
+
+def offset_not_finite(c: float, d) -> NumericsError:
+    """The error of a filter's shifted offset c, at direction d, that is not finite."""
+    return NumericsError(f"constraint pair is not finite: c={c}, d={_shown(d)}")
+
+
+def _infeasible(c: float, d2: float, x) -> InfeasibleConstraintError:
     return InfeasibleConstraintError(
         f"infeasible constraint: c={c} <= 0 with ||d||^2={d2} ~ 0"
-        + (f" at x={x}" if x is not None else "")
+        + (f" at x={_shown(x)}" if x is not None else "")
     )
+
+
+def controller_terms(
+    spec: ControllerSpec, c: float, c_bar: float, d2: float, x=None, d=None
+) -> tuple[float, float | None, float]:
+    """(lambda, kappa, Gamma) of spec at the pair (c, ||d||^2), in floats.
+
+    c_bar is a safety filter's shifted offset c + d k_d(x) (see
+    filter_offset), at which its formula runs; a spec without a nominal
+    ignores it.  kappa is None and Gamma NaN for the min-norm kind.  Raises,
+    in this order: InfeasibleConstraintError where ||d||^2 <= EPS_D with
+    c <= 0, NumericsError where c_bar is not finite, InfeasibleConstraintError
+    at c_bar as at c, IncompatibleInputError where the bounded-input kind
+    cannot meet the constraint within its norm bound, and the errors of
+    Gamma, the policy and check_kappa_range.  x is the state, which a
+    kappa_direct policy reads and messages print, and d the direction,
+    which messages print.
+    """
+    if d2 <= EPS_D and c <= 0.0:
+        raise _infeasible(c, d2, x)
+    if spec.nominal is not None:
+        if not math.isfinite(c_bar):
+            raise offset_not_finite(c_bar, d)
+        c = c_bar
+        if d2 <= EPS_D and c <= 0.0:
+            raise _infeasible(c, d2, x)
+    kind = spec.kind
+    if kind == "qp":
+        return lambda_min_norm(c, d2), None, math.nan
+    if kind not in ("sontag", "tunable", "bounded_input"):
+        raise ConfigurationError(f"unknown controller kind {kind!r}")
+    if kind == "bounded_input":
+        slack = norm_bound_slack(c, d2, spec.gamma)
+        if slack < 0.0:
+            raise IncompatibleInputError(
+                f"norm bound gamma={spec.gamma} incompatible with (c={c}, ||d||={math.sqrt(d2)})",
+                deficit=-slack,
+            )
+    gam, kappa, lam = _tunable_terms(spec, c, d2, x)
+    return lam, kappa, gam
 
 
 def evaluate_controller(
@@ -311,11 +358,12 @@ def evaluate_controller(
 ) -> ControllerOutput:
     """Evaluate the controller described by spec on the constraint pair.
 
-    Raises InfeasibleConstraintError when d ~ 0 with c <= 0 (the strict
-    convention makes that a hard error, never a silent zero input),
-    KappaRangeError when the resolved tunable term leaves its validity
-    range, and IncompatibleInputError when the bounded-input kind cannot
-    meet the constraint within its norm bound.  A spec with a nominal (a
+    The formula is controller_terms', which raises InfeasibleConstraintError
+    when d ~ 0 with c <= 0 (the strict convention makes that a hard error,
+    never a silent zero input), KappaRangeError when the resolved tunable
+    term leaves its validity range, and IncompatibleInputError when the
+    bounded-input kind cannot meet the constraint within its norm bound.
+    This wrapper adds the input u and the output.  A spec with a nominal (a
     safety filter) is one pass: its formula runs at the shifted offset
     c + d k_d(x) (see filter_offset), which is checked for feasibility as c
     is, on the constraint's own d and ||d||^2.  kd is the nominal at x where
@@ -323,35 +371,10 @@ def evaluate_controller(
     gives it (see simulate.point_evaluation); a spec without a nominal
     ignores it.
     """
-    c = con.c
-    d = con.d
-    d2 = con.d_norm_sq
-    if d2 <= EPS_D and c <= 0.0:
-        raise _infeasible(c, d2, x)
-    if spec.nominal is not None:
-        c, kd = filter_offset(spec, con, x, kd)
-        if d2 <= EPS_D and c <= 0.0:
-            raise _infeasible(c, d2, x)
-    else:
-        kd = None
-
-    if spec.kind == "qp":
-        lam = lambda_min_norm(c, d2)
-        kappa = None
-        gam = math.nan
-        residual = c + lam * d2
-    elif spec.kind in ("sontag", "tunable", "bounded_input"):
-        if spec.kind == "bounded_input":
-            slack = norm_bound_slack(c, d2, spec.gamma)
-            if slack < 0.0:
-                raise IncompatibleInputError(
-                    f"norm bound gamma={spec.gamma} incompatible with (c={c}, ||d||={math.sqrt(d2)})",
-                    deficit=-slack,
-                )
-        gam, kappa, lam = _tunable_terms(spec, c, d2, x)
-        residual = c + lam * d2 - kappa * gam
-    else:
-        raise ConfigurationError(f"unknown controller kind {spec.kind!r}")
+    d, d2 = con.d, con.d_norm_sq
+    c, kd = filter_offset(spec, con, x, kd)
+    lam, kappa, gam = controller_terms(spec, con.c, c, d2, x, d)
+    residual = c + lam * d2 if kappa is None else c + lam * d2 - kappa * gam
     u = lam * d
     if kd is not None:
         u = u + kd

@@ -11,22 +11,27 @@ through the rigid-body dynamics using the composite barrier
 with a min-norm safety filter around the tracking torque.  Backstepping
 needs the total derivative of k0, so the velocity-level scenario carries
 analytic Jacobians built on the multiplier slope of its formula.  Both
-levels declare their plant evaluation (core.PlantEvaluation), the velocity
-level also over a stack of states, on which a sweep of its formulas
-advances.  Every torque-level map is a view of one per-state evaluation,
-torque_terms: a run forms the dynamics, k0 and its Jacobians once per state.
+levels declare their plant evaluation in floats (core.PlantEvaluation), the
+velocity level also over a stack of states, on which a sweep of its
+formulas advances.  Every torque-level map is a view of one per-state
+evaluation, torque_terms: a run forms the dynamics, k0 and its Jacobians
+once per state.
 
 torque_terms forms every entry in Python floats, and writes each product
 of a 2x2 matrix or 2-vector with a 2-vector as a0*b0 + a1*b1, left to
-right; it builds arrays only for its outputs.  That rounds differently
-from numpy's @ on these shapes: OpenBLAS forms a length-2 dot product as
-fma(a1, b1, a0*b0), with one rounding fewer, and Python 3.11 has no
-math.fma to reproduce it.  Against the same formulas written with @ each
-entry agrees to within 1e-13 * max(1, |entry|) (8e-15 at most over 6000
-random states).  A 10 s run with a smooth k0 moves by under 1e-15; the
-min-norm run, which a one-ULP change of x0 moves as far, by about 6e-2
-(README, "Known deviations").  The velocity level forms k0 with no such
-sum, so its maps are the same either way.
+right.  That rounds differently from numpy's @ on these shapes: OpenBLAS
+forms a length-2 dot product as fma(a1, b1, a0*b0), with one rounding
+fewer, and Python 3.11 has no math.fma to reproduce it.  Against the same
+formulas written with @ each entry agrees to within 1e-13 * max(1, |entry|)
+(8e-15 at most over 6000 random states).  The same holds for the sums of
+the float loop (simulate), which forms grad_b . f, grad_b . g, d . k_d
+and g u as float sums where the numpy loop calls OpenBLAS: a torque run
+with a smooth k0 stays within 1e-11 * max(1, |entry|) of the numpy loop's
+(under 1e-14 over 2 s); the min-norm run, which a one-ULP change of x0
+moves as far, parts from it where its k0 crosses its kink (README, "Known
+deviations").  The velocity level forms k0 with no such sum, and its f, g
+and grad_h are constant with entries in {0, 1, -1}, so every product is
+exact and both loops agree bit for bit.
 
 Time enters through the reference trajectory; both layers carry it as a
 trailing clock state with rate 1, which keeps every map a pure function
@@ -37,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -203,7 +208,7 @@ def velocity_level_scenario(
     """
     inner = controller_spec(kind, sigma=sigma, eta=eta, gamma=gamma, relu=relu)
 
-    # Every separate map takes one state; point and stack form them all at a
+    # Every separate map takes one state; floats and stack form them all at a
     # state and at a stack.  The drift, input map and gradient are constant.
     kp_mat = np.diag([kp, kp])
     neg_kp_mat = -kp_mat
@@ -231,10 +236,13 @@ def velocity_level_scenario(
         rate = 2.0 * math.cos(tau)
         return n00 * (q1 - (ref + 1.0)) + rate, n11 * (q2 - ref) + rate, rate
 
-    def point(x: np.ndarray) -> tuple:
-        q1, q2, tau = x.tolist()
+    f_floats, grad_floats = tuple(f_aug.tolist()), tuple(grad_h.tolist())
+    g_floats = tuple(map(tuple, g_aug.tolist()))
+
+    def floats(y: tuple) -> tuple:
+        q1, q2, tau = y
         k1, k2, _ = tracking(q1, q2, tau)
-        return f_aug, g_aug, q_bar - q2, grad_h, np.array([k1, k2])
+        return f_floats, g_floats, q_bar - q2, grad_floats, (k1, k2)
 
     def stack(xs: np.ndarray) -> tuple:
         # r and r' at every row; -kp_mat is diagonal, so each product has
@@ -244,13 +252,16 @@ def velocity_level_scenario(
         k_d = (xs[:, :2] - ref) @ neg_kp_t + (2.0 * np.cos(tau))[:, None]
         return f_aug, g_aug, q_bar - xs[:, 1], grad_h, k_d
 
-    nominal = lambda x: point(x)[4]
+    def nominal(x: np.ndarray) -> np.ndarray:
+        k1, k2, _ = tracking(*x.tolist())
+        return np.array([k1, k2])
+
     system = ControlAffineSystem(
         state_dim=3,
         input_dim=2,
         drift=lambda x: f_aug,
         input_map=lambda x: g_aug,
-        evaluation=PlantEvaluation(point, barrier, nominal, stack),
+        evaluation=PlantEvaluation(floats, barrier, nominal, stack),
     )
     spec = ControllerSpec.safety_filter(inner, nominal)
 
@@ -336,31 +347,18 @@ class TorqueScenario:
     cfg: BacksteppingConfig
 
 
-class TorqueTerms(NamedTuple):
-    """Every torque-level map at one state [q1, q2, v1, v2, clock].
-
-    f and g are the drift and input map of the manipulator with its
-    trailing clock (n = 5, m = 2), b and grad_b the composite barrier
-    b = h(q) - (1/(2 mu)) ||v - k0||^2 and its gradient, and k_d the
-    tracking torque M (k0dot - kp_bar (v - k0)) + C v + N.
-    """
-
-    f: np.ndarray
-    g: np.ndarray
-    b: float
-    grad_b: np.ndarray
-    k_d: np.ndarray
-
-
 def torque_terms(
     p: ManipulatorParams, velocity: VelocityScenario, cfg: BacksteppingConfig
-) -> Callable[[np.ndarray], TorqueTerms]:
-    """Per-state evaluation of the torque level.
+) -> Callable[[tuple], tuple]:
+    """Per-state evaluation of the torque level, in floats.
 
-    One call forms M and its inverse, C(q, v) v, N(q), k0 with both its
-    Jacobians, and from them every field of TorqueTerms, in new arrays.
-    It is the plant evaluation the torque-level system declares (see
-    core.PlantEvaluation), so the closed loop calls it once per state.
+    One call at a state (q1, q2, v1, v2, clock) forms M and its inverse,
+    C(q, v) v, N(q), k0 with both its Jacobians, and from them the drift
+    f and input map g of the manipulator with its trailing clock (n = 5,
+    m = 2), the composite barrier b = h(q) - (1/(2 mu)) ||v - k0||^2 and
+    its gradient, and the tracking torque k_d = M (k0dot - kp_bar (v - k0))
+    + C v + N.  It is the plant evaluation the torque-level system declares
+    (see core.PlantEvaluation), so the closed loop calls it once per state.
 
     Every entry is a Python float and every product of a 2x2 matrix or
     2-vector with a 2-vector the sum a0*b0 + a1*b1, left to right; see the
@@ -371,10 +369,10 @@ def torque_terms(
     q_bar = velocity.q_bar  # h = q_bar - q2, so dh/dq = (0, -1)
     mu, kp_bar = cfg.mu, cfg.kp_bar
     two_mu = 2.0 * mu
-    g_zero = np.zeros((5, 2))
+    zero = (0.0, 0.0)  # rows 0, 1 and 4 of g
 
-    def terms(x: np.ndarray) -> TorqueTerms:
-        q1, q2, v1, v2, tau = np.asarray(x, dtype=float).tolist()
+    def floats(y: tuple) -> tuple:
+        q1, q2, v1, v2, tau = y
         m11, m12, m22 = arm.mass(math.cos(q2))
         i11, i12, i21, i22 = _inverse_terms(m11, m12, m12, m22)
         c11, c12, c21, c22 = arm.coriolis(math.sin(q2), v1, v2)
@@ -384,26 +382,23 @@ def torque_terms(
         e1, e2 = v1 - k1, v2 - k2
 
         r1, r2 = cv1 + n1, cv2 + n2
-        f = np.array([v1, v2, -i11 * r1 + -i12 * r2, -i21 * r1 + -i22 * r2, 1.0])
-        g = g_zero.copy()  # rows 0, 1 and 4 stay zero
-        g[2, 0], g[2, 1], g[3, 0], g[3, 1] = i11, i12, i21, i22
+        f = (v1, v2, -i11 * r1 + -i12 * r2, -i21 * r1 + -i22 * r2, 1.0)
+        g = (zero, zero, (i11, i12), (i21, i22), zero)
         b = (q_bar - q2) - (e1 * e1 + e2 * e2) / two_mu
-        grad_b = np.array(
-            [
-                0.0 + (e1 * j11 + e2 * j21) / mu,
-                -1.0 + (e1 * j12 + e2 * j22) / mu,
-                -e1 / mu,
-                -e2 / mu,
-                (e1 * t1 + e2 * t2) / mu,
-            ]
+        grad_b = (
+            0.0 + (e1 * j11 + e2 * j21) / mu,
+            -1.0 + (e1 * j12 + e2 * j22) / mu,
+            -e1 / mu,
+            -e2 / mu,
+            (e1 * t1 + e2 * t2) / mu,
         )
         # M (k0dot - kp_bar e_v) + C v + N, with k0dot = J v + dk0/dtau
         w1 = j11 * v1 + j12 * v2 + t1 - kp_bar * e1
         w2 = j21 * v1 + j22 * v2 + t2 - kp_bar * e2
-        k_d = np.array([m11 * w1 + m12 * w2 + cv1 + n1, m12 * w1 + m22 * w2 + cv2 + n2])
-        return TorqueTerms(f, g, b, grad_b, k_d)
+        k_d = (m11 * w1 + m12 * w2 + cv1 + n1, m12 * w1 + m22 * w2 + cv2 + n2)
+        return f, g, b, grad_b, k_d
 
-    return terms
+    return floats
 
 
 def torque_level_scenario(
@@ -418,25 +413,19 @@ def torque_level_scenario(
     The system declares torque_terms as its plant evaluation for this
     barrier and nominal torque, so a run of spec evaluates each state once.
     The separate maps (drift, input map, barrier value and gradient,
-    nominal) are views of it, each one full evaluation.
+    nominal) are views of its arrays, each one full evaluation.
     """
     params = params or ManipulatorParams()
     cfg = cfg or BacksteppingConfig()
     velocity = velocity_level_scenario(eta=eta, sigma=sigma, kind=kind, kp=cfg.kp)
-    terms = torque_terms(params, velocity, cfg)
-    barrier = BarrierFunction(
-        value=lambda x: terms(x).b,
-        gradient=lambda x: terms(x).grad_b,
-        classk=ExtendedClassK.linear(cfg.alpha_b),
-    )
-    nominal = lambda x: terms(x).k_d
-    system = ControlAffineSystem(
-        state_dim=5,
-        input_dim=2,
-        drift=lambda x: terms(x).f,
-        input_map=lambda x: terms(x).g,
-        evaluation=PlantEvaluation(terms, barrier, nominal),
-    )
+
+    def view(i: int) -> Callable[[np.ndarray], object]:
+        return lambda x: evaluation.arrays(x)[i]
+
+    barrier = BarrierFunction(value=view(2), gradient=view(3), classk=ExtendedClassK.linear(cfg.alpha_b))
+    nominal = view(4)
+    evaluation = PlantEvaluation(torque_terms(params, velocity, cfg), barrier, nominal)
+    system = ControlAffineSystem(state_dim=5, input_dim=2, drift=view(0), input_map=view(1), evaluation=evaluation)
     spec = ControllerSpec.safety_filter(ControllerSpec.qp(), nominal)
     v0 = reference_rate(0.0)
     x0 = np.array([velocity.x0[0], velocity.x0[1], v0[0], v0[1], 0.0])

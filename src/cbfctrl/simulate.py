@@ -8,20 +8,27 @@ RK4 step costs four controller evaluations and an Euler step one.
 Disturbances are evaluated at the pre-step time and held across stages.
 Runs that hit an infeasible constraint, a tunable range violation, or a
 numerical blow-up return a truncated trajectory carrying the failure
-reason instead of raising.  An evaluation builds one AffineConstraint,
-which holds ||d||^2, and one ControllerOutput, a safety filter (a spec
-with a nominal) included; the record reads the correction norm from that
-||d||^2.
+reason instead of raising.
 
-A scalar run's evaluation at a state is point_evaluation's, one of two:
-the plant's own one-call evaluation (core.PlantEvaluation) where the run
-is on exactly the barrier and nominal it was declared with, otherwise one
-built from the separate maps, which calls the drift, input map, barrier
-value and gradient and the nominal once per state.  The constraint
-(c, d), the filter's offset and k_d, the RK4 stage field f + g u and the
-recorded h all come from that one evaluation, and the maps' shapes are
-checked once per run.  Either evaluation gives the same trajectory, bit
-for bit.
+A scalar run has two loops.  Where the run is on exactly the barrier and
+nominal that the plant declared its evaluation with (core.PlantEvaluation,
+compared by identity), and its policy does not read the state
+(kappa_direct), it runs in Python floats (_run_floats): the state is a
+tuple, each evaluation one call of the plant's floats, every sum a float
+sum written left to right, the formula formulas.controller_terms (the
+float core of evaluate_controller) and the rows lists of floats, made into
+arrays once at the end.  Every other scalar run takes the numpy loop, the
+reference, whose evaluation at a state is point_evaluation's: it calls the
+drift, input map, barrier value and gradient and the nominal once per
+state, and builds one AffineConstraint, which holds ||d||^2, and one
+ControllerOutput; the record reads the correction norm from that
+||d||^2.  The constraint (c, d), the filter's offset and k_d, the RK4
+stage field f + g u and the recorded h all come from that one evaluation,
+and the maps' shapes are checked once per run.  Both loops raise the same
+errors with the same messages at the same steps.  Their values agree bit
+for bit where the plant's products are exact (the velocity-level
+manipulator), and otherwise up to the rounding of numpy's fused dot
+products (see manipulator).
 
 run also takes a sequence of specs over one plant and returns one
 trajectory per spec.  Members whose formulas vectorise (see
@@ -52,7 +59,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .analysis import DisturbanceSpec, margin_of, margins
+from .analysis import DisturbanceSpec, margin, margin_of, margins
 from .core import (
     EPS_D,
     BarrierFunction,
@@ -63,7 +70,14 @@ from .core import (
     NumericsError,
     form_constraint,
 )
-from .formulas import ControllerOutput, ControllerSpec, FormulaBatch, evaluate_controller, vectorisable
+from .formulas import (
+    ControllerOutput,
+    ControllerSpec,
+    FormulaBatch,
+    controller_terms,
+    evaluate_controller,
+    vectorisable,
+)
 
 
 @dataclass(frozen=True)
@@ -194,21 +208,30 @@ def _finite(x_new: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x_new
 
 
+def _declared(system: ControlAffineSystem, barrier: BarrierFunction, spec: ControllerSpec):
+    """The system's plant evaluation where it is declared for this barrier
+    and the spec's nominal (compared by identity); None otherwise."""
+    ev = system.evaluation
+    if ev is not None and barrier is ev.barrier and spec.nominal is ev.nominal:
+        return ev
+    return None
+
+
 def point_evaluation(system: ControlAffineSystem, barrier: BarrierFunction, spec: ControllerSpec):
     """(at, maps): at(y) gives (f, g, h, con, k_d) at a state y, con the
     pair (c, d) and k_d the spec's nominal (None for none); maps(y) gives
     (f, g) alone, for the stages of a zero-order hold.
 
     at calls the system's plant evaluation once where it is declared for
-    this barrier and nominal (see core.PlantEvaluation), and otherwise
+    this barrier and nominal (core.PlantEvaluation.arrays), and otherwise
     each separate map once, converted as evaluate_constraint converts it;
     either equals evaluate_constraint and the maps at y, bit for bit.  It
     checks the maps' shapes at its first call.
     """
-    ev = system.evaluation
+    ev = _declared(system, barrier, spec)
     nominal = spec.nominal
-    if ev is not None and barrier is ev.barrier and nominal is ev.nominal:
-        terms = ev.fn
+    if ev is not None:
+        terms = ev.arrays
 
         def maps(y: np.ndarray) -> tuple:
             return terms(y)[:2]
@@ -312,7 +335,12 @@ def _run_scalar(
     prior: Optional[dict[str, np.ndarray]] = None,
 ) -> Trajectory:
     """The closed loop from x0 at step start, after the prior rows (keyed by
-    Trajectory field) that a run from step 0 recorded before it."""
+    Trajectory field) that a run from step 0 recorded before it: the float
+    loop where the plant declares its evaluation for this barrier and
+    nominal and the policy is not kappa_direct, else the numpy loop."""
+    ev = _declared(system, barrier, spec)
+    if ev is not None and (spec.policy is None or spec.policy.kind != "kappa_direct"):
+        return _run_floats(ev.floats, system, spec, barrier.classk, x0, cfg, disturbance, start, prior)
     n_steps = cfg.n_steps
     m = system.input_dim
     rows = {name: list(prior[name]) if prior else [] for name in _ROWS}
@@ -360,18 +388,129 @@ def _run_scalar(
             except NumericsError as exc:
                 raise BlowUpError(str(exc), step_index=k) from exc
             k += 1
-    except BlowUpError as exc:
-        failure = f"blow-up at step {exc.step_index}: {exc}"
-        failure_step = exc.step_index
     except CBFControlError as exc:
-        failure = f"{type(exc).__name__} at step {k}: {exc}"
-        failure_step = k
+        failure, failure_step = _failure(exc, k)
+    return _trajectory(rows.values(), system, failure, failure_step)
 
-    arrays = {name: np.asarray(values) for name, values in rows.items()}
+
+def _failure(exc: CBFControlError, k: int) -> tuple[str, int]:
+    """(failure, failure_step) of a run that exc stopped at step k."""
+    if isinstance(exc, BlowUpError):
+        return f"blow-up at step {exc.step_index}: {exc}", exc.step_index
+    return f"{type(exc).__name__} at step {k}: {exc}", k
+
+
+def _trajectory(rows, system: ControlAffineSystem, failure, failure_step) -> Trajectory:
+    """The Trajectory of the recorded rows, one list per field in _ROWS order."""
+    arrays = {name: np.asarray(values) for name, values in zip(_ROWS, rows)}
     # A run that records no row keeps the width of its states and inputs.
     arrays["states"] = arrays["states"].reshape(-1, system.state_dim)
-    arrays["inputs"] = arrays["inputs"].reshape(-1, m)
+    arrays["inputs"] = arrays["inputs"].reshape(-1, system.input_dim)
     return Trajectory(**arrays, failure=failure, failure_step=failure_step)
+
+
+def _dot(n: int) -> Callable[[Sequence[float], Sequence[float]], float]:
+    """a . b of two sequences of n floats as the sum a0*b0 + a1*b1 + ..., left to right."""
+    # Unrolled for the manipulator's input (2) and states (3 and 5): a
+    # tenth of the torque run's time goes to the loop below otherwise.
+    unrolled = {
+        2: lambda a, b: a[0] * b[0] + a[1] * b[1],
+        3: lambda a, b: a[0] * b[0] + a[1] * b[1] + a[2] * b[2],
+        5: lambda a, b: a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3] + a[4] * b[4],
+    }
+    if n in unrolled:
+        return unrolled[n]
+
+    def dot(a, b):
+        s = a[0] * b[0]
+        for i in range(1, n):
+            s += a[i] * b[i]
+        return s
+
+    return dot
+
+
+def _run_floats(floats, system, spec, classk, x0, cfg: SimConfig, disturbance, start, prior) -> Trajectory:
+    """_run_scalar's loop on the plant's declared floats (see the module
+    docstring); every product that numpy's loop forms with @ is a _dot."""
+    n, m = system.state_dim, system.input_dim
+    dot_n, dot_m = _dot(n), _dot(m)
+    n_steps, dt, every, zoh = cfg.n_steps, cfg.dt, cfg.record_every, cfg.zoh
+    half_dt, sixth_dt = 0.5 * dt, dt / 6.0
+    euler = cfg.integrator == "euler"
+    filtered = spec.nominal is not None
+    isfinite, sqrt, nan = math.isfinite, math.sqrt, math.nan
+    rows = [prior[name].tolist() if prior else [] for name in _ROWS]
+    times, states, inputs, h_values, residuals, kappas, margins_, norms = rows
+    failure: Optional[str] = None
+    failure_step: Optional[int] = None
+    checked = False
+
+    def evaluate(y: tuple) -> tuple:
+        """(f, g, h, c, d, d2, c_bar, lam, kappa, gam, u) at the state y."""
+        nonlocal checked
+        f, g, h, grad, kd = floats(y)
+        if not checked:
+            _check_shapes(system, None, f, g, h, grad, kd)
+            checked = True
+        c = dot_n(grad, f) + classk(h)
+        d = tuple([dot_n(grad, col) for col in zip(*g)])
+        d2 = dot_m(d, d)
+        if not (isfinite(c) and (isfinite(d2) or all(map(isfinite, d)))):
+            raise NumericsError(f"constraint evaluation not finite at x={np.asarray(y)}: c={c}, d={np.asarray(d)}")
+        c_bar = c + dot_m(d, kd) if filtered else c
+        lam, kappa, gam = controller_terms(spec, c, c_bar, d2, y, d)
+        u = tuple([lam * dj + kj for dj, kj in zip(d, kd)] if filtered else [lam * dj for dj in d])
+        return f, g, h, c, d, d2, c_bar, lam, kappa, gam, u
+
+    def field(y: tuple) -> list:
+        """The closed-loop field at an RK4 stage 2-4 state (see _run_scalar's)."""
+        if zoh:
+            f, g = floats(y)[:2]
+            a = u_k
+        else:
+            f, g, *_, u = evaluate(y)
+            a = u if w is None else [ui + wi for ui, wi in zip(u, w)]
+        return [fi + dot_m(gi, a) for fi, gi in zip(f, g)]
+
+    x = tuple(np.asarray(x0, dtype=float).tolist())
+    k = start
+    try:
+        while True:
+            w = disturbance.at(k * dt, m).tolist() if disturbance is not None else None
+            f, g, h, c, d, d2, c_bar, lam, kappa, gam, u = evaluate(x)
+            u_k = u if w is None else [ui + wi for ui, wi in zip(u, w)]
+            if k % every == 0:
+                times.append(k * dt)
+                states.append(x)
+                inputs.append(u)
+                h_values.append(h)
+                residuals.append(c + dot_m(d, u_k))
+                kappas.append(nan if kappa is None else kappa)
+                margins_.append(margin(c_bar, kappa, gam))
+                norms.append(lam * sqrt(d2))
+            if k >= n_steps:
+                break
+            try:
+                k1 = [fi + dot_m(gi, u_k) for fi, gi in zip(f, g)]
+                if euler:
+                    x_new = tuple([xi + dt * a for xi, a in zip(x, k1)])
+                else:
+                    k2 = field(tuple([xi + half_dt * a for xi, a in zip(x, k1)]))
+                    k3 = field(tuple([xi + half_dt * a for xi, a in zip(x, k2)]))
+                    k4 = field(tuple([xi + dt * a for xi, a in zip(x, k3)]))
+                    x_new = tuple(
+                        [xi + sixth_dt * (a + 2.0 * b + 2.0 * e + z) for xi, a, b, e, z in zip(x, k1, k2, k3, k4)]
+                    )
+                if not all(map(isfinite, x_new)):
+                    raise NumericsError(f"state became non-finite after one step from x={np.asarray(x)}")
+            except NumericsError as exc:
+                raise BlowUpError(str(exc), step_index=k) from exc
+            x = x_new
+            k += 1
+    except CBFControlError as exc:
+        failure, failure_step = _failure(exc, k)
+    return _trajectory(rows, system, failure, failure_step)
 
 
 # --- members advancing together ----------------------------------------------

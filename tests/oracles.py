@@ -127,7 +127,7 @@ def lambda_tunable_relu(c, d2, kappa, sigma):
 
 def counted_plant(sc, calls):
     """A manipulator scenario's (system, barrier, spec), with its plant
-    evaluation counted under calls["evaluation"], its stacked evaluation,
+    evaluation (the floats call) counted under calls["evaluation"], its stacked evaluation,
     where declared, under calls["stack"] and each separate map under its
     own name."""
 
@@ -146,6 +146,6 @@ def counted_plant(sc, calls):
         sc.system,
         drift=counted("drift", sc.system.drift),
         input_map=counted("input_map", sc.system.input_map),
-        evaluation=PlantEvaluation(counted("evaluation", ev.fn), barrier, nominal, stack),
+        evaluation=PlantEvaluation(counted("evaluation", ev.floats), barrier, nominal, stack),
     )
     return system, barrier, replace(sc.spec, nominal=nominal)

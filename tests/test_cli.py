@@ -345,6 +345,15 @@ def test_config_keys_the_scenario_does_not_read_are_config_errors(tmp_path, caps
     assert not out.exists()
 
 
+def test_sweep_with_a_bad_value_makes_no_out_directory(tmp_path, capsys):
+    # every swept value is validated and built before --out is made
+    out = tmp_path / "d"
+    rc = main(["sweep", "--config", VELOCITY_CONFIG, "--param", "eta", "--values", '"abc"', "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "config error: config.controller.eta must be a number, got 'abc'\n"
+    assert not out.exists()
+
+
 def test_sweep_unknown_parameter(tmp_path, capsys):
     cfg = write_config(tmp_path, "si.json", single_integrator_config())
     rc = main(
@@ -604,6 +613,8 @@ VELOCITY_CONFIG = str(CONFIG_DIR / "twolink_velocity.json")
          "--seed must be a nonnegative integer"),
         (["simulate", "--set", "sim.horizon=1e308"], "horizon / dt must be a finite step count"),
         (["simulate", "--set", "sim.dt=1e-320"], "horizon / dt must be a finite step count"),
+        (["simulate", "--set", "schema=true"], "config.schema must be 1"),
+        (["simulate", "--set", "schema=1.0"], "config.schema must be 1"),
     ],
 )
 def test_config_value_types_are_config_errors(tmp_path, capsys, argv, message):

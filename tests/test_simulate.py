@@ -23,7 +23,7 @@ from cbfctrl import (
     run,
     step,
 )
-from cbfctrl.formulas import controller_spec
+from cbfctrl.formulas import controller_spec, controller_terms
 from cbfctrl.manipulator import run_formulas, velocity_level_scenario
 from cbfctrl.simulate import _batch_members
 from cbfctrl.systems import linear_barrier, single_integrator
@@ -471,14 +471,15 @@ def test_list_run_matches_scalar_runs(sim, disturbed):
 def test_list_run_members_stay_batched(monkeypatch):
     # the scalar formula runs only where a member leaves the batch: never on
     # the benchmark's eta sweep, and for a failing member only to redo its
-    # failing step on the scalar loop (at most one RK4 step, 4 evaluations)
+    # failing step on the scalar loop (at most one RK4 step, 4 evaluations),
+    # which on these declared plants is the float loop and its formula core
     calls = []
 
-    def counted(spec, con, x=None, kd=None):
+    def counted(spec, c, c_bar, d2, x=None, d=None):
         calls.append(spec)
-        return evaluate_controller(spec, con, x, kd)
+        return controller_terms(spec, c, c_bar, d2, x, d)
 
-    monkeypatch.setattr("cbfctrl.simulate.evaluate_controller", counted)
+    monkeypatch.setattr("cbfctrl.simulate.controller_terms", counted)
     etas = velocity_specs([controller_spec("tunable", sigma=0.2, eta=e) for e in (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)])
     trajs = run(VELOCITY.system, etas, VELOCITY.barrier, VELOCITY.x0, SimConfig(dt=1e-3, horizon=0.3))
     assert all(t.ok for t in trajs) and calls == []
@@ -530,15 +531,17 @@ def declaring_stacks(system, barrier, nominal=None):
     """system declaring the evaluation of barrier and nominal, per state and
     over a stack, from maps that take either."""
 
-    def fn(x):
-        kd = None if nominal is None else np.asarray(nominal(x), dtype=float)
-        return system.drift(x), system.input_map(x), float(barrier.value(x)), barrier.gradient(x), kd
+    def floats(y):
+        x = np.array(y)
+        f, g, grad = (np.asarray(a(x), dtype=float).tolist() for a in (system.drift, system.input_map, barrier.gradient))
+        kd = None if nominal is None else np.asarray(nominal(x), dtype=float).tolist()
+        return f, g, float(barrier.value(x)), grad, kd
 
     def stack(xs):
         kd = None if nominal is None else nominal(xs)
         return system.drift(xs), system.input_map(xs), barrier.value(xs), barrier.gradient(xs), kd
 
-    return replace(system, evaluation=PlantEvaluation(fn, barrier, nominal, stack))
+    return replace(system, evaluation=PlantEvaluation(floats, barrier, nominal, stack))
 
 
 def stacked_line(drift, beta=1.5, slope=1.0, offset=1.0, nominal=None):
