@@ -31,7 +31,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +56,7 @@ from .formulas import (
     offset_not_finite,
     resolve_kappa,
 )
-from .simulate import SimConfig, Stage, Trajectory, _batch_members, evaluate_stack, point_evaluation, run
+from .simulate import SimConfig, Stage, Trajectory, evaluate_stack, point_evaluation, run, stacks
 
 CONFIG_ERROR = 1
 RUN_ERROR = 2
@@ -452,20 +452,7 @@ def cmd_sweep(args) -> int:
         node[leaf] = value
         validate_config(config)
         scenarios.append(build_scenario(config, zoh=args.zoh, seed=args.seed))
-
-    if param.startswith("controller.") and config["system"]["name"] != "two_link_torque":
-        # Only the formula differs, so the members share the first one's
-        # plant and nominal and advance together where their formulas allow.
-        first = scenarios[0]
-        specs = [replace(sc.spec, nominal=first.spec.nominal) for sc in scenarios]
-        trajs = run(first.system, specs, first.barrier, first.x0, first.sim_cfg, first.disturbance)
-    else:
-        # Any other key, or the torque level (whose plant embeds k0 and so
-        # the formula), changes the plant: each value runs on its own.
-        trajs = [
-            run(sc.system, sc.spec, sc.barrier, sc.x0, sc.sim_cfg, sc.disturbance)
-            for sc in scenarios
-        ]
+    trajs = [run(sc.system, sc.spec, sc.barrier, sc.x0, sc.sim_cfg, sc.disturbance) for sc in scenarios]
 
     out_dir = _out_dir(args.out)  # once every value is built and run
     any_failed = False
@@ -550,18 +537,16 @@ def _stacked_grid(scenario: Scenario, states: np.ndarray) -> tuple[FormulaBatch,
     """The grid's stacked evaluation: the formula kernel, its stage and the
     states that the kernel flags; None where the scenario does not stack.
 
-    Where the scenario's plant and formula stack (the sweep's rule, see
-    simulate._batch_members), every state is evaluated in one pass and every
-    unflagged state's values equal the per-state body's, bit for bit.
+    Where the scenario's plant and formula stack (see simulate.stacks),
+    every state is evaluated in one pass and every unflagged state's values
+    equal the per-state body's, bit for bit.
     """
     spec = scenario.spec
-    if not _batch_members(scenario.system, scenario.barrier, [spec]):
+    if not stacks(scenario.system, scenario.barrier, spec):
         return None
-    kernel = FormulaBatch([spec])
+    kernel = FormulaBatch(spec)
     with np.errstate(all="ignore"):
-        stage, flagged = evaluate_stack(
-            scenario.system, scenario.barrier, spec.nominal, states, kernel, check_shapes=True
-        )
+        stage, flagged = evaluate_stack(scenario.system, scenario.barrier, spec.nominal, states, kernel)
     return kernel, stage, flagged
 
 

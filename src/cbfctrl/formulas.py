@@ -26,8 +26,8 @@ A spec with a nominal k_d is a safety filter, evaluated in one pass over
 the same pair: c is shifted to c + d k_d(x) (:func:`filter_offset`),
 checked as c is, and the spec's formula runs there, with no second
 constraint and one output.  :class:`FormulaBatch` evaluates the same
-formulas for a batch of specs, each at its own point, with one numpy call
-per operation.
+formulas for one spec over a stack of points, with one numpy call per
+operation.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -196,7 +196,7 @@ class ControllerSpec:
         """The spec inner as a safety filter around nominal."""
         if inner.nominal is not None:
             raise ConfigurationError(f"safety_filter cannot wrap a {inner.kind!r} spec that has a nominal")
-        if not callable(nominal):  # a spec without a nominal is a bare one, see simulate._batch_members
+        if not callable(nominal):  # a spec without a nominal is a bare one, see simulate.stacks
             raise ConfigurationError(f"safety_filter needs a callable nominal, got {nominal!r}")
         return replace(inner, nominal=nominal)
 
@@ -400,64 +400,47 @@ def vectorisable(spec: ControllerSpec) -> bool:
 
 
 class FormulaBatch:
-    """The multipliers of a batch of vectorisable formula specs, member i at its own (c_i, d2_i).
+    """The multipliers of one vectorisable formula spec over a stack of points (c_i, d2).
 
-    Every operation is one numpy call over the batch, in the order of the
-    scalar functions, so that each member's lambda, kappa and Gamma equal
+    Every operation is one numpy call over the stack, in the order of the
+    scalar functions, so that each point's lambda, kappa and Gamma equal
     evaluate_controller's bit for bit.  sontag is the tunable formula at
     eta = 1, since (1 - 1) c / Gamma + 1 == 1.0, and qp is sontag's formula
     with kappa Gamma scaled by 0.  Instead of raising, a call flags every
-    member at which evaluate_controller might raise, and a few more where
+    point at which evaluate_controller might raise, and a few more where
     it does not: a Gamma that overflows or is below sqrt(DBL_MIN) (where
     core.Gamma takes its hypot form) and the tie kappa = 0 that the range
-    admits.  The caller hands a flagged member to the scalar path.
+    admits.  The caller evaluates a flagged point on the per-state path.
     :meth:`range_verdict` gives the exact verdict of the range rule
-    instead, at every member whose Gamma is in its direct form, so that
-    only the others need the scalar path.  One spec also broadcasts over a
-    stack of points, as a check/margin grid uses it.
+    instead, at every point whose Gamma is in its direct form, so that
+    only the others need the per-state path.
     """
 
-    def __init__(self, specs: Sequence[ControllerSpec]):
-        for spec in specs:
-            if not vectorisable(spec):
-                raise ConfigurationError(f"kind {spec.kind!r} with this shaping or policy does not batch")
-        self.specs = list(specs)
-        has_eta = [spec.kind in ("tunable", "bounded_input") for spec in specs]
-        self.has_eta = np.array(has_eta, dtype=bool)
-        self.qp = qp = np.array([spec.kind == "qp" for spec in specs], dtype=bool)
-        self.relu = relu = np.array([spec.relu for spec in specs], dtype=bool)
-        bounded = [spec.kind == "bounded_input" for spec in specs]
-        self.eta = np.array([s.policy.eta if e else 1.0 for s, e in zip(specs, has_eta)])
+    def __init__(self, spec: ControllerSpec):
+        if not vectorisable(spec):
+            raise ConfigurationError(f"kind {spec.kind!r} with this shaping or policy does not batch")
+        self.has_eta = spec.kind in ("tunable", "bounded_input")
+        self.qp = spec.kind == "qp"
+        self.relu = spec.relu
+        self.eta = spec.policy.eta if self.has_eta else 1.0
         self.one_minus_eta = 1.0 - self.eta
-        self.sigma = np.array([1.0 if q else s.shaping.sigma for s, q in zip(specs, qp)])
-        # None where no member needs the term.
-        self.kappa_gamma_scale = (~qp).astype(float) if qp.any() else None
-        self.kappa_nan = np.where(qp, math.nan, 0.0) if qp.any() else None
-        # The smooth form's lower bound: True for every member, else a mask.
-        self.smooth = None if relu.all() else True if not relu.any() else ~relu
-        self.gamma = (
-            np.array([s.gamma if b else math.nan for s, b in zip(specs, bounded)]) if any(bounded) else None
-        )
-        self.all_bounded = all(bounded)
-
-    def take(self, keep: np.ndarray) -> "FormulaBatch":
-        """The batch of the members where keep is True."""
-        return FormulaBatch([spec for spec, k in zip(self.specs, keep) if k])
+        self.sigma = 1.0 if self.qp else spec.shaping.sigma
+        self.gamma = spec.gamma if spec.kind == "bounded_input" else None  # None: no norm bound
 
     def __call__(
         self, c: np.ndarray, d2
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(lambda, kappa, Gamma, flagged) at offsets c (B,) and squared norms d2, one shared or (B,).
+        """(lambda, kappa, Gamma, flagged) at offsets c (B,) and the one squared norm d2 they share.
 
-        kappa is NaN at qp members, which have no tunable term; the
-        multiplier of a flagged member may be anything.
+        kappa is NaN for qp, which has no tunable term; the multiplier at a
+        flagged point may be anything.
         """
         gam = np.sqrt(c * c + (self.sigma * d2) * d2)
         kappa = self.one_minus_eta * (c / gam) + self.eta
         kappa_gam = kappa * gam
         num = kappa_gam - c
-        if self.kappa_gamma_scale is not None:
-            lam = np.maximum((kappa_gam * self.kappa_gamma_scale - c) / d2, 0.0)
+        if self.qp:
+            lam = np.maximum((kappa_gam * 0.0 - c) / d2, 0.0)
         else:
             lam = np.maximum(num / d2, 0.0)
         # kappa > 0 and Gamma > 0 (not underflowed to 0), also False where kappa is NaN
@@ -466,39 +449,29 @@ class FormulaBatch:
             flagged |= kappa > 1.0
         else:
             slack = self.gamma * np.sqrt(d2) + c
-            upper = slack / gam
-            if not self.all_bounded:
-                upper = np.fmin(upper, 1.0)  # 1 where gamma is NaN; a superset where it is not
-            flagged |= (slack < 0.0) | (kappa > upper)
-        if self.smooth is True:
+            flagged |= (slack < 0.0) | (kappa > slack / gam)
+        if not self.relu:
             flagged |= num < 0.0
-        elif self.smooth is not None:
-            flagged |= (num < 0.0) & self.smooth
         # Only where d2 <= EPS_D can the sum under Gamma fall below DBL_MIN
         # (see vectorisable), where core.Gamma takes its hypot form.
-        small = d2 <= EPS_D
-        if np.ndim(small) == 0:
-            if small:
-                lam = np.zeros_like(c)
-                flagged |= (c <= 0.0) | (gam < _SQRT_DBL_MIN)
-        elif small.any():
-            lam[small] = 0.0
-            flagged |= small & ((c <= 0.0) | (gam < _SQRT_DBL_MIN))
-        if self.kappa_nan is not None:
-            kappa = kappa + self.kappa_nan  # after the flags, which read sontag's kappa
+        if d2 <= EPS_D:
+            lam = np.zeros_like(c)
+            flagged |= (c <= 0.0) | (gam < _SQRT_DBL_MIN)
+        if self.qp:
+            kappa = kappa + math.nan  # after the flags, which read sontag's kappa
         return lam, kappa, gam, flagged
 
     def range_verdict(
         self, c: np.ndarray, d2, kappa: np.ndarray, gam: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(kappa, ok, decided) of a point check at the offsets c and squared
-        norms d2 of a call, with the call's kappa and Gamma.
+        norm d2 of a call, with the call's kappa and Gamma.
 
         Where decided, ok equals the scalar verdict: the point is feasible
-        (||d||^2 > EPS_D or c > 0) and, except at qp members, check_kappa_range
+        (||d||^2 > EPS_D or c > 0) and, except for qp, check_kappa_range
         admits kappa; and kappa is resolve_kappa's, which is NaN where it
-        raises DomainError (tunable and bounded-input members at an
-        infeasible point).  Decided are the members whose Gamma is in
+        raises DomainError (tunable and bounded-input specs at an
+        infeasible point).  Decided are the points whose Gamma is in
         core.Gamma's direct form, DBL_MIN <= c^2 + s(d2) d2 <= DBL_MAX, where
         the call's kappa and Gamma equal the scalar ones; elsewhere ok and
         kappa may be anything.
@@ -508,18 +481,12 @@ class FormulaBatch:
         big = d2 > EPS_D
         feasible = big | (c > 0.0)
         # check_kappa_range, branch by branch
-        if self.gamma is None:
-            upper = 1.0
-        else:
-            upper = (self.gamma * np.sqrt(d2) + c) / gam
-            if not self.all_bounded:
-                upper = np.where(np.isnan(self.gamma), 1.0, upper)
+        upper = 1.0 if self.gamma is None else (self.gamma * np.sqrt(d2) + c) / gam
         num = kappa * gam - c
         smooth_lower = ~((num != 0.0) & ((num < 0.0) | (kappa <= 0.0)))
         relu_lower = (kappa > 0.0) | (big & (kappa == upper) & (upper == 0.0))
-        in_range = np.where(big, kappa <= upper, True) & np.where(big & ~self.relu, smooth_lower, relu_lower)
-        ok = feasible & (self.qp | in_range)
-        domain = self.has_eta & ~feasible
-        if domain.any():
-            kappa = np.where(domain, math.nan, kappa)
+        in_range = (kappa <= upper if big else True) & (smooth_lower if big and not self.relu else relu_lower)
+        ok = feasible if self.qp else feasible & in_range
+        if self.has_eta and not feasible.all():
+            kappa = np.where(feasible, kappa, math.nan)
         return kappa, ok, decided

@@ -299,14 +299,15 @@ def velocity_level_scenario(
 def run_formulas(
     scenario: VelocityScenario, formulas, cfg: Optional[SimConfig] = None, disturbance=None
 ) -> list[Trajectory]:
-    """Run the scenario's plant once per formula spec, all advancing together.
+    """Run the scenario's plant once per formula spec, one after another.
 
     Each formula (a spec from controller_spec) sits inside the scenario's
-    safety filter, so member i is the run of velocity_level_scenario with
+    safety filter, so run i is the run of velocity_level_scenario with
     that formula.
     """
+    cfg = cfg or SimConfig()
     specs = [ControllerSpec.safety_filter(f, scenario.spec.nominal) for f in formulas]
-    return run(scenario.system, specs, scenario.barrier, scenario.x0, cfg or SimConfig(), disturbance)
+    return [run(scenario.system, spec, scenario.barrier, scenario.x0, cfg, disturbance) for spec in specs]
 
 
 # --- torque-level (backstepped) scenario -------------------------------------
@@ -464,9 +465,8 @@ def bounded_input_study(
 
     eta = 1.0 coincides with the sontag formula.  Each eta is run with
     the unconstrained smooth filter to measure the peak correction norm
-    and with the bounded-input formula, all runs advancing together; a
-    range violation or incompatibility mid-run is flagged rather than
-    raised.
+    and with the bounded-input formula, one run after another; a range
+    violation or incompatibility mid-run is flagged rather than raised.
     """
     cfg = cfg or SimConfig()
     etas = [float(eta) for eta in etas]

@@ -10,14 +10,14 @@ Runs that hit an infeasible constraint, a tunable range violation, or a
 numerical blow-up return a truncated trajectory carrying the failure
 reason instead of raising.
 
-A scalar run has two loops.  Where the run is on exactly the barrier and
-nominal that the plant declared its evaluation with (core.PlantEvaluation,
-compared by identity), and its policy does not read the state
-(kappa_direct), it runs in Python floats (_run_floats): the state is a
+run takes one spec and has two loops.  Where the run is on exactly the
+barrier and nominal that the plant declared its evaluation with
+(core.PlantEvaluation, compared by identity), and its policy does not read
+the state (kappa_direct), it runs in Python floats (_run_floats): the state is a
 tuple, each evaluation one call of the plant's floats, every sum a float
 sum written left to right, the formula formulas.controller_terms (the
 float core of evaluate_controller) and the rows lists of floats, made into
-arrays once at the end.  Every other scalar run takes the numpy loop, the
+arrays once at the end.  Every other run takes the numpy loop, the
 reference, whose evaluation at a state is point_evaluation's: it calls the
 drift, input map, barrier value and gradient and the nominal once per
 state, and builds one AffineConstraint, which holds ||d||^2, and one
@@ -30,24 +30,10 @@ for bit where the plant's products are exact (the velocity-level
 manipulator), and otherwise up to the rounding of numpy's fused dot
 products (see manipulator).
 
-run also takes a sequence of specs over one plant and returns one
-trajectory per spec.  Members whose formulas vectorise (see
-formulas.FormulaBatch) and that share one nominal, the declared one or
-none, advance together on a plant that declares its stacked evaluation
-(core.PlantEvaluation.stack) for the run's barrier: one RK4 loop over the
-(B, n) stack of their states, with one stack call and one numpy call per
-operation for all of them; every other member runs the scalar loop.  The
-stack shares the input map and barrier gradient among its rows, so d and
-||d||^2 are shared too.  The scalar loop is the reference, and the batch
-reproduces it bit for bit on the velocity-level manipulator, whose maps
-are exact in the batch's order of operations.  A member that
-the formula kernel flags at step k (at x_k or in RK4 stages 2-4), or whose
-new state is not finite, leaves the batch: the scalar loop finishes it
-from its state x_k at step k, after the rows the batch recorded for the
-steps before k, and the others go on.  So does every member if the
-disturbance raises at step k.  A failure, its step and its rows are
-therefore the scalar loop's own.  evaluate_stack, the batch's evaluation
-at a stack of states, also serves the CLI's check and margin grids.
+evaluate_stack evaluates one spec at a stack of states in one pass, on a
+plant that declares its stacked evaluation (core.PlantEvaluation.stack)
+for the barrier and the spec's nominal (see stacks); the CLI's check and
+margin grids use it.
 """
 
 from __future__ import annotations
@@ -59,7 +45,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .analysis import DisturbanceSpec, margin, margin_of, margins
+from .analysis import DisturbanceSpec, margin, margin_of
 from .core import (
     EPS_D,
     BarrierFunction,
@@ -191,8 +177,8 @@ def _advance(
     integrator: str,
     k1: np.ndarray,
 ) -> np.ndarray:
-    """One Euler or RK4 step of xdot = field(y) from a state or a stack of
-    states x, where k1 = field(x); the new state is not checked."""
+    """One Euler or RK4 step of xdot = field(y) from the state x, where
+    k1 = field(x); the new state is not checked."""
     if integrator == "euler":
         return x + dt * k1
     k2 = field(x + (0.5 * dt) * k1)
@@ -264,12 +250,12 @@ def point_evaluation(system: ControlAffineSystem, barrier: BarrierFunction, spec
 
 def run(
     system: ControlAffineSystem,
-    spec: ControllerSpec | Sequence[ControllerSpec],
+    spec: ControllerSpec,
     barrier: BarrierFunction,
     x0: np.ndarray,
     cfg: SimConfig,
     disturbance: Optional[DisturbanceSpec] = None,
-) -> Trajectory | list[Trajectory]:
+) -> Trajectory:
     """Simulate the closed loop and record the trajectory.
 
     At every evaluation point the controller is evaluate_controller on the
@@ -277,9 +263,9 @@ def run(
     to the input after controller evaluation, at the pre-step time; it must
     be an (m,) vector, checked at t = 0 before the first step.  The start
     state must satisfy h(x0) >= 0 unless allow_unsafe_start.
-    Given a sequence of specs, returns the trajectory of each, as the
-    scalar run of that spec would (see the module docstring).
     """
+    if not isinstance(spec, ControllerSpec):
+        raise ConfigurationError(f"run takes one ControllerSpec, got {type(spec).__name__}")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (system.state_dim,):
         raise ConfigurationError(
@@ -292,19 +278,7 @@ def run(
         )
     if disturbance is not None:
         _check_disturbance(disturbance, system.input_dim)
-    if isinstance(spec, ControllerSpec):
-        return _run_scalar(system, spec, barrier, x0, cfg, disturbance)
-    specs = list(spec)
-    together = _batch_members(system, barrier, specs)
-    trajs = [
-        None if i in together else _run_scalar(system, s, barrier, x0, cfg, disturbance)
-        for i, s in enumerate(specs)
-    ]
-    if together:
-        batch = _Batch(system, [specs[i] for i in together], barrier)
-        for i, traj in zip(together, batch.run(x0, cfg, disturbance)):
-            trajs[i] = traj
-    return trajs
+    return _run_scalar(system, spec, barrier, x0, cfg, disturbance)
 
 
 def _check_disturbance(disturbance: DisturbanceSpec, m: int) -> None:
@@ -331,19 +305,16 @@ def _run_scalar(
     x0: np.ndarray,
     cfg: SimConfig,
     disturbance: Optional[DisturbanceSpec],
-    start: int = 0,
-    prior: Optional[dict[str, np.ndarray]] = None,
 ) -> Trajectory:
-    """The closed loop from x0 at step start, after the prior rows (keyed by
-    Trajectory field) that a run from step 0 recorded before it: the float
-    loop where the plant declares its evaluation for this barrier and
-    nominal and the policy is not kappa_direct, else the numpy loop."""
+    """The closed loop from x0: the float loop where the plant declares its
+    evaluation for this barrier and nominal and the policy is not
+    kappa_direct, else the numpy loop."""
     ev = _declared(system, barrier, spec)
     if ev is not None and (spec.policy is None or spec.policy.kind != "kappa_direct"):
-        return _run_floats(ev.floats, system, spec, barrier.classk, x0, cfg, disturbance, start, prior)
+        return _run_floats(ev.floats, system, spec, barrier.classk, x0, cfg, disturbance)
     n_steps = cfg.n_steps
     m = system.input_dim
-    rows = {name: list(prior[name]) if prior else [] for name in _ROWS}
+    rows = {name: [] for name in _ROWS}
     failure: Optional[str] = None
     failure_step: Optional[int] = None
     at, maps = point_evaluation(system, barrier, spec)
@@ -365,7 +336,7 @@ def _run_scalar(
         return f + g @ applied(out)
 
     x = x0.copy()
-    k = start
+    k = 0
     try:
         while True:
             w = disturbance.at(k * cfg.dt, m) if disturbance is not None else None
@@ -430,7 +401,7 @@ def _dot(n: int) -> Callable[[Sequence[float], Sequence[float]], float]:
     return dot
 
 
-def _run_floats(floats, system, spec, classk, x0, cfg: SimConfig, disturbance, start, prior) -> Trajectory:
+def _run_floats(floats, system, spec, classk, x0, cfg: SimConfig, disturbance) -> Trajectory:
     """_run_scalar's loop on the plant's declared floats (see the module
     docstring); every product that numpy's loop forms with @ is a _dot."""
     n, m = system.state_dim, system.input_dim
@@ -440,7 +411,7 @@ def _run_floats(floats, system, spec, classk, x0, cfg: SimConfig, disturbance, s
     euler = cfg.integrator == "euler"
     filtered = spec.nominal is not None
     isfinite, sqrt, nan = math.isfinite, math.sqrt, math.nan
-    rows = [prior[name].tolist() if prior else [] for name in _ROWS]
+    rows = [[] for _ in _ROWS]
     times, states, inputs, h_values, residuals, kappas, margins_, norms = rows
     failure: Optional[str] = None
     failure_step: Optional[int] = None
@@ -474,7 +445,7 @@ def _run_floats(floats, system, spec, classk, x0, cfg: SimConfig, disturbance, s
         return [fi + dot_m(gi, a) for fi, gi in zip(f, g)]
 
     x = tuple(np.asarray(x0, dtype=float).tolist())
-    k = start
+    k = 0
     try:
         while True:
             w = disturbance.at(k * dt, m).tolist() if disturbance is not None else None
@@ -513,26 +484,6 @@ def _run_floats(floats, system, spec, classk, x0, cfg: SimConfig, disturbance, s
     return _trajectory(rows, system, failure, failure_step)
 
 
-# --- members advancing together ----------------------------------------------
-
-
-def _batch_members(system, barrier, specs: list[ControllerSpec]) -> list[int]:
-    """Indices of the specs that advance together: every vectorisable one
-    whose nominal (None for a bare spec) is the first one's, where the
-    system declares a stacked evaluation (core.PlantEvaluation.stack) for
-    this barrier and that nominal or none."""
-    ev = system.evaluation
-    if ev is None or ev.stack is None or barrier is not ev.barrier:
-        return []
-    fits = [i for i, s in enumerate(specs) if vectorisable(s)]
-    if not fits:
-        return []
-    nominal = specs[fits[0]].nominal
-    if nominal is not None and nominal is not ev.nominal:
-        return []
-    return [i for i in fits if specs[i].nominal is nominal]
-
-
 class Stage(NamedTuple):
     """The evaluation at a stack of states: the plant's maps, the constraint
     (c, d) and the formula at (c_bar, d), c_bar = c + d.k_d."""
@@ -550,25 +501,36 @@ class Stage(NamedTuple):
     u: np.ndarray
 
 
-def evaluate_stack(
-    system, barrier, nominal, ys: np.ndarray, kernel: FormulaBatch, check_shapes: bool = False
-) -> tuple[Stage, np.ndarray]:
+def stacks(system: ControlAffineSystem, barrier: BarrierFunction, spec: ControllerSpec) -> bool:
+    """Whether evaluate_stack evaluates spec: a vectorisable spec (see
+    formulas.FormulaBatch), bare or around the declared nominal, on a system
+    that declares a stacked evaluation (core.PlantEvaluation.stack) for this
+    barrier."""
+    ev = system.evaluation
+    return (
+        ev is not None
+        and ev.stack is not None
+        and barrier is ev.barrier
+        and vectorisable(spec)
+        and (spec.nominal is None or spec.nominal is ev.nominal)
+    )
+
+
+def evaluate_stack(system, barrier, nominal, ys: np.ndarray, kernel: FormulaBatch) -> tuple[Stage, np.ndarray]:
     """The stage at the stack of states ys (B, n), around the nominal (None
     for none), and the rows that the kernel flags.
 
-    The maps come from one call of the system's stacked evaluation (see
-    core.PlantEvaluation and _batch_members).  The kernel's members are the
-    rows, or one spec broadcast over them.  Each value equals
+    The maps come from one call of the system's stacked evaluation, whose
+    output shapes are checked (see core.PlantEvaluation and stacks), and the
+    kernel's one spec is broadcast over the rows.  Each value equals
     evaluate_constraint's and evaluate_controller's at the row, bit for bit,
     where the maps are exact in this order of operations; a row where the
-    filter's unshifted c is infeasible is flagged too.  check_shapes checks
-    the maps' output shapes, once per caller.
+    filter's unshifted c is infeasible is flagged too.
     """
     f, g, h, grad, kd = system.evaluation.stack(ys)
     if nominal is None:
-        kd = None  # bare members run around no nominal, whatever the declaration's
-    if check_shapes:
-        _check_shapes(system, len(ys), f, g, h, grad, kd)
+        kd = None  # a bare spec runs around no nominal, whatever the declaration's
+    _check_shapes(system, len(ys), f, g, h, grad, kd)
     c = f @ grad + barrier.classk.fn(h)
     d = grad @ g
     d2 = d @ d  # a numpy float: the kernel's array ops take it faster than a Python float
@@ -598,122 +560,3 @@ def _check_shapes(system, b, f, g, h, grad, kd) -> None:
             raise ConfigurationError(
                 f"{name} of {where} has shape {np.shape(arr)}, expected one of {shapes}"
             )
-
-
-class _Batch:
-    """Members that share a plant and advance through one RK4 loop."""
-
-    def __init__(self, system, specs, barrier):
-        self.system = system
-        self.barrier = barrier
-        self.specs = specs
-        self.nominal = specs[0].nominal
-        self.checked = False
-
-    def evaluate(self, ys: np.ndarray, kernel: FormulaBatch) -> tuple[Stage, np.ndarray]:
-        out = evaluate_stack(self.system, self.barrier, self.nominal, ys, kernel, not self.checked)
-        self.checked = True
-        return out
-
-    def run(self, x0: np.ndarray, cfg: SimConfig, disturbance) -> list[Trajectory]:
-        n_members = len(self.specs)
-        n_steps = cfg.n_steps
-        every = cfg.record_every
-        m = self.system.input_dim
-        rec = _Record(np.arange(0, n_steps + 1, every) * cfg.dt, n_members, self.system.state_dim, m)
-        trajs: list[Optional[Trajectory]] = [None] * n_members
-        kernel = FormulaBatch(self.specs)
-        members = np.arange(n_members)  # the member of each row of xs
-        xs = np.tile(x0, (n_members, 1))
-        outer_err = np.geterr()  # a handed-off member runs as it would alone
-
-        def hand_off(out: np.ndarray, x_k: np.ndarray, k: int) -> np.ndarray:
-            """Finish the members at the positions out on the scalar loop, from
-            their states x_k at step k; the mask of the others."""
-            nonlocal members, kernel
-            with np.errstate(**outer_err):
-                for pos in np.flatnonzero(out):
-                    i = members[pos]
-                    prior = rec.rows(i, -(-k // every))  # the rows of the steps before k
-                    trajs[i] = _run_scalar(
-                        self.system, self.specs[i], self.barrier, x_k[pos], cfg, disturbance, k, prior
-                    )
-            keep = ~out
-            members, kernel = members[keep], kernel.take(keep)
-            return keep
-
-        with np.errstate(all="ignore"):
-            k = 0
-            while len(members):
-                try:
-                    w = disturbance.at(k * cfg.dt, m) if disturbance is not None else None
-                except CBFControlError:
-                    hand_off(np.ones(len(members), dtype=bool), xs, k)
-                    break
-                stage, flagged = self.evaluate(xs, kernel)
-                if flagged.any():
-                    xs = xs[hand_off(flagged, xs, k)]
-                    continue  # evaluate the others again at x_k
-                u_k = stage.u if w is None else stage.u + w
-                if k % every == 0:
-                    rec.write(k // every, None if len(members) == n_members else members, xs, stage, u_k)
-                if k >= n_steps:
-                    break
-                x_new, flagged = self.step(xs, stage, u_k, w, kernel, cfg)
-                if flagged.any():
-                    x_new = x_new[hand_off(flagged, xs, k)]
-                xs = x_new
-                k += 1
-
-        for i in members:
-            trajs[i] = Trajectory(**rec.rows(i, len(rec.times)))
-        return trajs
-
-    def step(self, xs, stage: Stage, u_k, w, kernel, cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
-        """One RK4 (or Euler) step of every member from xs, and the members
-        flagged in stages 2-4 or whose new state is not finite."""
-        flagged = np.zeros(len(xs), dtype=bool)
-
-        def field(ys):
-            nonlocal flagged
-            if cfg.zoh:
-                f, g = self.system.evaluation.stack(ys)[:2]
-                return f + u_k @ g.T
-            st, out = self.evaluate(ys, kernel)
-            flagged = flagged | out
-            return st.f + (st.u if w is None else st.u + w) @ st.g.T
-
-        x_new = _advance(field, xs, cfg.dt, cfg.integrator, stage.f + u_k @ stage.g.T)
-        return x_new, flagged | ~np.isfinite(x_new).all(axis=1)
-
-
-class _Record:
-    """Preallocated (rows, members, ...) arrays of a batch's recorded rows at the given times."""
-
-    def __init__(self, times: np.ndarray, n_members: int, n: int, m: int):
-        n_rows = len(times)
-        self.times = times
-        self.states = np.empty((n_rows, n_members, n))
-        self.inputs = np.empty((n_rows, n_members, m))
-        self.h_values = np.empty((n_rows, n_members))
-        self.residuals = np.empty((n_rows, n_members))
-        self.kappas = np.empty((n_rows, n_members))
-        self.margins = np.empty((n_rows, n_members))
-        self.correction_norms = np.empty((n_rows, n_members))
-
-    def write(self, row: int, members, xs, stage: Stage, u_applied) -> None:
-        """Record row for the members (all when None) as the scalar loop's record would."""
-        sel = slice(None) if members is None else members
-        self.states[row, sel] = xs
-        self.inputs[row, sel] = stage.u
-        self.h_values[row, sel] = stage.h
-        self.residuals[row, sel] = stage.c + u_applied @ stage.d
-        self.kappas[row, sel] = stage.kappa
-        self.margins[row, sel] = margins(stage.c_bar, stage.kappa, stage.gam)
-        self.correction_norms[row, sel] = stage.lam * np.sqrt(stage.d2)
-
-    def rows(self, i: int, n_rows: int) -> dict[str, np.ndarray]:
-        """Member i's first n_rows rows, keyed by Trajectory field."""
-        rows = {name: getattr(self, name)[:n_rows, i].copy() for name in _ROWS if name != "times"}
-        rows["times"] = self.times[:n_rows].copy()
-        return rows

@@ -47,7 +47,7 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def velocity_runs():
-    """10 s velocity-level runs for qp, the eta grid, and the sontag term, advancing together."""
+    """10 s velocity-level runs for qp, the eta grid, and the sontag term, one after another."""
     cfg = SimConfig(dt=1e-3, horizon=10.0)
     formulas = {"qp": controller_spec("qp")}
     formulas.update({eta: controller_spec("tunable", sigma=SIGMA, eta=eta) for eta in ETAS})
@@ -225,7 +225,7 @@ def test_c07_velocity_level_safety_and_ordering(velocity_runs):
         safety_ok and ordering_ok and elapsed < 30.0,
         f"min h per run {{qp: {min_h['qp']:.4f}, "
         + ", ".join(f"{e}: {min_h[e]:.4f}" for e in ETAS)
-        + f"}}, {elapsed:.1f}s for the 7 runs together",
+        + f"}}, {elapsed:.1f}s for the 7 runs one after another",
     )
 
 

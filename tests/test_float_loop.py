@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from cbfctrl import CBFControlError, ControllerSpec, DisturbanceSpec, SimConfig, TunableTermPolicy, run
 from cbfctrl.manipulator import Q2_LIMIT, torque_level_scenario, velocity_level_scenario
-from test_simulate import S02, stacked_line
+from test_simulate import S02, declared_line
 
 RECORDED = ("times", "states", "inputs", "h_values", "residuals", "kappas", "margins", "correction_norms")
 TORQUE_TOL = 1e-11  # relative to max(1, |entry|), on a torque run with a smooth k0
@@ -154,7 +154,7 @@ def test_torque_float_loop_fails_as_the_numpy_loop():
 def test_float_loop_blow_ups_equal_the_numpy_loop(zoh):
     # xdot = x^2 + u on the line, pushed outward (h = 1 + x grows): escapes
     # near t = 0.5, as a non-finite constraint at x_k or inside the step
-    system, barrier = stacked_line(lambda x: x * x)
+    system, barrier = declared_line(lambda x: x * x)
     specs = [ControllerSpec.qp(), ControllerSpec.sontag(S02), ControllerSpec.tunable(S02, TunableTermPolicy.eta_constant(0.6))]
     cfg = SimConfig(dt=1e-3, horizon=1.0, zoh=zoh)
     with np.errstate(all="ignore"):

@@ -9,12 +9,14 @@ import math
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from cbfctrl import (
     AffineConstraint,
     CBFControlError,
+    ConfigurationError,
     ControllerSpec,
     KappaRangeError,
     ShapingFunction,
@@ -149,24 +151,26 @@ def batch_specs(sigma, eta, gamma):
 
 
 def assert_kernel_matches_scalar(specs, cs_, d):
-    # every member where evaluate_controller raises is flagged, and every
-    # unflagged member's lambda, kappa and Gamma are the scalar ones, bit for bit
+    # each spec alone over the stack cs_: every point where evaluate_controller
+    # raises is flagged, and every unflagged point's lambda, kappa and Gamma
+    # are the scalar ones, bit for bit
     d2 = AffineConstraint(0.0, d).d_norm_sq
-    with np.errstate(all="ignore"):
-        lam, kappa, gam, flagged = FormulaBatch(specs)(np.array(cs_), d2)
-    for i, (spec, c) in enumerate(zip(specs, cs_)):
-        if spec.kind == "qp":
-            assert math.isnan(kappa[i])  # qp has no tunable term
-        try:
-            out = evaluate_controller(spec, AffineConstraint(c, d))
-        except CBFControlError:
-            assert flagged[i]
-            continue
-        if flagged[i]:
-            continue
-        assert lam[i] == out.lam
-        if spec.kind != "qp":
-            assert (kappa[i], gam[i]) == (out.kappa, out.gamma_eff)
+    for spec in specs:
+        with np.errstate(all="ignore"):
+            lam, kappa, gam, flagged = FormulaBatch(spec)(np.array(cs_), d2)
+        for i, c in enumerate(cs_):
+            if spec.kind == "qp":
+                assert math.isnan(kappa[i])  # qp has no tunable term
+            try:
+                out = evaluate_controller(spec, AffineConstraint(c, d))
+            except CBFControlError:
+                assert flagged[i]
+                continue
+            if flagged[i]:
+                continue
+            assert lam[i] == out.lam
+            if spec.kind != "qp":
+                assert (kappa[i], gam[i]) == (out.kappa, out.gamma_eff)
 
 
 @given(
@@ -193,7 +197,7 @@ def test_batch_kernel_matches_scalar(cs_, d, sigma, eta, gamma):
 )
 @example([1e-265, 1e-265, 1.0], [0.0], 0.2, 0.7, 1.0)  # the direct Gamma underflows to 0
 def test_bounded_batch_kernel_matches_scalar(cs_, d, sigma, eta, gamma):
-    # a batch of bounded-input members only, whose kappa upper bound is slack / Gamma alone
+    # bounded-input specs, whose kappa upper bound is slack / Gamma alone
     shaping = ShapingFunction.linear(sigma)
     specs = [
         ControllerSpec.bounded_input(shaping, gamma, TunableTermPolicy.eta_constant(eta)),
@@ -209,29 +213,8 @@ def test_shaping_slopes_too_small_for_the_kernel_do_not_batch():
     assert vectorisable(controller_spec("sontag", sigma=1e-280))
     assert not vectorisable(controller_spec("sontag", sigma=1e-290))
     assert not vectorisable(controller_spec("tunable", sigma=1e-290, eta=0.7))
-
-
-@given(cs, ds, sigmas, gammas)
-@example(1e-170, [1e-78], 0.2, 1.0)  # the direct Gamma's sum is subnormal for the last two
-def test_batch_kernel_per_member_norms(c, d, sigma, gamma):
-    # the same with one ||d||^2 per member, so that some sit below EPS_D
-    specs = batch_specs(sigma, 0.7, gamma)
-    cons = [AffineConstraint(c, np.asarray(d) * scale) for scale in (1.0, 1e-7, 0.0, 2.0, 1.0)]
-    with np.errstate(all="ignore"):
-        lam, kappa, gam, flagged = FormulaBatch(specs)(
-            np.array([con.c for con in cons]), np.array([con.d_norm_sq for con in cons])
-        )
-    for i, (spec, con) in enumerate(zip(specs, cons)):
-        try:
-            out = evaluate_controller(spec, con)
-        except CBFControlError:
-            assert flagged[i]
-            continue
-        if flagged[i]:
-            continue
-        assert lam[i] == out.lam
-        if spec.kind != "qp":
-            assert (kappa[i], gam[i]) == (out.kappa, out.gamma_eff)
+    with pytest.raises(ConfigurationError, match="^kind 'sontag' with this shaping or policy does not batch$"):
+        FormulaBatch(controller_spec("sontag", sigma=1e-290))
 
 
 def checked_point(spec, c, d):
@@ -274,13 +257,13 @@ def test_range_verdict_matches_the_per_state_check(cs_, d, sigma, eta, gamma, re
     with np.errstate(over="ignore"):
         d2 = AffineConstraint(0.0, d).d_norm_sq
     c = np.array(cs_)
-    # the four kinds as one batch, member i at cs_[i], and each kind alone over the stack cs_
-    batches = [(FormulaBatch(specs), specs)] + [(FormulaBatch([spec]), [spec] * len(cs_)) for spec in specs]
-    for kernel, members in batches:
+    # each kind alone over the stack cs_
+    for spec in specs:
+        kernel = FormulaBatch(spec)
         with np.errstate(all="ignore"):
             _, kappa, gam, _ = kernel(c, d2)
             kappa, ok, decided = kernel.range_verdict(c, d2, kappa, gam)
-        for i, (spec, ci) in enumerate(zip(members, cs_)):
+        for i, ci in enumerate(cs_):
             if 1e-100 < abs(ci) < 1e100 and d2 < 1e100:
                 assert decided[i]
             if not decided[i]:

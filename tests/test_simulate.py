@@ -23,9 +23,9 @@ from cbfctrl import (
     run,
     step,
 )
-from cbfctrl.formulas import controller_spec, controller_terms
+from cbfctrl.formulas import controller_spec
 from cbfctrl.manipulator import run_formulas, velocity_level_scenario
-from cbfctrl.simulate import _batch_members
+from cbfctrl.simulate import _run_floats, stacks
 from cbfctrl.systems import linear_barrier, single_integrator
 
 S02 = ShapingFunction.linear(0.2)
@@ -374,7 +374,7 @@ def test_run_matches_reference_loop_euler_and_failures():
     # a range violation mid-run
     bi = velocity_level_scenario(eta=0.7, sigma=0.2, kind="bounded_input", gamma=1.0)
     cfg = SimConfig(dt=1e-3, horizon=0.2)
-    assert not assert_matches_reference(bi.system, bi.spec, bi.barrier, bi.x0, cfg).ok
+    assert assert_matches_reference(bi.system, bi.spec, bi.barrier, bi.x0, cfg).failure_step == 86
     # a blow-up: xdot = x^2 from x = 2 escapes at t = 0.5
     system = ControlAffineSystem(
         state_dim=1,
@@ -408,29 +408,24 @@ def test_run_evaluates_each_state_once(integrator, zoh, per_step):
     assert len(calls) == per_step * 50 + 1
 
 
-# --- members advancing together -------------------------------------------------
+# --- one spec per run ------------------------------------------------------------
 
 VELOCITY = velocity_level_scenario(sigma=0.2)
-FAILING_GAMMAS = (1.0, 1.5, 2.0)  # the benchmark's bounded-input members fail at 86, 272, 563
+FAILING_GAMMAS = (1.0, 1.5, 2.0)  # the benchmark's bounded-input runs fail at 86, 272, 563
 
 
-def assert_list_run_matches(system, specs, barrier, x0, cfg, disturbance=None):
-    """A list run equals one scalar run per spec in every recorded array."""
-    together = run(system, specs, barrier, x0, cfg, disturbance)
-    assert len(together) == len(specs)
-    for spec, traj in zip(specs, together):
-        alone = run(system, spec, barrier, x0, cfg, disturbance)
-        for name in RECORDED:
-            a, b = getattr(traj, name), getattr(alone, name)
-            assert a.shape == b.shape and a.dtype == b.dtype, name
-            assert a.tobytes() == b.tobytes(), name
-        assert traj.failure == alone.failure
-        assert traj.failure_step == alone.failure_step
-    return together
+def test_run_takes_one_spec():
+    with pytest.raises(ConfigurationError, match="^run takes one ControllerSpec, got list$"):
+        run(VELOCITY.system, [VELOCITY.spec], VELOCITY.barrier, VELOCITY.x0, SimConfig(dt=1e-3, horizon=0.01))
 
 
 def velocity_specs(formulas):
     return [ControllerSpec.safety_filter(f, VELOCITY.spec.nominal) for f in formulas]
+
+
+def velocity_runs(formulas, cfg, disturbance=None):
+    """The run of the velocity scenario's filter around each formula."""
+    return [run(VELOCITY.system, s, VELOCITY.barrier, VELOCITY.x0, cfg, disturbance) for s in velocity_specs(formulas)]
 
 
 KINDS = [
@@ -442,19 +437,72 @@ KINDS = [
 ] + [controller_spec("bounded_input", sigma=0.2, eta=0.7, gamma=g) for g in FAILING_GAMMAS]
 
 
+def test_stacks_admits_vectorisable_specs_on_the_declared_plant():
+    # the gate of the check and margin grids' stacked evaluation
+    assert all(stacks(VELOCITY.system, VELOCITY.barrier, s) for s in velocity_specs(KINDS))
+    assert stacks(VELOCITY.system, VELOCITY.barrier, ControllerSpec.qp())  # a bare spec runs around no nominal
+    others = [
+        ControllerSpec.tunable(ShapingFunction.custom(lambda y: 0.2 * y), TunableTermPolicy.eta_constant(0.7)),
+        ControllerSpec.tunable(S02, TunableTermPolicy.kappa_direct(lambda x: 0.8)),
+        ControllerSpec.bounded_input(S02, 1.0),  # the eta_function default policy
+    ]
+    assert not any(stacks(VELOCITY.system, VELOCITY.barrier, s) for s in velocity_specs(others))
+    around_another = ControllerSpec.safety_filter(controller_spec("qp"), lambda x: VELOCITY.spec.nominal(x))
+    assert not stacks(VELOCITY.system, VELOCITY.barrier, around_another)
+    assert not stacks(VELOCITY.system, replace(VELOCITY.barrier), VELOCITY.spec)  # a copy breaks the identity
+    assert not stacks(single_integrator(1), linear_barrier([1.0], 1.0), ControllerSpec.qp())
+
+
+LOOP_CASES = {
+    # (system, barrier, spec, x0, runs the float loop)
+    "declared": (VELOCITY.system, VELOCITY.barrier, velocity_specs(KINDS[3:4])[0], VELOCITY.x0, True),
+    "kappa_direct": (
+        VELOCITY.system, VELOCITY.barrier,
+        velocity_specs([ControllerSpec.tunable(S02, TunableTermPolicy.kappa_direct(lambda x: 0.8))])[0],
+        VELOCITY.x0, False,
+    ),
+    "another_nominal": (
+        VELOCITY.system, VELOCITY.barrier,
+        ControllerSpec.safety_filter(controller_spec("qp"), lambda x: VELOCITY.spec.nominal(x)),
+        VELOCITY.x0, False,
+    ),
+    "copied_barrier": (VELOCITY.system, replace(VELOCITY.barrier), VELOCITY.spec, VELOCITY.x0, False),
+    "undeclared_plant": (
+        single_integrator(1), linear_barrier([1.0], 1.0, beta=1.5),
+        ControllerSpec.safety_filter(ControllerSpec.sontag(S02), lambda x: np.array([2.0])),
+        np.array([0.0]), False,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(LOOP_CASES))
+def test_run_takes_the_float_loop_only_where_the_plant_declares_it(monkeypatch, case):
+    # the float loop needs the plant's evaluation declared for this barrier
+    # and nominal, and a policy other than kappa_direct; either loop is the
+    # reference loop in every recorded array
+    system, barrier, spec, x0, floats = LOOP_CASES[case]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _run_floats(*args)
+
+    monkeypatch.setattr("cbfctrl.simulate._run_floats", counted)
+    traj = assert_matches_reference(system, spec, barrier, x0, SimConfig(dt=1e-3, horizon=0.2))
+    assert traj.ok and len(calls) == int(floats)
+
+
 @pytest.mark.parametrize(
     "sim",
     [{}, {"zoh": True}, {"integrator": "euler"}, {"record_every": 3}],
     ids=["rk4", "zoh", "euler", "record_every"],
 )
 @pytest.mark.parametrize("disturbed", [False, True])
-def test_list_run_matches_scalar_runs(sim, disturbed):
-    # every bounded-input member fails within 0.6 s, the first one within 0.3 s
+def test_bounded_input_runs_fail_where_the_others_do_not(sim, disturbed):
+    # every bounded-input run fails within 0.6 s, the first one within 0.3 s
     cfg = SimConfig(dt=1e-3, horizon=0.3 if sim else 0.6, **sim)
     dist = DisturbanceSpec.bounded_random(0.5, seed=5) if disturbed else None
-    specs = velocity_specs(KINDS)
-    assert _batch_members(VELOCITY.system, VELOCITY.barrier, specs) == list(range(len(specs)))
-    trajs = assert_list_run_matches(VELOCITY.system, specs, VELOCITY.barrier, VELOCITY.x0, cfg, dist)
+    trajs = velocity_runs(KINDS, cfg, dist)
     steps = [t.failure_step for t in trajs]
     assert steps[:5] == [None] * 5 and steps[5] is not None
     if not sim:
@@ -468,68 +516,30 @@ def test_list_run_matches_scalar_runs(sim, disturbed):
         assert len(trajs[5]) == steps[5]
 
 
-def test_list_run_members_stay_batched(monkeypatch):
-    # the scalar formula runs only where a member leaves the batch: never on
-    # the benchmark's eta sweep, and for a failing member only to redo its
-    # failing step on the scalar loop (at most one RK4 step, 4 evaluations),
-    # which on these declared plants is the float loop and its formula core
-    calls = []
-
-    def counted(spec, c, c_bar, d2, x=None, d=None):
-        calls.append(spec)
-        return controller_terms(spec, c, c_bar, d2, x, d)
-
-    monkeypatch.setattr("cbfctrl.simulate.controller_terms", counted)
-    etas = velocity_specs([controller_spec("tunable", sigma=0.2, eta=e) for e in (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)])
-    trajs = run(VELOCITY.system, etas, VELOCITY.barrier, VELOCITY.x0, SimConfig(dt=1e-3, horizon=0.3))
-    assert all(t.ok for t in trajs) and calls == []
-    gammas = velocity_specs(KINDS[5:])
-    trajs = run(VELOCITY.system, gammas, VELOCITY.barrier, VELOCITY.x0, SimConfig(dt=1e-3, horizon=0.6))
-    assert [t.failure_step for t in trajs] == [86, 272, 563]
-    per_member = [sum(spec is s for s in calls) for spec in gammas]
-    assert sum(per_member) == len(calls) and all(1 <= n <= 4 for n in per_member)
-    # bare specs of different kinds share no nominal, so they advance together
-    calls.clear()
-    system, barrier = stacked_line(lambda x: np.full_like(x, -1.0))  # pushed toward h = 0
-    bare = [ControllerSpec.qp(), ControllerSpec.sontag(S02), ControllerSpec.tunable(S02, TunableTermPolicy.eta_constant(0.6))]
-    assert _batch_members(system, barrier, bare) == [0, 1, 2]
-    cfg = SimConfig(dt=1e-3, horizon=1.0)
-    trajs = run(system, bare, barrier, np.array([0.0]), cfg)
-    assert all(t.ok for t in trajs) and calls == []
-    for traj, alone in zip(trajs, assert_list_run_matches(system, bare, barrier, np.array([0.0]), cfg)):
-        for name in RECORDED:
-            assert getattr(traj, name).tobytes() == getattr(alone, name).tobytes(), name
-    assert np.isnan(trajs[0].kappas).all() and not np.isnan(trajs[1].kappas).any()
-
-
-def test_list_run_failures_at_step_zero_and_run_scenario_equivalence():
+def test_runs_failing_at_step_zero_and_run_formulas_equivalence():
     formulas = [
         controller_spec("tunable", sigma=0.2, eta=0.3),  # KappaRangeError at x0
         controller_spec("bounded_input", sigma=0.2, eta=0.7, gamma=0.1),  # incompatible at x0
         controller_spec("tunable", sigma=0.2, eta=0.9),
     ]
     cfg = SimConfig(dt=1e-3, horizon=0.05)
-    trajs = assert_list_run_matches(
-        VELOCITY.system, velocity_specs(formulas), VELOCITY.barrier, VELOCITY.x0, cfg
-    )
+    trajs = run_formulas(VELOCITY, formulas, cfg)
     assert [t.failure_step for t in trajs] == [0, 0, None]
     assert trajs[0].states.shape == (0, 3) and trajs[1].inputs.shape == (0, 2)
     assert "KappaRangeError at step 0" in trajs[0].failure
     assert "IncompatibleInputError at step 0" in trajs[1].failure
-    # run_formulas is the list run of the scenario's filter around each formula
-    for traj, f in zip(run_formulas(VELOCITY, formulas, cfg), formulas):
+    # run_formulas runs the scenario's filter around each formula
+    for traj, f in zip(trajs, formulas):
         alone = velocity_level_scenario(
             sigma=0.2, kind=f.kind, eta=f.policy.eta, gamma=f.gamma, relu=f.relu
         )
         ref = run(alone.system, alone.spec, alone.barrier, alone.x0, cfg)
         np.testing.assert_array_equal(traj.states, ref.states)
         assert traj.failure == ref.failure
-        assert (ref.states.shape[1:], ref.inputs.shape[1:]) == ((3,), (2,))  # zero rows keep their width alone too
 
 
-def declaring_stacks(system, barrier, nominal=None):
-    """system declaring the evaluation of barrier and nominal, per state and
-    over a stack, from maps that take either."""
+def declaring(system, barrier, nominal=None):
+    """system declaring the evaluation of barrier and nominal."""
 
     def floats(y):
         x = np.array(y)
@@ -537,34 +547,29 @@ def declaring_stacks(system, barrier, nominal=None):
         kd = None if nominal is None else np.asarray(nominal(x), dtype=float).tolist()
         return f, g, float(barrier.value(x)), grad, kd
 
-    def stack(xs):
-        kd = None if nominal is None else nominal(xs)
-        return system.drift(xs), system.input_map(xs), barrier.value(xs), barrier.gradient(xs), kd
-
-    return replace(system, evaluation=PlantEvaluation(floats, barrier, nominal, stack))
+    return replace(system, evaluation=PlantEvaluation(floats, barrier, nominal))
 
 
-def stacked_line(drift, beta=1.5, slope=1.0, offset=1.0, nominal=None):
+def declared_line(drift, beta=1.5, slope=1.0, offset=1.0, nominal=None):
     """xdot = drift(x) + u on the line, h = offset + slope x, with its
-    evaluation declared over stacks for that barrier and nominal."""
+    evaluation declared for that barrier and nominal."""
     system = ControlAffineSystem(state_dim=1, input_dim=1, drift=drift, input_map=lambda x: np.ones((1, 1)))
     barrier = BarrierFunction(
         value=lambda x: offset + slope * x[..., 0],
         gradient=lambda x: np.full(1, slope),
         classk=ExtendedClassK.linear(beta),
     )
-    return declaring_stacks(system, barrier, nominal), barrier
+    return declaring(system, barrier, nominal), barrier
 
 
-def test_list_run_blow_ups_match_scalar():
+def test_blow_ups_on_declared_plants():
     specs = [ControllerSpec.qp(), ControllerSpec.sontag(S02), ControllerSpec.tunable(S02, TunableTermPolicy.eta_constant(0.6))]
     # xdot = x^2 + u, pushed outward (h = 1 + x grows): escapes near t = 0.5,
     # as a non-finite constraint at x_k (qp) or inside the step (the others)
-    system, barrier = stacked_line(lambda x: x * x)
-    assert _batch_members(system, barrier, specs) == [0, 1, 2]
+    system, barrier = declared_line(lambda x: x * x)
     cfg = SimConfig(dt=1e-3, horizon=1.0)
     with np.errstate(all="ignore"):
-        trajs = assert_list_run_matches(system, specs, barrier, np.array([2.0]), cfg)
+        trajs = [run(system, spec, barrier, np.array([2.0]), cfg) for spec in specs]
     assert trajs[0].failure.startswith("NumericsError at step 502: constraint evaluation not finite")
     assert [t.failure_step for t in trajs[1:]] == [501, 501]
     assert all(t.failure.startswith("blow-up at step 501: ") for t in trajs[1:])
@@ -578,74 +583,38 @@ def test_list_run_blow_ups_match_scalar():
         gradient=lambda x: np.array([0.0, -1.0]),
         classk=ExtendedClassK.linear(1.5),
     )
-    system = declaring_stacks(system, barrier)
+    system = declaring(system, barrier)
     with np.errstate(all="ignore"):
-        trajs = assert_list_run_matches(system, specs, barrier, np.zeros(2), cfg)
+        trajs = [run(system, spec, barrier, np.zeros(2), cfg) for spec in specs]
     assert all(t.failure.startswith("blow-up at step 0: state became non-finite") for t in trajs)
     assert all(len(t) == 1 for t in trajs)
 
 
-def test_list_run_hands_off_a_filter_whose_unshifted_constraint_is_infeasible():
+def test_filter_whose_unshifted_constraint_is_infeasible_fails_at_step_zero():
     # h = 1e-7 x: ||d||^2 = 1e-14 <= EPS_D, c = -1.5e-9 <= 0 < c + d.k_d; the
-    # scalar filter raises on the unshifted c before it shifts by the nominal
+    # filter raises on the unshifted c before it shifts by the nominal
     push = lambda x: np.ones_like(x)
-    system, barrier = stacked_line(lambda x: np.zeros_like(x), slope=1e-7, offset=0.0, nominal=push)
+    system, barrier = declared_line(lambda x: np.zeros_like(x), slope=1e-7, offset=0.0, nominal=push)
     specs = [ControllerSpec.safety_filter(f, push) for f in (ControllerSpec.sontag(S02), ControllerSpec.qp())]
-    assert _batch_members(system, barrier, specs) == [0, 1]
     cfg = SimConfig(dt=1e-3, horizon=0.01, allow_unsafe_start=True)
-    trajs = assert_list_run_matches(system, specs, barrier, np.array([-0.01]), cfg)
+    trajs = [run(system, spec, barrier, np.array([-0.01]), cfg) for spec in specs]
     assert all(t.failure.startswith("InfeasibleConstraintError at step 0") and len(t) == 0 for t in trajs)
 
 
-def test_list_run_mixed_with_per_member_specs():
+def test_custom_shaping_equal_to_the_linear_one_gives_the_same_run():
     custom = ShapingFunction.custom(lambda y: 0.2 * y)
-    direct = TunableTermPolicy.kappa_direct(lambda x: 0.8)
-    formulas = [
-        controller_spec("tunable", sigma=0.2, eta=0.7),
-        ControllerSpec.tunable(custom, TunableTermPolicy.eta_constant(0.7)),
-        ControllerSpec.tunable(S02, direct),
-        ControllerSpec.bounded_input(S02, 1.0),  # the eta_function default policy
-        controller_spec("sontag", sigma=0.2),
-    ]
-    specs = velocity_specs(formulas)
-    other_nominal = ControllerSpec.safety_filter(controller_spec("qp"), VELOCITY.spec.nominal)
-    specs.append(other_nominal)  # the declared nominal in another filter spec: still together
-    specs.append(ControllerSpec.safety_filter(controller_spec("qp"), lambda x: VELOCITY.spec.nominal(x)))
-    assert _batch_members(VELOCITY.system, VELOCITY.barrier, specs) == [0, 4, 5]
-    trajs = assert_list_run_matches(
-        VELOCITY.system, specs, VELOCITY.barrier, VELOCITY.x0, SimConfig(dt=1e-3, horizon=0.3)
-    )
-    # the custom shaping is the linear one, so both paths give the same run
-    np.testing.assert_array_equal(trajs[0].states, trajs[1].states)
+    formulas = [controller_spec("tunable", sigma=0.2, eta=0.7), ControllerSpec.tunable(custom, TunableTermPolicy.eta_constant(0.7))]
+    linear, shaped = velocity_runs(formulas, SimConfig(dt=1e-3, horizon=0.3))
+    np.testing.assert_array_equal(linear.states, shaped.states)
 
 
-def test_list_run_on_plants_without_stacks_runs_each_member_alone():
-    system = single_integrator(1)
-    barrier = linear_barrier([1.0], 1.0, beta=1.5)
-    push = lambda x: np.array([2.0])
-    specs = [ControllerSpec.safety_filter(f, push) for f in (ControllerSpec.qp(), ControllerSpec.sontag(S02))]
-    assert _batch_members(system, barrier, specs) == []
-    assert_list_run_matches(system, specs, barrier, np.array([0.0]), SimConfig(dt=1e-3, horizon=0.2))
-
-
-def test_list_run_scalar_path_is_the_reference_loop():
-    spec = velocity_specs([controller_spec("bounded_input", sigma=0.2, eta=0.7, gamma=1.0)])[0]
-    cfg = SimConfig(dt=1e-3, horizon=0.2)
-    traj = run(VELOCITY.system, [spec], VELOCITY.barrier, VELOCITY.x0, cfg)[0]
-    rows, failure, failure_step = reference_run(VELOCITY.system, spec, VELOCITY.barrier, VELOCITY.x0, cfg)
-    for name in RECORDED:
-        np.testing.assert_array_equal(getattr(traj, name), rows[name], err_msg=name)
-    assert (traj.failure, traj.failure_step) == (failure, failure_step)
-    assert failure_step == 86
-
-
-def test_list_run_at_exact_norm_bound_compatibility():
+def test_run_at_exact_norm_bound_compatibility():
     # c = beta h = -1 and d = 1 at x0 = -2: gamma ||d|| + c = 0, and the eta
     # of lin_sontag_eta puts kappa at exactly 0, which the range admits
-    system, barrier = stacked_line(lambda x: np.zeros_like(x), beta=1.0)
+    system, barrier = declared_line(lambda x: np.zeros_like(x), beta=1.0)
     eta = 1.0 / (math.sqrt(1.2) + 1.0)
     spec = ControllerSpec.bounded_input(S02, 1.0, TunableTermPolicy.eta_constant(eta))
     cfg = SimConfig(dt=1e-3, horizon=0.01, allow_unsafe_start=True)
-    traj = assert_list_run_matches(system, [spec, ControllerSpec.qp()], barrier, np.array([-2.0]), cfg)[0]
+    traj = run(system, spec, barrier, np.array([-2.0]), cfg)
     assert traj.ok
     assert traj.kappas[0] == 0.0 and traj.inputs[0, 0] == 1.0
